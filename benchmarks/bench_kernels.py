@@ -73,8 +73,8 @@ def bench_subset(n, s, repeats):
     )
     _kernels._best_subset_numba(*args)
     t_nb = timeit(lambda: _kernels._best_subset_numba(*args), repeats)
-    t_np = timeit(lambda: _kernels._best_subset_numpy(*args), repeats)
-    n_subsets = _kernels._best_subset_numpy(*args)[2]
+    t_np = timeit(lambda: _kernels._best_subset_qr(*args), repeats)
+    n_subsets = _kernels._best_subset_qr(*args)[2]
     return "best_subset", f"n={n}, {s} columns, {n_subsets} subsets (size<=5)", t_nb, t_np
 
 

@@ -8,8 +8,15 @@ Three kernels dominate runtime on large panels and ship in both builds:
 
 Dispatch happens per call via :func:`gwasel.backend.numba_enabled`, so the
 ``GWASEL_BACKEND`` environment variable can flip paths without reimport.
-Both builds of a kernel are bit-compatible in their integer outputs and
-agree on floats to rounding error; ``tests/test_backend.py`` checks this.
+Both builds of a kernel agree on floats to rounding error, and both builds
+of ``impute_fill`` and ``leader_cluster`` give identical integer outputs;
+``tests/test_backend.py`` checks this.  ``best_subset`` gives the same
+subset count in both builds, and the same subset unless two subsets span
+the same column space (duplicated or linearly dependent columns): their
+values then tie exactly and rounding picks one, differently per build.
+The numpy build of ``best_subset`` is ``_best_subset_qr``;
+``_best_subset_numpy`` is the per-subset Gram-Schmidt it replaced, kept as
+its reference in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -444,6 +451,83 @@ def _best_subset_numpy(z, y_resid, rss0, orig_norm2, pen, max_size,
     return best[0], best[2], n_eval
 
 
+def _best_subset_qr(z, y_resid, rss0, orig_norm2, pen, max_size,
+                    log_mode, n_obs, sigma2, floor, tol2):
+    # Same search, counts and tie order as _best_subset_numpy, on the
+    # coordinates of z in its own QR basis (s x s instead of n x s).  A node
+    # of the depth-first walk holds the residualised block of the columns
+    # start..s-1 and scores all of its children at once: the pivot of a
+    # column is its squared norm in the block, its y load block'c / sqrt(pivot).
+    # The children's blocks are made together, each as the parent block with
+    # the child's direction projected out twice; a node one level above the
+    # leaves scores all of its grandchildren in one step.
+    s = z.shape[1]
+
+    def values(rss, size):
+        if log_mode:
+            return n_obs * np.log(np.maximum(rss, floor)) + pen[size]
+        return rss / sigma2 + pen[size]
+
+    best_val = float(values(rss0, 0))
+    best_idx: list[int] = []
+    n_eval = 1
+    if max_size == 0 or s == 0:
+        return best_val, np.empty(0, np.int64), n_eval
+
+    q, r = np.linalg.qr(z)
+    c = q.T @ y_resid
+    thresh = tol2 * orig_norm2
+    chosen: list[int] = []
+
+    def score(blocks, start, first, rss, size, prefixes):
+        # blocks[a] holds columns start.. of sibling node a, whose children
+        # are its columns from local index first[a] on; siblings come in
+        # lexicographic order, so the first minimum is the tie winner
+        nonlocal best_val, best_idx, n_eval
+        piv = np.einsum("akj,akj->aj", blocks, blocks)
+        ok = piv > thresh[start:]  # collinear branches are skipped
+        ok[np.arange(piv.shape[1]) < first[:, None]] = False
+        root = np.sqrt(np.where(ok, piv, 1.0))
+        ty = (c @ blocks) / root
+        rss_new = np.maximum(rss[:, None] - ty * ty, 0.0)
+        vals = np.where(ok, values(rss_new, size), np.inf)
+        n_ok = int(np.count_nonzero(ok))
+        n_eval += n_ok
+        if n_ok:
+            a, j = np.unravel_index(np.argmin(vals), vals.shape)
+            val = float(vals[a, j])
+            cand = prefixes[a] + [start + int(j)]
+            if val < best_val or (val == best_val and (
+                size < len(best_idx) or (size == len(best_idx) and cand < best_idx)
+            )):
+                best_val, best_idx = val, cand
+        return ok[0], root[0], rss_new[0]
+
+    def descend(block, start, rss):
+        size = len(chosen) + 1
+        ok, root, rss_new = score(block[None], start, np.zeros(1, np.int64),
+                                  np.array([rss]), size, [chosen])
+        if size == max_size:
+            return
+        kid = np.nonzero(ok[:-1])[0]  # the last column has no children
+        if kid.size == 0:
+            return
+        u = (block[:, kid] / root[kid]).T
+        kids = block[None] - u[:, :, None] * (u @ block)[:, None, :]
+        kids -= u[:, :, None] * np.einsum("ak,akj->aj", u, kids)[:, None, :]
+        if size + 1 == max_size:
+            score(kids, start, kid + 1, rss_new[kid], size + 1,
+                  [chosen + [start + int(i)] for i in kid])
+            return
+        for a, i in enumerate(kid):
+            chosen.append(start + int(i))
+            descend(kids[a][:, i + 1:], start + int(i) + 1, float(rss_new[i]))
+            chosen.pop()
+
+    descend(r, 0, rss0)
+    return best_val, np.asarray(best_idx, dtype=np.int64), n_eval
+
+
 def best_subset(z, y_resid, rss0, orig_norm2, pen, max_size, *,
                 log_mode, n_obs, sigma2, floor, tol):
     """Score every subset of the columns of ``z`` up to ``max_size``.
@@ -464,4 +548,4 @@ def best_subset(z, y_resid, rss0, orig_norm2, pen, max_size, *,
             float(tol) ** 2)
     if numba_enabled():
         return _best_subset_numba(*args)
-    return _best_subset_numpy(*args)
+    return _best_subset_qr(*args)

@@ -167,6 +167,9 @@ def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConf
         dataset = load_dataset(cfg["genotypes"], meta_path=cfg.get("meta"))
     elif "synthetic" in cfg:
         syn = cfg["synthetic"]
+        for key in ("n", "p"):
+            if key not in syn:
+                parser.error(f"simulation config 'synthetic' needs key {key!r}")
         dataset = synthetic_dataset(
             int(syn["n"]), int(syn["p"]),
             maf_range=tuple(syn.get("maf_range", (0.3, 0.5))),
@@ -178,6 +181,8 @@ def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConf
         causal = [int(j) for j in cfg["causal_indices"]]
     elif "k" in cfg:
         k = int(cfg["k"])
+        if not 0 <= k <= dataset.n_snps:
+            parser.error(f"simulation config key 'k' must lie in [0, {dataset.n_snps}], got {k}")
         causal = list(np.linspace(0, dataset.n_snps - 1, k).astype(int)) if k else []
     else:
         parser.error("simulation config needs 'causal_indices' or 'k'")

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import betainc
 
 from gwasel.errors import CollinearityError, DegenerateColumnError
@@ -106,6 +107,13 @@ class FitWorkspace:
 
     Columns are held as an orthonormal basis Q with R upper triangular and
     qty = Q'y, in the order [intercept, forced..., SNPs by insertion].
+
+    Drop scoring is closed form: with beta = R^-1 qty, removing column j
+    raises the RSS by beta_j^2 / [(R'R)^-1]_jj, and that diagonal entry is
+    the squared norm of row j of R^-1 (Miller, Subset Selection in
+    Regression, 2002).  :meth:`drop_rss` scores every SNP from one
+    triangular solve; :meth:`rss_if_dropped` computes one drop by Givens
+    rotations and serves as its reference.
     """
 
     def __init__(self, dataset: Dataset, forced_indices: tuple[int, ...] = (),
@@ -248,6 +256,15 @@ class FitWorkspace:
             qty[t + 1] = -s * y0 + c * y1
         return self.rss + float(qty[k - 1] ** 2)
 
+    def drop_rss(self) -> np.ndarray:
+        """RSS after removing each SNP, aligned with ``self.snps``."""
+        m = self._m
+        r_inv = solve_triangular(self._R[:m, :m], np.eye(m))
+        beta = r_inv @ self._qty[:m]
+        b = self._base
+        row_norm2 = np.einsum("ij,ij->i", r_inv[b:], r_inv[b:])
+        return self.rss + beta[b:] ** 2 / row_norm2
+
     @property
     def _base(self) -> int:
         return 1 + len(self.forced_indices)
@@ -324,14 +341,21 @@ def fit(dataset: Dataset, model: ModelSpec) -> FitResult:
 
 
 def refit_add(dataset: Dataset, model: ModelSpec, new_index: int) -> FitResult:
-    """Fit of the model extended by one SNP, via an incremental update."""
+    """Fit of the model extended by one SNP.
+
+    Builds a fresh workspace for ``model`` and appends the SNP to it.
+    """
     ws = workspace_for(dataset, model)
     ws.add_snp(int(new_index))
     return ws.result()
 
 
 def refit_drop(dataset: Dataset, model: ModelSpec, drop_index: int) -> FitResult:
-    """Fit of the model with one SNP removed, via an incremental downdate."""
+    """Fit of the model with one SNP removed.
+
+    Builds a fresh workspace for ``model`` and removes the SNP from it by
+    Givens rotations.
+    """
     if drop_index not in model.snp_indices:
         raise ValueError(f"SNP {drop_index} not in model")
     ws = workspace_for(dataset, model)

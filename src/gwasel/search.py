@@ -220,18 +220,18 @@ def _forward(ws: FitWorkspace, tracker: _CandidateTracker, config: SearchConfig,
             trace.append("forward", "add", j, cur_val, len(ws.snps))
 
 
-def _best_drop(ws: FitWorkspace, ev: _CriterionEval) -> tuple[float, int, tuple[int, ...]] | None:
+def _best_drop(ws: FitWorkspace, ev: _CriterionEval) -> tuple[float, int] | None:
+    """Best single drop as (criterion value, SNP).
+
+    Equal values drop the largest SNP index, which leaves the
+    lexicographically smallest model.
+    """
     if not ws.snps:
         return None
-    best = None
-    for j in ws.snps:
-        val = ev.value(ws.rss_if_dropped(j), len(ws.snps) - 1)
-        remaining = tuple(sorted(k for k in ws.snps if k != j))
-        key = (val, remaining)
-        if best is None or key < best[0]:
-            best = (key, j)
-    (val, remaining), j = best
-    return val, j, remaining
+    snps = np.asarray(ws.snps, dtype=np.int64)
+    vals = ev.value_array(ws.drop_rss(), snps.size - 1)
+    pick = np.lexsort((-snps, vals))[0]
+    return float(vals[pick]), int(snps[pick])
 
 
 def _backward(ws: FitWorkspace, config: SearchConfig, ev: _CriterionEval,
@@ -241,7 +241,7 @@ def _backward(ws: FitWorkspace, config: SearchConfig, ev: _CriterionEval,
         found = _best_drop(ws, ev)
         if found is None:
             break
-        val, j, _ = found
+        val, j = found
         if val >= cur_val:
             break
         ws.drop_snp(j)
@@ -293,7 +293,7 @@ def _stepwise(ws: FitWorkspace, tracker: _CandidateTracker, config: SearchConfig
 
         found = _best_drop(ws, ev)
         if found is not None and found[0] < cur_val:
-            val, j, _ = found
+            val, j = found
             ws.drop_snp(j)
             tracker.sync(ws)
             cur_rss = ws.rss

@@ -146,6 +146,21 @@ def test_simulate_subcommand(tmp_path):
     assert 0.0 <= summary["heritability"] < 1.0
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"synthetic": {"p": 50}, "k": 2}, "'n'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 11}, "'k'"),
+])
+def test_simulate_bad_config_exits_2(tmp_path, capsys, cfg, key):
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--config", str(cfg_path), "--replicates", "1",
+              "--out", str(tmp_path / "sim")])
+    assert err.value.code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_no_temp_files_left_behind(tmp_path):
     g, t = write_fixture(tmp_path)
     out = tmp_path / "o"

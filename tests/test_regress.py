@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chi2, kstest, t as t_dist
 
+from gwasel.criteria import CriterionConfig
 from gwasel.errors import CollinearityError, DegenerateColumnError
 from gwasel.regress import (
     FitWorkspace,
@@ -16,6 +18,7 @@ from gwasel.regress import (
     refit_drop,
     workspace_for,
 )
+from gwasel.search import _best_drop, _CriterionEval
 
 from conftest import dataset_from_values, random_genotypes
 
@@ -192,6 +195,82 @@ def test_rss_if_dropped_matches_actual_drop():
         predicted = ws.rss_if_dropped(j)
         rss_oracle, _ = lstsq_rss(ds, tuple(k for k in (0, 2, 4, 6) if k != j))
         assert predicted == pytest.approx(rss_oracle, rel=1e-9)
+
+
+def assert_drop_rss_oracles(ws, ds):
+    """drop_rss() against the Givens reference and a from-scratch lstsq."""
+    drops = ws.drop_rss()
+    assert drops.shape == (len(ws.snps),)
+    for k, j in enumerate(ws.snps):
+        assert drops[k] == pytest.approx(ws.rss_if_dropped(j), rel=1e-9)
+        rest = tuple(sorted(i for i in ws.snps if i != j))
+        rss_oracle, _ = lstsq_rss(ds, rest, forced=ws.forced_indices)
+        assert drops[k] == pytest.approx(rss_oracle, rel=1e-8)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_drop_rss_matches_oracles_with_forced_covariates(seed, n_forced, q):
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(q + n_forced + 12, 60)), 12
+    values = random_genotypes(rng, n, p)
+    cov = rng.normal(size=(n, 2))
+    y = values[:, :3] @ rng.normal(size=3) + cov[:, 0] + rng.normal(size=n)
+    ds = dataset_from_values(values, trait=y, covariates=cov)
+    snps = tuple(sorted(rng.choice(p, size=q, replace=False).tolist()))
+    try:
+        ws = workspace_for(ds, ModelSpec(snps, tuple(range(n_forced))))
+    except CollinearityError:
+        assume(False)
+    assert_drop_rss_oracles(ws, ds)
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_drop_rss_matches_oracles_after_add_drop_sequence(seed, moves):
+    rng = np.random.default_rng(seed)
+    n, p = 50, 15
+    values = random_genotypes(rng, n, p)
+    ds = dataset_from_values(values, trait=rng.normal(size=n),
+                             covariates=rng.normal(size=(n, 1)))
+    ws = FitWorkspace(ds, (0,))
+    for drop in moves:
+        if drop and ws.snps:
+            ws.drop_snp(int(rng.choice(ws.snps)))
+            continue
+        free = [j for j in range(p) if j not in ws.snps]
+        if free:
+            try:
+                ws.add_snp(int(rng.choice(free)))
+            except CollinearityError:
+                pass
+    assume(ws.snps)
+    assert_drop_rss_oracles(ws, ds)
+
+
+class _FixedDrops:
+    """Workspace stand-in whose drop scores are given exactly."""
+
+    def __init__(self, snps, drops):
+        self.snps = list(snps)
+        self._drops = np.asarray(drops, dtype=np.float64)
+
+    def drop_rss(self):
+        return self._drops
+
+
+@pytest.mark.parametrize("log_mode", [True, False])
+def test_best_drop_ties_drop_largest_index(log_mode):
+    crit = CriterionConfig("mbic", n=100, p_effective=1000, sigma=None if log_mode else 1.0)
+    ev = _CriterionEval(crit, rss_base=50.0)
+    snps = [7, 2, 9, 4, 11]
+    ws = _FixedDrops(snps, [30.0, 20.0, 20.0, 20.0, 25.0])
+    val, j = _best_drop(ws, ev)
+    assert j == 9
+    assert val == ev.value(20.0, 4)
+    # the rule it encodes: the lexicographically smallest remaining model
+    tied = [k for k, d in zip(snps, ws.drop_rss()) if d == 20.0]
+    assert j == min(tied, key=lambda k: sorted(i for i in snps if i != k))
 
 
 def test_refit_add_collinear_column_raises():
