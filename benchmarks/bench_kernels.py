@@ -35,7 +35,7 @@ def bench_impute(n, p, repeats):
     args = (masked, observed, 50, 4)
     _kernels._impute_fill_numba(*args)  # compile outside the timer
     t_nb = timeit(lambda: _kernels._impute_fill_numba(*args), repeats)
-    t_np = timeit(lambda: _kernels._impute_fill_numpy(*args), repeats)
+    t_np = timeit(lambda: _kernels._impute_fill_grouped(*args), repeats)
     return "impute_fill", f"{n}x{p}, 5% missing, window 50", t_nb, t_np
 
 
@@ -48,7 +48,7 @@ def bench_cluster(n, p, repeats):
     args = (base, 0.7, 200)
     _kernels._leader_cluster_numba(*args)
     t_nb = timeit(lambda: _kernels._leader_cluster_numba(*args), repeats)
-    t_np = timeit(lambda: _kernels._leader_cluster_numpy(*args), repeats)
+    t_np = timeit(lambda: _kernels._leader_cluster_blocked(*args), repeats)
     return "leader_cluster", f"{n}x{p}, C=0.7, window 200", t_nb, t_np
 
 

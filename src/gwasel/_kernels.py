@@ -1,4 +1,4 @@
-"""Hot numeric kernels, each in a numba build and a pure-numpy fallback.
+"""Hot numeric kernels, each in a numba build and a pure-numpy build.
 
 Three kernels dominate runtime on large panels and ship in both builds:
 
@@ -14,16 +14,25 @@ of ``impute_fill`` and ``leader_cluster`` give identical integer outputs;
 subset count in both builds, and the same subset unless two subsets span
 the same column space (duplicated or linearly dependent columns): their
 values then tie exactly and rounding picks one, differently per build.
-The numpy build of ``best_subset`` is ``_best_subset_qr``;
-``_best_subset_numpy`` is the per-subset Gram-Schmidt it replaced, kept as
-its reference in ``tests/test_kernels.py``.
-"""
 
+The numpy builds are ``_impute_fill_grouped``, ``_leader_cluster_blocked``
+and ``_best_subset_qr``.  The per-column and per-subset kernels they
+replaced, ``_impute_fill_numpy``, ``_leader_cluster_numpy`` and
+``_best_subset_numpy``, are kept as their references in
+``tests/test_kernels.py``.  ``_impute_fill_grouped`` gives the same
+integers as its reference on every input.  ``_leader_cluster_blocked``
+does too, except where a correlation lies within rounding (~1e-12) of the
+threshold: a matrix product and a matrix-vector product may round it to
+opposite sides.
+"""
 from __future__ import annotations
 
 import numpy as np
 
 from gwasel.backend import njit, numba_enabled
+
+_IMPUTE_CHUNK = 64  # target columns whose window sums share one product
+_CLUSTER_BLOCK = 128  # columns correlated per product in leader clustering
 
 # ---------------------------------------------------------------------------
 # imputation
@@ -200,6 +209,88 @@ def _impute_fill_numpy(values, observed, window, n_predictors):
     return out, -1
 
 
+def _impute_fill_grouped(values, observed, window, n_predictors, chunk=_IMPUTE_CHUNK):
+    # Same imputations as _impute_fill_numpy.  The pairwise-complete sums of
+    # up to ``chunk`` target columns come from a few matrix products over
+    # the span of their windows; the sums are integers <= n, exact in
+    # float32 below 2**24, so the correlations are bit-identical.  Each
+    # column's window is ranked once; a missing row's predictors are the
+    # first n_predictors of that ranking it has observed, and the rows that
+    # share a predictor set are voted on together.
+    n, p = values.shape
+    out = values.copy()
+    n_obs = observed.sum(axis=0)
+    targets = np.nonzero(n_obs < n)[0]
+    empty = targets[n_obs[targets] == 0]
+    bad = int(empty[0]) if empty.size else -1
+    if bad >= 0:  # fill up to the first column with nothing to impute from
+        targets = targets[targets < bad]
+    dtype = np.float32 if n < 2**24 else np.float64
+    start = 0
+    while start < targets.size:
+        cur = targets[start:start + chunk]
+        cur = cur[cur <= cur[0] + 2 * window]
+        start += cur.size
+        s0 = max(0, int(cur[0]) - window)
+        s1 = min(p, int(cur[-1]) + window + 1)
+        obs_span = observed[:, s0:s1]
+        o = obs_span.astype(dtype)
+        x = np.where(obs_span, values[:, s0:s1], 0).astype(dtype)
+        a = observed[:, cur].T.astype(dtype)
+        y = np.where(observed[:, cur], values[:, cur], 0).T.astype(dtype)
+        m = cur.size
+        by_obs = (np.vstack([a, y, y * y]) @ o).astype(np.float64)
+        by_x = (np.vstack([a, y]) @ x).astype(np.float64)
+        by_xx = (a @ (x * x)).astype(np.float64)
+        for t, j in enumerate(cur.tolist()):
+            lo, hi = max(0, j - window), min(p - 1, j + window)
+            w = slice(lo - s0, hi + 1 - s0)
+            n_ok, sy, syy = by_obs[t, w], by_obs[m + t, w], by_obs[2 * m + t, w]
+            sx, sxy, sxx = by_x[t, w], by_x[m + t, w], by_xx[t, w]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                vx = sxx - sx * sx / n_ok
+                vy = syy - sy * sy / n_ok
+                cors = (sxy - sx * sy / n_ok) / np.sqrt(vx * vy)
+            cols = np.arange(lo, hi + 1)
+            defined = (n_ok >= 2) & (vx > 0.0) & (vy > 0.0) & np.isfinite(cors) & (cols != j)
+            pool = cols[defined]
+            # by |corr| desc, then file distance asc, then index
+            ranked = pool[np.lexsort((pool, np.abs(pool - j), -np.abs(cors[defined])))]
+            _impute_column(out, values, observed, j, ranked, n_predictors)
+    return out, bad
+
+
+def _impute_column(out, values, observed, j, ranked, n_predictors):
+    obs_j = observed[:, j]
+    rows = np.nonzero(~obs_j)[0]
+    codes = values[obs_j, j].astype(np.int64) + 1
+    majority = int(np.argmax(np.bincount(codes, minlength=3))) - 1  # smaller code on ties
+    avail = observed[np.ix_(rows, ranked)]
+    take = avail & (np.cumsum(avail, axis=1) <= n_predictors)
+    groups: dict[bytes, list[int]] = {}
+    for r, row in enumerate(np.packbits(take, axis=1)):
+        groups.setdefault(row.tobytes(), []).append(r)
+    for members in groups.values():
+        preds = ranked[take[members[0]]]
+        members = rows[members]
+        if preds.size == 0:
+            out[members, j] = majority
+            continue
+        # base-4 pattern key: code + 1 where observed, 3 where missing
+        digits = np.where(observed[:, preds], values[:, preds].astype(np.int64) + 1, 3)
+        if preds.size <= 31:
+            key = digits @ (4 ** np.arange(preds.size, dtype=np.int64))
+        else:
+            key = np.unique(digits, axis=0, return_inverse=True)[1].reshape(-1)
+        patterns, which = np.unique(key[members], return_inverse=True)
+        key_obs = key[obs_j]
+        slot = np.minimum(np.searchsorted(patterns, key_obs), patterns.size - 1)
+        match = patterns[slot] == key_obs
+        counts = np.bincount(slot[match] * 3 + codes[match], minlength=3 * patterns.size)
+        counts = counts.reshape(-1, 3)[which.reshape(-1)]
+        out[members, j] = np.where(counts.any(axis=1), counts.argmax(axis=1) - 1, majority)
+
+
 def impute_fill(values, observed, window, n_predictors):
     """Fill missing genotype codes; returns (filled, failed_column or -1).
 
@@ -210,7 +301,7 @@ def impute_fill(values, observed, window, n_predictors):
     observed = np.ascontiguousarray(observed, dtype=np.bool_)
     if numba_enabled():
         return _impute_fill_numba(values, observed, window, n_predictors)
-    return _impute_fill_numpy(values, observed, window, n_predictors)
+    return _impute_fill_grouped(values, observed, window, n_predictors)
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +388,70 @@ def _leader_cluster_numpy(x, threshold, window):
     return cluster_id, np.asarray(reps, dtype=np.int64), degenerate
 
 
+def _normalise(block):
+    x = np.array(block, dtype=np.float64)
+    centered = x - x.mean(axis=0)
+    cnorm = np.sqrt((centered * centered).sum(axis=0))
+    degenerate = cnorm <= 0.0
+    normed = np.where(degenerate[None, :], 0.0, centered / np.where(degenerate, 1.0, cnorm)[None, :])
+    return normed, degenerate
+
+
+def _leader_cluster_blocked(x, threshold, window, block=_CLUSTER_BLOCK):
+    # Same clusters as _leader_cluster_numpy, a block of columns at a time.
+    # One matrix product correlates the block with every representative
+    # founded before it and still in reach; representatives are founded in
+    # file order, so the first hit is the earliest-founded.  The columns
+    # without a hit found their clusters in the block's own Gram matrix,
+    # one founder at a time.  Degenerate columns are normalised to zero, so
+    # for threshold >= 0 they neither join nor attract.
+    n, p = x.shape
+    cluster_id = np.empty(p, np.int64)
+    degenerate = np.empty(p, np.bool_)
+    reps: list[int] = []
+    near = np.empty(0, np.int64)  # in-reach representatives, ascending
+    near_cols = np.empty((n, 0))
+    for a in range(0, p, block):
+        b = min(a + block, p)
+        normed, degenerate[a:b] = _normalise(x[:, a:b])
+        keep = near >= a - window
+        near, near_cols = near[keep], near_cols[:, keep]
+        cols = np.arange(a, b)
+        loc = cols - a
+        if near.size:
+            hit = (np.abs(normed.T @ near_cols) > threshold) & (cols[:, None] - near <= window)
+            has = hit.any(axis=1)
+            cluster_id[cols[has]] = cluster_id[near[hit[has].argmax(axis=1)]]
+            loc = loc[~has]
+        sub = normed[:, loc]
+        joins_gram = np.abs(sub.T @ sub) > threshold
+        pending = np.arange(loc.size)
+        founded = []
+        while pending.size:
+            f, rest = pending[0], pending[1:]
+            joins = joins_gram[rest, f] & (loc[rest] - loc[f] <= window)
+            cluster_id[a + loc[f]] = cluster_id[a + loc[rest[joins]]] = len(reps)
+            reps.append(a + int(loc[f]))
+            founded.append(loc[f])
+            pending = rest[~joins]
+        near = np.concatenate([near, a + np.asarray(founded, np.int64)])
+        near_cols = np.hstack([near_cols, normed[:, founded]])
+    return cluster_id, np.asarray(reps, dtype=np.int64), degenerate
+
+
 def leader_cluster(x, threshold, window):
     """Greedy file-order leader clustering on complete genotype columns.
 
     A column joins the earliest-founded cluster whose representative lies
     within ``window`` file positions and correlates above ``threshold`` in
-    absolute value; otherwise it founds a new cluster.
+    absolute value; otherwise it founds a new cluster.  ``x`` may hold the
+    int8 codes: the numpy build converts one block of columns at a time.
+    ``threshold`` must be >= 0; zero-variance columns found singletons.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
     if numba_enabled():
-        return _leader_cluster_numba(x, threshold, window)
-    return _leader_cluster_numpy(x, threshold, window)
+        return _leader_cluster_numba(np.ascontiguousarray(x, dtype=np.float64),
+                                     threshold, window)
+    return _leader_cluster_blocked(x, threshold, window)
 
 
 # ---------------------------------------------------------------------------

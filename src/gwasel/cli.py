@@ -178,7 +178,13 @@ def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConf
     else:
         parser.error("simulation config needs either 'genotypes' or 'synthetic'")
     if "causal_indices" in cfg:
-        causal = [int(j) for j in cfg["causal_indices"]]
+        try:
+            causal = [int(j) for j in cfg["causal_indices"]]
+        except (TypeError, ValueError):
+            causal = None
+        if causal is None or not all(0 <= j < dataset.n_snps for j in causal):
+            parser.error(f"simulation config key 'causal_indices' must list indices in "
+                         f"[0, {dataset.n_snps}), got {cfg['causal_indices']!r}")
     elif "k" in cfg:
         k = int(cfg["k"])
         if not 0 <= k <= dataset.n_snps:
@@ -189,7 +195,12 @@ def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConf
     if "effects" in cfg:
         effects = [float(b) for b in cfg["effects"]]
     else:
-        lo, hi = cfg.get("effect_range", (0.27, 0.66))
+        effect_range = cfg.get("effect_range", (0.27, 0.66))
+        try:
+            lo, hi = np.asarray(effect_range, dtype=np.float64).reshape(2)
+        except (TypeError, ValueError):
+            parser.error(f"simulation config key 'effect_range' must be two numbers, "
+                         f"got {effect_range!r}")
         effects = list(effect_grid(len(causal), lo, hi)) if causal else []
     sim = SimulationConfig(
         causal_indices=tuple(causal),
@@ -239,9 +250,11 @@ def cmd_impute(args, parser) -> int:
     dataset = _load(args)
     completed = impute_missing(dataset, window=args.window, n_predictors=args.predictors)
     ids = _snp_ids(dataset)
+    # tokens[v] is str(v) for every int8 v, negative codes indexing from the end
+    tokens = np.array([str(v) for v in range(128)] + [str(v) for v in range(-128, 0)])
     lines = ["\t".join(ids)]
     for row in completed.genotypes.values:
-        lines.append("\t".join(str(int(v)) for v in row))
+        lines.append("\t".join(tokens[row].tolist()))
     out = Path(args.out)
     _write_atomic(out, "\n".join(lines) + "\n")
     _write_atomic(out.with_suffix(out.suffix + ".manifest.json"), _manifest(

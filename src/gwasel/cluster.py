@@ -51,7 +51,7 @@ def cluster_snps(dataset: Dataset, c_threshold: float = 0.7,
     if dataset.genotypes.missing_mask.any():
         raise ValueError("clustering requires complete genotypes; impute first")
     cluster_id, reps, degenerate = _kernels.leader_cluster(
-        dataset.float_values, float(c_threshold), int(window)
+        dataset.genotypes.values, float(c_threshold), int(window)
     )
     return ClusterAssignment(cluster_id, reps, degenerate)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gwasel.cli import main
-from gwasel.genotype import load_dataset
+from gwasel.genotype import impute_missing, load_dataset
 from gwasel.mtest import scan_to_tsv, single_marker_scan
 from gwasel.simulate import SimulationConfig, simulate_trait, synthetic_dataset
 
@@ -111,6 +111,21 @@ def test_impute_writes_complete_file(tmp_path):
     assert Path(str(out) + ".manifest.json").exists()
 
 
+def test_impute_output_matches_str_encoding_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(12)
+    tokens = rng.choice(np.array(["-1", "0", "1", "NA"]), size=(30, 12), p=[0.3, 0.3, 0.3, 0.1])
+    tokens[:, 0] = "1"
+    g = tmp_path / "g.txt"
+    g.write_text("\n".join("\t".join(row) for row in tokens) + "\n")
+    out = tmp_path / "imputed.txt"
+    assert main(["impute", "--genotypes", str(g), "--window", "3", "--out", str(out)]) == 0
+    completed = impute_missing(load_dataset(g), window=3)
+    ids = [m.snp_id for m in completed.meta]
+    lines = ["\t".join(ids)]
+    lines += ["\t".join(str(int(v)) for v in row) for row in completed.genotypes.values]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_cluster_outputs(tmp_path):
     g, _ = write_fixture(tmp_path, n=60, p=10)
     out = tmp_path / "cl"
@@ -149,6 +164,12 @@ def test_simulate_subcommand(tmp_path):
 @pytest.mark.parametrize("cfg, key", [
     ({"synthetic": {"p": 50}, "k": 2}, "'n'"),
     ({"synthetic": {"n": 40, "p": 10}, "k": 11}, "'k'"),
+    ({"synthetic": {"n": 40, "p": 10}, "causal_indices": [2, 10]}, "'causal_indices'"),
+    ({"synthetic": {"n": 40, "p": 10}, "causal_indices": [-1]}, "'causal_indices'"),
+    ({"synthetic": {"n": 40, "p": 10}, "causal_indices": 3}, "'causal_indices'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": [0.3]}, "'effect_range'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": 0.3}, "'effect_range'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": "12"}, "'effect_range'"),
 ])
 def test_simulate_bad_config_exits_2(tmp_path, capsys, cfg, key):
     cfg_path = tmp_path / "study.json"

@@ -1,10 +1,15 @@
-"""The QR-compressed subset kernel against the per-subset Gram-Schmidt one."""
+"""The numpy kernels against the per-column and per-subset kernels they
+replaced, which stay as their references."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gwasel import _kernels
+from gwasel.cluster import cluster_snps
+from gwasel.genotype import impute_missing
+
+from conftest import dataset_from_values
 
 
 def subset_rss(z, y, subset):
@@ -94,3 +99,147 @@ def test_best_subset_uses_qr_kernel_without_numba(monkeypatch):
     ref = _kernels._best_subset_qr(z, y, float(y @ y), np.einsum("ij,ij->j", z, z),
                                    np.arange(7.0) * 3.0, 3, True, 40.0, 1.0, 1e-12, 1e-20)
     assert out[0] == ref[0] and list(out[1]) == list(ref[1]) and out[2] == ref[2]
+
+
+def ld_codes(rng, n, p, codes=(-1, 0, 1), keep=0.8):
+    """Genotype codes where each column copies most of the previous one."""
+    values = rng.choice(np.array(codes, dtype=np.int8), size=(n, p))
+    for j in range(1, p):
+        copy = rng.random(n) < keep
+        values[copy, j] = values[copy, j - 1]
+    return values
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.integers(1, 45),
+    st.sampled_from([1, 2, 3, 6, 1000]),
+    st.sampled_from([1, 2, 4, 7, 40]),
+    st.sampled_from([1, 3, 64]),
+    st.floats(0.0, 0.6),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_impute_fill_grouped_matches_reference(seed, n, p, window, n_predictors, chunk,
+                                               missing, sparse, junk, two_codes):
+    rng = np.random.default_rng(seed)
+    # two codes per column make code ties and exact |corr| ties common
+    values = ld_codes(rng, n, p, codes=(0, 1) if two_codes else (-1, 0, 1))
+    observed = rng.random((n, p)) >= missing
+    if sparse:
+        one = rng.integers(0, p)
+        observed[:, one] = False
+        observed[rng.integers(0, n), one] = True  # one observed call
+        if rng.random() < 0.5:
+            observed[:, rng.integers(0, p)] = False  # nothing to impute from
+    if junk:
+        values[~observed] = rng.integers(-128, 128, size=int((~observed).sum()))
+    else:
+        values[~observed] = 0
+
+    ref, ref_bad = _kernels._impute_fill_numpy(values, observed, window, n_predictors)
+    out, bad = _kernels._impute_fill_grouped(values, observed, window, n_predictors, chunk)
+
+    assert bad == ref_bad
+    assert np.array_equal(out, ref)
+
+
+def test_impute_fill_grouped_keys_wide_predictor_sets():
+    # 40 predictors overflow a packed base-4 key, which would keep only the
+    # first 32 digits.  The 32 best predictors copy the target's one 1 and
+    # are 0 elsewhere, so every row agrees there; only rows 2-4 also agree
+    # with row 0 on the 8 random predictors after them, and they vote -1.
+    rng = np.random.default_rng(13)
+    values = np.zeros((40, 41), dtype=np.int8)
+    values[1, :32] = values[1, 40] = 1
+    values[:, 32:40] = rng.integers(-1, 2, size=(40, 8))
+    values[2:5, 32:40] = values[0, 32:40]
+    values[2:5, 40] = -1
+    observed = np.ones_like(values, dtype=bool)
+    observed[0, 40] = False
+    ref = _kernels._impute_fill_numpy(values, observed, 1000, 40)
+    out = _kernels._impute_fill_grouped(values, observed, 1000, 40)
+    assert out[1] == ref[1] == -1
+    assert ref[0][0, 40] == -1
+    assert np.array_equal(out[0], ref[0])
+
+
+def near_threshold(values, threshold, window, tol=1e-12):
+    """True when some in-window |R| lies within ``tol`` of ``threshold``."""
+    normed = _kernels._normalise(values)[0]
+    r = np.abs(normed.T @ normed)
+    j = np.arange(values.shape[1])
+    in_window = np.abs(j[:, None] - j[None, :]) <= window
+    return bool(np.any(in_window & (np.abs(r - threshold) <= tol)))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 30),
+    st.integers(1, 60),
+    st.sampled_from([1, 2, 5, 20, 1000]),
+    st.sampled_from([1, 4, 16, 128]),
+    st.sampled_from([0.2, 0.45, 0.7, 0.85, 1.0]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_leader_cluster_blocked_matches_reference(seed, n, p, window, block, threshold,
+                                                  duplicates, degenerate):
+    rng = np.random.default_rng(seed)
+    values = ld_codes(rng, n, p, keep=rng.uniform(0.5, 0.95))
+    if duplicates and p > 1:
+        for j in rng.integers(1, p, size=p // 4 + 1):
+            src = rng.integers(0, j)
+            values[:, j] = values[:, src] * rng.choice(np.array([-1, 1], dtype=np.int8))
+    if degenerate:
+        values[:, rng.integers(0, p, size=p // 5 + 1)] = rng.integers(-1, 2)
+    # a product and a matrix-vector product may round such an |R| to
+    # opposite sides of the threshold
+    assume(not near_threshold(values, threshold, window))
+
+    ref = _kernels._leader_cluster_numpy(values.astype(np.float64), threshold, window)
+    out = _kernels._leader_cluster_blocked(values, threshold, window, block)
+
+    for got, want in zip(out, ref):
+        assert np.array_equal(got, want)
+
+
+def test_impute_fill_uses_grouped_kernel_without_numba(monkeypatch):
+    monkeypatch.setenv("GWASEL_BACKEND", "numpy")
+    calls = []
+    kernel = _kernels._impute_fill_grouped
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "_impute_fill_grouped", spy)
+    rng = np.random.default_rng(14)
+    values = ld_codes(rng, 30, 8)
+    mask = rng.random(values.shape) < 0.1
+    values[mask] = 0
+    done = impute_missing(dataset_from_values(values, mask=mask), window=3)
+    assert len(calls) == 1
+    assert done.genotypes.complete
+
+
+def test_leader_cluster_uses_blocked_kernel_on_int8_codes_without_numba(monkeypatch):
+    monkeypatch.setenv("GWASEL_BACKEND", "numpy")
+    calls = []
+    kernel = _kernels._leader_cluster_blocked
+
+    def spy(x, threshold, window):
+        calls.append(x)
+        return kernel(x, threshold, window)
+
+    monkeypatch.setattr(_kernels, "_leader_cluster_blocked", spy)
+    ds = dataset_from_values(ld_codes(np.random.default_rng(15), 30, 12))
+    cluster_snps(ds, 0.7, window=5)
+    assert len(calls) == 1
+    # the codes go in as they are: no float64 copy of the panel
+    assert calls[0].dtype == np.int8
+    assert "float_values" not in ds.__dict__
