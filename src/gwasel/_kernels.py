@@ -209,14 +209,14 @@ def _impute_fill_numpy(values, observed, window, n_predictors):
     return out, -1
 
 
-def _impute_fill_grouped(values, observed, window, n_predictors, chunk=_IMPUTE_CHUNK):
+def _impute_fill_grouped(values, observed, window, n_predictors):
     # Same imputations as _impute_fill_numpy.  The pairwise-complete sums of
-    # up to ``chunk`` target columns come from a few matrix products over
-    # the span of their windows; the sums are integers <= n, exact in
-    # float32 below 2**24, so the correlations are bit-identical.  Each
-    # column's window is ranked once; a missing row's predictors are the
-    # first n_predictors of that ranking it has observed, and the rows that
-    # share a predictor set are voted on together.
+    # up to _IMPUTE_CHUNK target columns come from three matrix products over
+    # the span of their windows; the sums are integers <= n, so any
+    # summation order gives the same float64 and the correlations are
+    # bit-identical.  Each column's window is ranked once; a missing row's
+    # predictors are the first n_predictors of that ranking it has observed,
+    # and the rows that share a predictor set are voted on together.
     n, p = values.shape
     out = values.copy()
     n_obs = observed.sum(axis=0)
@@ -225,23 +225,22 @@ def _impute_fill_grouped(values, observed, window, n_predictors, chunk=_IMPUTE_C
     bad = int(empty[0]) if empty.size else -1
     if bad >= 0:  # fill up to the first column with nothing to impute from
         targets = targets[targets < bad]
-    dtype = np.float32 if n < 2**24 else np.float64
     start = 0
     while start < targets.size:
-        cur = targets[start:start + chunk]
-        cur = cur[cur <= cur[0] + 2 * window]
+        cur = targets[start:start + _IMPUTE_CHUNK]
+        cur = cur[cur <= cur[0] + 2 * window]  # span at most 4 * window + 1 columns
         start += cur.size
         s0 = max(0, int(cur[0]) - window)
         s1 = min(p, int(cur[-1]) + window + 1)
         obs_span = observed[:, s0:s1]
-        o = obs_span.astype(dtype)
-        x = np.where(obs_span, values[:, s0:s1], 0).astype(dtype)
-        a = observed[:, cur].T.astype(dtype)
-        y = np.where(observed[:, cur], values[:, cur], 0).T.astype(dtype)
+        o = obs_span.astype(np.float64)
+        x = np.where(obs_span, values[:, s0:s1], 0).astype(np.float64)
+        a = observed[:, cur].T.astype(np.float64)
+        y = np.where(observed[:, cur], values[:, cur], 0).T.astype(np.float64)
         m = cur.size
-        by_obs = (np.vstack([a, y, y * y]) @ o).astype(np.float64)
-        by_x = (np.vstack([a, y]) @ x).astype(np.float64)
-        by_xx = (a @ (x * x)).astype(np.float64)
+        by_obs = np.vstack([a, y, y * y]) @ o
+        by_x = np.vstack([a, y]) @ x
+        by_xx = a @ (x * x)
         for t, j in enumerate(cur.tolist()):
             lo, hi = max(0, j - window), min(p - 1, j + window)
             w = slice(lo - s0, hi + 1 - s0)
@@ -276,18 +275,11 @@ def _impute_column(out, values, observed, j, ranked, n_predictors):
         if preds.size == 0:
             out[members, j] = majority
             continue
-        # base-4 pattern key: code + 1 where observed, 3 where missing
-        digits = np.where(observed[:, preds], values[:, preds].astype(np.int64) + 1, 3)
-        if preds.size <= 31:
-            key = digits @ (4 ** np.arange(preds.size, dtype=np.int64))
-        else:
-            key = np.unique(digits, axis=0, return_inverse=True)[1].reshape(-1)
-        patterns, which = np.unique(key[members], return_inverse=True)
-        key_obs = key[obs_j]
-        slot = np.minimum(np.searchsorted(patterns, key_obs), patterns.size - 1)
-        match = patterns[slot] == key_obs
-        counts = np.bincount(slot[match] * 3 + codes[match], minlength=3 * patterns.size)
-        counts = counts.reshape(-1, 3)[which.reshape(-1)]
+        # rows keyed by their predictor codes, 3 where missing
+        digits = np.where(observed[:, preds], values[:, preds], 3)
+        key = np.unique(digits, axis=0, return_inverse=True)[1].reshape(-1)
+        counts = np.bincount(key[obs_j] * 3 + codes, minlength=3 * (key.max() + 1))
+        counts = counts.reshape(-1, 3)[key[members]]
         out[members, j] = np.where(counts.any(axis=1), counts.argmax(axis=1) - 1, majority)
 
 
@@ -397,7 +389,7 @@ def _normalise(block):
     return normed, degenerate
 
 
-def _leader_cluster_blocked(x, threshold, window, block=_CLUSTER_BLOCK):
+def _leader_cluster_blocked(x, threshold, window):
     # Same clusters as _leader_cluster_numpy, a block of columns at a time.
     # One matrix product correlates the block with every representative
     # founded before it and still in reach; representatives are founded in
@@ -411,8 +403,8 @@ def _leader_cluster_blocked(x, threshold, window, block=_CLUSTER_BLOCK):
     reps: list[int] = []
     near = np.empty(0, np.int64)  # in-reach representatives, ascending
     near_cols = np.empty((n, 0))
-    for a in range(0, p, block):
-        b = min(a + block, p)
+    for a in range(0, p, _CLUSTER_BLOCK):
+        b = min(a + _CLUSTER_BLOCK, p)
         normed, degenerate[a:b] = _normalise(x[:, a:b])
         keep = near >= a - window
         near, near_cols = near[keep], near_cols[:, keep]

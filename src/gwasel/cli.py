@@ -178,11 +178,9 @@ def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConf
     else:
         parser.error("simulation config needs either 'genotypes' or 'synthetic'")
     if "causal_indices" in cfg:
-        try:
-            causal = [int(j) for j in cfg["causal_indices"]]
-        except (TypeError, ValueError):
-            causal = None
-        if causal is None or not all(0 <= j < dataset.n_snps for j in causal):
+        causal = cfg["causal_indices"]
+        if not (isinstance(causal, list)
+                and all(type(j) is int and 0 <= j < dataset.n_snps for j in causal)):
             parser.error(f"simulation config key 'causal_indices' must list indices in "
                          f"[0, {dataset.n_snps}), got {cfg['causal_indices']!r}")
     elif "k" in cfg:
@@ -193,14 +191,19 @@ def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConf
     else:
         parser.error("simulation config needs 'causal_indices' or 'k'")
     if "effects" in cfg:
-        effects = [float(b) for b in cfg["effects"]]
+        effects = cfg["effects"]
+        if not (isinstance(effects, list) and len(effects) == len(causal)
+                and all(type(b) in (int, float) for b in effects)):
+            parser.error(f"simulation config key 'effects' must list {len(causal)} numbers, "
+                         f"got {effects!r}")
+        effects = [float(b) for b in effects]
     else:
         effect_range = cfg.get("effect_range", (0.27, 0.66))
-        try:
-            lo, hi = np.asarray(effect_range, dtype=np.float64).reshape(2)
-        except (TypeError, ValueError):
+        if not (isinstance(effect_range, (list, tuple)) and len(effect_range) == 2
+                and all(type(b) in (int, float) for b in effect_range)):
             parser.error(f"simulation config key 'effect_range' must be two numbers, "
                          f"got {effect_range!r}")
+        lo, hi = (float(b) for b in effect_range)
         effects = list(effect_grid(len(causal), lo, hi)) if causal else []
     sim = SimulationConfig(
         causal_indices=tuple(causal),

@@ -167,9 +167,14 @@ def test_simulate_subcommand(tmp_path):
     ({"synthetic": {"n": 40, "p": 10}, "causal_indices": [2, 10]}, "'causal_indices'"),
     ({"synthetic": {"n": 40, "p": 10}, "causal_indices": [-1]}, "'causal_indices'"),
     ({"synthetic": {"n": 40, "p": 10}, "causal_indices": 3}, "'causal_indices'"),
+    ({"synthetic": {"n": 40, "p": 10}, "causal_indices": "3"}, "'causal_indices'"),
+    ({"synthetic": {"n": 40, "p": 10}, "causal_indices": [1.5]}, "'causal_indices'"),
+    ({"synthetic": {"n": 40, "p": 10}, "causal_indices": [1, 2], "effects": "12"}, "'effects'"),
+    ({"synthetic": {"n": 40, "p": 10}, "causal_indices": [1, 2], "effects": [1.0]}, "'effects'"),
     ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": [0.3]}, "'effect_range'"),
     ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": 0.3}, "'effect_range'"),
     ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": "12"}, "'effect_range'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": ["0.3", "0.6"]}, "'effect_range'"),
 ])
 def test_simulate_bad_config_exits_2(tmp_path, capsys, cfg, key):
     cfg_path = tmp_path / "study.json"

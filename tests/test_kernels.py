@@ -141,17 +141,20 @@ def test_impute_fill_grouped_matches_reference(seed, n, p, window, n_predictors,
         values[~observed] = 0
 
     ref, ref_bad = _kernels._impute_fill_numpy(values, observed, window, n_predictors)
-    out, bad = _kernels._impute_fill_grouped(values, observed, window, n_predictors, chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_IMPUTE_CHUNK", chunk)
+        out, bad = _kernels._impute_fill_grouped(values, observed, window, n_predictors)
 
     assert bad == ref_bad
     assert np.array_equal(out, ref)
 
 
 def test_impute_fill_grouped_keys_wide_predictor_sets():
-    # 40 predictors overflow a packed base-4 key, which would keep only the
-    # first 32 digits.  The 32 best predictors copy the target's one 1 and
-    # are 0 elsewhere, so every row agrees there; only rows 2-4 also agree
-    # with row 0 on the 8 random predictors after them, and they vote -1.
+    # Every one of 40 predictors counts in the pattern, beyond what a packed
+    # base-4 int64 key could hold (32 digits).  The 32 best predictors copy
+    # the target's one 1 and are 0 elsewhere, so every row agrees there;
+    # only rows 2-4 also agree with row 0 on the 8 random predictors after
+    # them, and they vote -1.
     rng = np.random.default_rng(13)
     values = np.zeros((40, 41), dtype=np.int8)
     values[1, :32] = values[1, 40] = 1
@@ -202,7 +205,9 @@ def test_leader_cluster_blocked_matches_reference(seed, n, p, window, block, thr
     assume(not near_threshold(values, threshold, window))
 
     ref = _kernels._leader_cluster_numpy(values.astype(np.float64), threshold, window)
-    out = _kernels._leader_cluster_blocked(values, threshold, window, block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_CLUSTER_BLOCK", block)
+        out = _kernels._leader_cluster_blocked(values, threshold, window)
 
     for got, want in zip(out, ref):
         assert np.array_equal(got, want)
