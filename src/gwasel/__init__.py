@@ -1,6 +1,5 @@
 """gwasel: sparse model selection and multiple testing for marker scans."""
 
-from gwasel.backend import backend_name, numba_enabled
 from gwasel.cluster import ClusterAssignment, cluster_snps, deduplicate
 from gwasel.criteria import DEFAULT_D, CriterionConfig, evaluate, penalty
 from gwasel.genotype import (
@@ -28,18 +27,13 @@ from gwasel.regress import (
     f_pvalue,
     fit,
     noncentrality_single_marker,
-    refit_add,
-    refit_drop,
 )
 from gwasel.search import (
     SearchConfig,
     SearchTrace,
-    backward_elimination,
-    multiple_forward_search,
     refine_subsets,
     screen,
     select_model,
-    stepwise,
 )
 from gwasel.simulate import (
     DetectionReport,

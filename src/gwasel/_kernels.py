@@ -1,35 +1,27 @@
-"""Hot numeric kernels, each in a numba build and a pure-numpy build.
+"""Hot numeric kernels.
 
-Three kernels dominate runtime on large panels and ship in both builds:
+Three kernels dominate runtime on large panels:
 
 * ``impute_fill``    -- nearest-predictor genotype imputation
 * ``leader_cluster`` -- greedy windowed correlation clustering
 * ``best_subset``    -- depth-first exhaustive subset scoring
 
-Dispatch happens per call via :func:`gwasel.backend.numba_enabled`, so the
-``GWASEL_BACKEND`` environment variable can flip paths without reimport.
-Both builds of a kernel agree on floats to rounding error, and both builds
-of ``impute_fill`` and ``leader_cluster`` give identical integer outputs;
-``tests/test_backend.py`` checks this.  ``best_subset`` gives the same
-subset count in both builds, and the same subset unless two subsets span
-the same column space (duplicated or linearly dependent columns): their
-values then tie exactly and rounding picks one, differently per build.
-
-The numpy builds are ``_impute_fill_grouped``, ``_leader_cluster_blocked``
-and ``_best_subset_qr``.  The per-column and per-subset kernels they
+They run ``_impute_fill_grouped``, ``_leader_cluster_blocked`` and
+``_best_subset_qr``.  The per-column and per-subset kernels these
 replaced, ``_impute_fill_numpy``, ``_leader_cluster_numpy`` and
 ``_best_subset_numpy``, are kept as their references in
 ``tests/test_kernels.py``.  ``_impute_fill_grouped`` gives the same
 integers as its reference on every input.  ``_leader_cluster_blocked``
 does too, except where a correlation lies within rounding (~1e-12) of the
 threshold: a matrix product and a matrix-vector product may round it to
-opposite sides.
+opposite sides.  ``_best_subset_qr`` gives the same subset count as its
+reference, and the same subset unless two subsets span the same column
+space (duplicated or linearly dependent columns): their values then tie
+exactly and rounding picks one.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from gwasel.backend import njit, numba_enabled
 
 _IMPUTE_CHUNK = 64  # target columns whose window sums share one product
 _CLUSTER_BLOCK = 128  # columns correlated per product in leader clustering
@@ -37,123 +29,6 @@ _CLUSTER_BLOCK = 128  # columns correlated per product in leader clustering
 # ---------------------------------------------------------------------------
 # imputation
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _impute_fill_numba(values, observed, window, n_predictors):
-    n, p = values.shape
-    out = values.copy()
-    for j in range(p):
-        n_miss = 0
-        n_obs = 0
-        col_counts = np.zeros(3, np.int64)
-        for i in range(n):
-            if observed[i, j]:
-                n_obs += 1
-                col_counts[values[i, j] + 1] += 1
-            else:
-                n_miss += 1
-        if n_miss == 0:
-            continue
-        if n_obs == 0:
-            return out, j
-        majority = -1
-        best_count = col_counts[0]
-        for code in range(1, 3):
-            if col_counts[code] > best_count:
-                best_count = col_counts[code]
-                majority = code - 1
-
-        lo = max(0, j - window)
-        hi = min(p - 1, j + window)
-        width = hi - lo + 1
-        cors = np.full(width, np.nan, np.float64)
-        for col in range(lo, hi + 1):
-            if col == j:
-                continue
-            n_ok = 0
-            sx = 0.0
-            sy = 0.0
-            sxx = 0.0
-            syy = 0.0
-            sxy = 0.0
-            for i in range(n):
-                if observed[i, j] and observed[i, col]:
-                    x = float(values[i, col])
-                    y = float(values[i, j])
-                    n_ok += 1
-                    sx += x
-                    sy += y
-                    sxx += x * x
-                    syy += y * y
-                    sxy += x * y
-            if n_ok < 2:
-                continue
-            vx = sxx - sx * sx / n_ok
-            vy = syy - sy * sy / n_ok
-            if vx <= 0.0 or vy <= 0.0:
-                continue
-            cors[col - lo] = (sxy - sx * sy / n_ok) / np.sqrt(vx * vy)
-
-        sel = np.empty(n_predictors, np.int64)
-        for i in range(n):
-            if observed[i, j]:
-                continue
-            # top predictors by |corr| desc, then file distance asc, then index
-            n_sel = 0
-            for col in range(lo, hi + 1):
-                if col == j:
-                    continue
-                c = cors[col - lo]
-                if np.isnan(c) or not observed[i, col]:
-                    continue
-                a = abs(c)
-                d = abs(col - j)
-                pos = 0
-                while pos < n_sel:
-                    prev = sel[pos]
-                    ap = abs(cors[prev - lo])
-                    dp = abs(prev - j)
-                    if ap > a or (ap == a and (dp < d or (dp == d and prev < col))):
-                        pos += 1
-                    else:
-                        break
-                if pos < n_predictors:
-                    end = n_sel if n_sel < n_predictors else n_predictors - 1
-                    k = end
-                    while k > pos:
-                        sel[k] = sel[k - 1]
-                        k -= 1
-                    sel[pos] = col
-                    if n_sel < n_predictors:
-                        n_sel += 1
-            if n_sel == 0:
-                out[i, j] = majority
-                continue
-            counts = np.zeros(3, np.int64)
-            for h in range(n):
-                if not observed[h, j]:
-                    continue
-                match = True
-                for t in range(n_sel):
-                    col = sel[t]
-                    if not observed[h, col] or values[h, col] != values[i, col]:
-                        match = False
-                        break
-                if match:
-                    counts[values[h, j] + 1] += 1
-            total = counts[0] + counts[1] + counts[2]
-            if total == 0:
-                out[i, j] = majority
-            else:
-                code_best = -1
-                count_best = counts[0]
-                for code in range(1, 3):
-                    if counts[code] > count_best:
-                        count_best = counts[code]
-                        code_best = code - 1
-                out[i, j] = code_best
-    return out, -1
 
 
 def _impute_fill_numpy(values, observed, window, n_predictors):
@@ -291,61 +166,12 @@ def impute_fill(values, observed, window, n_predictors):
     """
     values = np.ascontiguousarray(values, dtype=np.int8)
     observed = np.ascontiguousarray(observed, dtype=np.bool_)
-    if numba_enabled():
-        return _impute_fill_numba(values, observed, window, n_predictors)
     return _impute_fill_grouped(values, observed, window, n_predictors)
 
 
 # ---------------------------------------------------------------------------
 # greedy leader clustering
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _leader_cluster_numba(x, threshold, window):
-    n, p = x.shape
-    cluster_id = np.empty(p, np.int64)
-    reps = np.empty(p, np.int64)
-    degenerate = np.zeros(p, np.bool_)
-    mean = np.empty(p, np.float64)
-    cnorm = np.empty(p, np.float64)
-    for j in range(p):
-        s = 0.0
-        for i in range(n):
-            s += x[i, j]
-        mean[j] = s / n
-        ss = 0.0
-        for i in range(n):
-            d = x[i, j] - mean[j]
-            ss += d * d
-        cnorm[j] = np.sqrt(ss)
-
-    n_reps = 0
-    for j in range(p):
-        if cnorm[j] <= 0.0:
-            degenerate[j] = True
-            reps[n_reps] = j
-            cluster_id[j] = n_reps
-            n_reps += 1
-            continue
-        assigned = -1
-        for t in range(n_reps):
-            r = reps[t]
-            if abs(r - j) > window or cnorm[r] <= 0.0:
-                continue
-            dot = 0.0
-            for i in range(n):
-                dot += (x[i, j] - mean[j]) * (x[i, r] - mean[r])
-            if abs(dot / (cnorm[j] * cnorm[r])) > threshold:
-                assigned = t
-                break
-        if assigned >= 0:
-            cluster_id[j] = assigned
-        else:
-            reps[n_reps] = j
-            cluster_id[j] = n_reps
-            n_reps += 1
-    return cluster_id, reps[:n_reps].copy(), degenerate
 
 
 def _leader_cluster_numpy(x, threshold, window):
@@ -437,12 +263,9 @@ def leader_cluster(x, threshold, window):
     A column joins the earliest-founded cluster whose representative lies
     within ``window`` file positions and correlates above ``threshold`` in
     absolute value; otherwise it founds a new cluster.  ``x`` may hold the
-    int8 codes: the numpy build converts one block of columns at a time.
+    int8 codes: one block of columns at a time is converted to float64.
     ``threshold`` must be >= 0; zero-variance columns found singletons.
     """
-    if numba_enabled():
-        return _leader_cluster_numba(np.ascontiguousarray(x, dtype=np.float64),
-                                     threshold, window)
     return _leader_cluster_blocked(x, threshold, window)
 
 
@@ -453,88 +276,6 @@ def leader_cluster(x, threshold, window):
 # Kernel-internal criterion: value(S) = base(rss_S) + pen[|S|] where
 # base is n*log(max(rss, floor)) in log mode or rss/sigma2 otherwise.
 # Best subset is tracked under (value, size, lexicographic indices).
-
-
-@njit(cache=True)
-def _best_subset_numba(z, y_resid, rss0, orig_norm2, pen, max_size,
-                       log_mode, n_obs, sigma2, floor, tol2):
-    n, s = z.shape
-    basis = np.empty((n, max_size), np.float64)
-    chosen = np.empty(max_size, np.int64)
-    cursor = np.empty(max_size + 1, np.int64)
-    rss_stack = np.empty(max_size + 1, np.float64)
-
-    best_len = 0
-    best_idx = np.empty(max_size, np.int64)
-    if log_mode:
-        best_val = n_obs * np.log(max(rss0, floor)) + pen[0]
-    else:
-        best_val = rss0 / sigma2 + pen[0]
-
-    depth = 0
-    cursor[0] = 0
-    rss_stack[0] = rss0
-    n_eval = 1
-    work = np.empty(n, np.float64)
-    while depth >= 0:
-        t = cursor[depth]
-        if t >= s or depth >= max_size:
-            depth -= 1
-            continue
-        cursor[depth] = t + 1
-        # two-pass Gram-Schmidt of column t against the current basis
-        for i in range(n):
-            work[i] = z[i, t]
-        for _ in range(2):
-            for b in range(depth):
-                h = 0.0
-                for i in range(n):
-                    h += basis[i, b] * work[i]
-                for i in range(n):
-                    work[i] -= h * basis[i, b]
-        nrm2 = 0.0
-        for i in range(n):
-            nrm2 += work[i] * work[i]
-        if nrm2 <= tol2 * orig_norm2[t]:
-            continue  # collinear inside this subset; skip the branch
-        nrm = np.sqrt(nrm2)
-        ty = 0.0
-        for i in range(n):
-            basis[i, depth] = work[i] / nrm
-            ty += basis[i, depth] * y_resid[i]
-        rss_new = rss_stack[depth] - ty * ty
-        if rss_new < 0.0:
-            rss_new = 0.0
-        chosen[depth] = t
-        rss_stack[depth + 1] = rss_new
-        size = depth + 1
-        if log_mode:
-            val = n_obs * np.log(max(rss_new, floor)) + pen[size]
-        else:
-            val = rss_new / sigma2 + pen[size]
-        n_eval += 1
-        better = False
-        if val < best_val:
-            better = True
-        elif val == best_val:
-            if size < best_len:
-                better = True
-            elif size == best_len:
-                for k in range(size):
-                    if chosen[k] < best_idx[k]:
-                        better = True
-                        break
-                    if chosen[k] > best_idx[k]:
-                        break
-        if better:
-            best_val = val
-            best_len = size
-            for k in range(size):
-                best_idx[k] = chosen[k]
-        if size < max_size:
-            cursor[depth + 1] = t + 1
-            depth += 1
-    return best_val, best_idx[:best_len].copy(), n_eval
 
 
 def _best_subset_numpy(z, y_resid, rss0, orig_norm2, pen, max_size,
@@ -679,9 +420,6 @@ def best_subset(z, y_resid, rss0, orig_norm2, pen, max_size, *,
     orig_norm2 = np.ascontiguousarray(orig_norm2, dtype=np.float64)
     pen = np.ascontiguousarray(pen, dtype=np.float64)
     max_size = int(min(max_size, z.shape[1]))
-    args = (z, y_resid, float(rss0), orig_norm2, pen, max_size,
-            bool(log_mode), float(n_obs), float(sigma2), float(floor),
-            float(tol) ** 2)
-    if numba_enabled():
-        return _best_subset_numba(*args)
-    return _best_subset_qr(*args)
+    return _best_subset_qr(z, y_resid, float(rss0), orig_norm2, pen, max_size,
+                           bool(log_mode), float(n_obs), float(sigma2), float(floor),
+                           float(tol) ** 2)

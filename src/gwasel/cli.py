@@ -1,8 +1,9 @@
 """Command-line front end: scan, select, simulate, impute, cluster.
 
 Every run writes its outputs atomically (temp file + rename) together with a
-manifest recording the tool version, resolved configuration, input digests
-and seed.  Usage problems exit 2, runtime failures exit 1.
+manifest recording the tool, numpy and scipy versions, the BLAS thread
+settings, resolved configuration, input digests and seed.  Usage problems
+exit 2, runtime failures exit 1.
 """
 
 from __future__ import annotations
@@ -11,15 +12,16 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 import gwasel
-from gwasel.backend import backend_name
 from gwasel.cluster import cluster_snps
 from gwasel.criteria import DEFAULT_D, CriterionConfig
 from gwasel.errors import DimensionError, GwaselError, ParseError
@@ -55,13 +57,18 @@ def _digest(path: str | None) -> str | None:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _manifest(command: str, args: argparse.Namespace, inputs: dict[str, str | None],
               seed: int | None = None) -> str:
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     payload = {
         "tool": "gwasel",
         "version": gwasel.__version__,
-        "backend": backend_name(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "command": command,
         "config": resolved,
         "inputs": {k: _digest(v) for k, v in inputs.items()},
@@ -162,53 +169,75 @@ def cmd_select(args, parser) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _is_file(value) -> bool:
+    return isinstance(value, str) and Path(value).is_file()
+
+
+def _config_value(parser, table: dict, key: str, default, check, expected: str,
+                  section: str = "simulation config"):
+    """``table[key]`` (or ``default``) when ``check`` accepts it, else exit 2 naming the key."""
+    value = table.get(key, default)
+    if not check(value):
+        parser.error(f"{section} key {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConfig]:
     if "genotypes" in cfg:
-        dataset = load_dataset(cfg["genotypes"], meta_path=cfg.get("meta"))
+        path = _config_value(parser, cfg, "genotypes", None, _is_file, "an existing file")
+        meta = _config_value(parser, cfg, "meta", None, lambda v: v is None or _is_file(v),
+                             "an existing file")
+        dataset = load_dataset(path, meta_path=meta)
     elif "synthetic" in cfg:
-        syn = cfg["synthetic"]
-        for key in ("n", "p"):
-            if key not in syn:
-                parser.error(f"simulation config 'synthetic' needs key {key!r}")
-        dataset = synthetic_dataset(
-            int(syn["n"]), int(syn["p"]),
-            maf_range=tuple(syn.get("maf_range", (0.3, 0.5))),
-            seed=int(cfg.get("seed", args.seed)),
-        )
+        syn = _config_value(parser, cfg, "synthetic", None, lambda v: isinstance(v, dict),
+                            "an object with keys 'n' and 'p'")
+        section = "simulation config 'synthetic'"
+        n, p = (_config_value(parser, syn, key, None, lambda v: _is_int(v) and v >= 1,
+                              "a positive integer", section) for key in ("n", "p"))
+        maf_range = _config_value(parser, syn, "maf_range", [0.3, 0.5], _is_pair,
+                                  "two numbers", section)
+        seed = _config_value(parser, cfg, "seed", args.seed, lambda v: _is_int(v) and v >= 0,
+                             "a non-negative integer")
+        dataset = synthetic_dataset(n, p, maf_range=tuple(maf_range), seed=seed)
     else:
         parser.error("simulation config needs either 'genotypes' or 'synthetic'")
+    p = dataset.n_snps
     if "causal_indices" in cfg:
-        causal = cfg["causal_indices"]
-        if not (isinstance(causal, list)
-                and all(type(j) is int and 0 <= j < dataset.n_snps for j in causal)):
-            parser.error(f"simulation config key 'causal_indices' must list indices in "
-                         f"[0, {dataset.n_snps}), got {cfg['causal_indices']!r}")
+        causal = _config_value(
+            parser, cfg, "causal_indices", None,
+            lambda v: isinstance(v, list) and all(_is_int(j) and 0 <= j < p for j in v),
+            f"a list of indices in [0, {p})")
     elif "k" in cfg:
-        k = int(cfg["k"])
-        if not 0 <= k <= dataset.n_snps:
-            parser.error(f"simulation config key 'k' must lie in [0, {dataset.n_snps}], got {k}")
-        causal = list(np.linspace(0, dataset.n_snps - 1, k).astype(int)) if k else []
+        k = _config_value(parser, cfg, "k", None, lambda v: _is_int(v) and 0 <= v <= p,
+                          f"an integer in [0, {p}]")
+        causal = list(np.linspace(0, p - 1, k).astype(int)) if k else []
     else:
         parser.error("simulation config needs 'causal_indices' or 'k'")
     if "effects" in cfg:
-        effects = cfg["effects"]
-        if not (isinstance(effects, list) and len(effects) == len(causal)
-                and all(type(b) in (int, float) for b in effects)):
-            parser.error(f"simulation config key 'effects' must list {len(causal)} numbers, "
-                         f"got {effects!r}")
-        effects = [float(b) for b in effects]
+        effects = _config_value(
+            parser, cfg, "effects", None,
+            lambda v: isinstance(v, list) and len(v) == len(causal) and all(map(_is_number, v)),
+            f"a list of {len(causal)} numbers")
     else:
-        effect_range = cfg.get("effect_range", (0.27, 0.66))
-        if not (isinstance(effect_range, (list, tuple)) and len(effect_range) == 2
-                and all(type(b) in (int, float) for b in effect_range)):
-            parser.error(f"simulation config key 'effect_range' must be two numbers, "
-                         f"got {effect_range!r}")
-        lo, hi = (float(b) for b in effect_range)
+        lo, hi = _config_value(parser, cfg, "effect_range", [0.27, 0.66], _is_pair,
+                               "two numbers")
         effects = list(effect_grid(len(causal), lo, hi)) if causal else []
     sim = SimulationConfig(
         causal_indices=tuple(causal),
-        effects=tuple(effects),
-        sigma=float(cfg.get("sigma", 1.0)),
+        effects=tuple(float(b) for b in effects),
+        sigma=float(_config_value(parser, cfg, "sigma", 1.0, _is_number, "a number")),
         n_replicates=args.replicates,
         seed=args.seed,
         tp_thresholds=tuple(float(t) for t in args.thresholds.split(",")),
@@ -218,10 +247,14 @@ def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConf
 
 def cmd_simulate(args, parser) -> int:
     cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict):
+        parser.error(f"simulation config must be a JSON object, got {cfg!r}")
+    alpha = float(_config_value(parser, cfg, "alpha", 0.05, _is_number, "a number"))
+    d = float(_config_value(parser, cfg, "d", DEFAULT_D, _is_number, "a number"))
+    p_eff = _config_value(parser, cfg, "p_effective", None,
+                          lambda v: v is None or (_is_int(v) and v >= 1),
+                          "a positive integer or null")
     dataset, sim = _study_from_config(cfg, args, parser)
-    alpha = float(cfg.get("alpha", 0.05))
-    d = float(cfg.get("d", DEFAULT_D))
-    p_eff = cfg.get("p_effective")
     methods = [
         MethodSpec(kind=name.strip(), alpha=alpha, d=d, p_effective=p_eff)
         for name in args.methods.split(",")
@@ -290,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gwasel",
         description="Marker scans, sparse model selection and power studies",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap the numba thread pool (default: all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="single-marker scan with Bonferroni/BH reports")
@@ -351,13 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, args.threads))
-        except ImportError:
-            pass
     _require_files(
         parser,
         getattr(args, "genotypes", None),

@@ -7,6 +7,7 @@ missing call and any other unrecognized token is treated as missing too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -206,6 +207,17 @@ def _parse_meta_text(text: str, path: str) -> list[SnpMeta]:
     return out
 
 
+def _parse_reals(line: str, path: str | Path, lineno: int, what: str) -> list[float]:
+    """The finite reals of one text row; NaN and infinities are rejected."""
+    try:
+        row = [float(t) for t in line.split()]
+    except ValueError as exc:
+        raise ParseError(f"{path}: row {lineno} has a non-numeric {what}") from exc
+    if not all(math.isfinite(v) for v in row):
+        raise ParseError(f"{path}: row {lineno} has a non-finite {what}")
+    return row
+
+
 def load_dataset(
     genotype_path: str | Path,
     trait_path: str | Path | None = None,
@@ -239,11 +251,10 @@ def load_dataset(
 
     trait = None
     if trait_path is not None:
-        raw = Path(trait_path).read_text().split()
-        try:
-            trait = np.asarray([float(t) for t in raw], dtype=np.float64)
-        except ValueError as exc:
-            raise ParseError(f"{trait_path}: non-numeric trait value") from exc
+        text = Path(trait_path).read_text()
+        trait = np.asarray([v for lineno, line in enumerate(text.splitlines(), start=1)
+                            for v in _parse_reals(line, trait_path, lineno, "trait value")],
+                           dtype=np.float64)
         if trait.shape[0] != n:
             raise DimensionError(
                 f"trait file has {trait.shape[0]} values against {n} genotype rows"
@@ -254,15 +265,9 @@ def load_dataset(
         cov_rows = []
         text = Path(covariate_path).read_text()
         for lineno, line in enumerate(text.splitlines(), start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                cov_rows.append([float(t) for t in tokens])
-            except ValueError as exc:
-                raise ParseError(
-                    f"{covariate_path}: row {lineno} has a non-numeric value"
-                ) from exc
+            row = _parse_reals(line, covariate_path, lineno, "covariate value")
+            if row:
+                cov_rows.append(row)
         covariates = np.asarray(cov_rows, dtype=np.float64)
         if covariates.ndim != 2 or covariates.shape[0] != n:
             raise DimensionError(

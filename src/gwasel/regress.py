@@ -47,16 +47,6 @@ class ModelSpec:
     def size(self) -> int:
         return len(self.snp_indices)
 
-    def with_snp(self, j: int) -> "ModelSpec":
-        if j in self.snp_indices:
-            raise ValueError(f"SNP {j} already in model")
-        return ModelSpec(tuple(sorted(self.snp_indices + (j,))), self.forced_indices)
-
-    def without_snp(self, j: int) -> "ModelSpec":
-        if j not in self.snp_indices:
-            raise ValueError(f"SNP {j} not in model")
-        return ModelSpec(tuple(k for k in self.snp_indices if k != j), self.forced_indices)
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -338,29 +328,6 @@ def workspace_for(dataset: Dataset, model: ModelSpec) -> FitWorkspace:
 def fit(dataset: Dataset, model: ModelSpec) -> FitResult:
     """Least-squares fit of [1 | forced | selected SNPs] on the trait."""
     return workspace_for(dataset, model).result()
-
-
-def refit_add(dataset: Dataset, model: ModelSpec, new_index: int) -> FitResult:
-    """Fit of the model extended by one SNP.
-
-    Builds a fresh workspace for ``model`` and appends the SNP to it.
-    """
-    ws = workspace_for(dataset, model)
-    ws.add_snp(int(new_index))
-    return ws.result()
-
-
-def refit_drop(dataset: Dataset, model: ModelSpec, drop_index: int) -> FitResult:
-    """Fit of the model with one SNP removed.
-
-    Builds a fresh workspace for ``model`` and removes the SNP from it by
-    Givens rotations.
-    """
-    if drop_index not in model.snp_indices:
-        raise ValueError(f"SNP {drop_index} not in model")
-    ws = workspace_for(dataset, model)
-    ws.drop_snp(int(drop_index))
-    return ws.result()
 
 
 def block_f_test(dataset: Dataset, model: ModelSpec, block: tuple[int, ...]) -> tuple[float, float]:

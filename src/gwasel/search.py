@@ -147,7 +147,6 @@ class _CandidateTracker:
         self.orig_norm2 = np.einsum("ij,ij->j", self.cols, self.cols)
         self.tol2 = tol * tol
         self.in_model = np.zeros(self.idx.size, dtype=bool)
-        self._pos = {int(j): k for k, j in enumerate(self.idx)}
         self.sync(ws)
 
     def sync(self, ws: FitWorkspace) -> None:
@@ -164,15 +163,8 @@ class _CandidateTracker:
         self.s = np.maximum(self.s - c * c, 0.0)
         self.t = self.t - c * d
 
-    def position(self, j: int) -> int | None:
-        return self._pos.get(int(j))
-
     def addable(self) -> np.ndarray:
         return self.s > self.tol2 * np.maximum(self.orig_norm2, 1e-300)
-
-
-def _forced_of(dataset: Dataset) -> tuple[int, ...]:
-    return tuple(range(dataset.n_covariates))
 
 
 def screen(scan: ScanResult, threshold: float) -> list[int]:
@@ -234,14 +226,11 @@ def _best_drop(ws: FitWorkspace, ev: _CriterionEval) -> tuple[float, int] | None
     return float(vals[pick]), int(snps[pick])
 
 
-def _backward(ws: FitWorkspace, config: SearchConfig, ev: _CriterionEval,
-              trace: SearchTrace, stage: str = "backward") -> ModelSpec:
+def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
+              stage: str = "backward") -> ModelSpec:
     cur_val = ev.value(ws.rss, len(ws.snps))
     while ws.snps:
-        found = _best_drop(ws, ev)
-        if found is None:
-            break
-        val, j = found
+        val, j = _best_drop(ws, ev)
         if val >= cur_val:
             break
         ws.drop_snp(j)
@@ -311,43 +300,6 @@ def _stepwise(ws: FitWorkspace, tracker: _CandidateTracker, config: SearchConfig
     return ws.model()
 
 
-def multiple_forward_search(dataset: Dataset, candidates, config: SearchConfig) -> ModelSpec:
-    """One pass over screened candidates under plain BIC (unknown noise).
-
-    Starts from the model holding the single best candidate, then walks the
-    remaining candidates in ascending-p order, keeping each one only when it
-    lowers BIC; stops at ``max_forward_size``.  Collinear candidates are
-    skipped.
-    """
-    ws = FitWorkspace(dataset, _forced_of(dataset))
-    return _forward_standalone(dataset, candidates, config, ws, SearchTrace())
-
-
-def _forward_standalone(dataset, candidates, config, ws, trace):
-    tracker = _CandidateTracker(dataset, candidates, ws)
-    bic_cfg = CriterionConfig(
-        "bic", n=config.criterion.n, p_effective=max(dataset.n_snps, 1), sigma=None
-    )
-    _forward(ws, tracker, config, _CriterionEval(bic_cfg, ws.rss_base), trace)
-    return ws.model()
-
-
-def backward_elimination(dataset: Dataset, model: ModelSpec, config: SearchConfig) -> ModelSpec:
-    """Drop the best single SNP while doing so lowers the criterion."""
-    ws = workspace_for(dataset, model)
-    ev = _CriterionEval(config.criterion, ws.rss_base)
-    return _backward(ws, config, ev, SearchTrace())
-
-
-def stepwise(dataset: Dataset, model: ModelSpec, config: SearchConfig,
-             candidates=()) -> ModelSpec:
-    """Alternate best single add (from candidates) and best single drop."""
-    ws = workspace_for(dataset, model)
-    tracker = _CandidateTracker(dataset, candidates, ws)
-    ev = _CriterionEval(config.criterion, ws.rss_base)
-    return _stepwise(ws, tracker, config, ev, SearchTrace())
-
-
 def _subset_counts(n_cols: int, max_size: int) -> int:
     total = 0
     for q in range(min(max_size, n_cols) + 1):
@@ -364,7 +316,7 @@ def _enumerate_best(dataset: Dataset, base_ws: FitWorkspace, columns: list[int],
     Q = base_ws.basis
     z = sub - Q @ (Q.T @ sub)
     orig_norm2 = np.einsum("ij,ij->j", sub, sub) if cols.size else np.empty(0)
-    max_size = min(max_size, _max_snps(base_ws))
+    max_size = min(max_size, _max_snps(base_ws), cols.size)
     pens = ev.pens_array(max(max_size, 0))
     val, local_idx, n_eval = _kernels.best_subset(
         z,
@@ -426,7 +378,7 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
                 ws.add_snp(j)
             except CollinearityError:
                 trace.append("refine", "skip_collinear", j, None, len(ws.snps))
-        reduced = _backward(ws, config, ev, trace, stage="refine_backward")
+        reduced = _backward(ws, ev, trace, stage="refine_backward")
         candidates.append((ev.value(ws.rss, reduced.size), reduced.size, reduced.snp_indices))
         predicted = _subset_counts(reduced.size, cap - 1)
         if predicted > SUBSET_BUDGET:
@@ -462,7 +414,7 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
     if scan is None:
         scan = single_marker_scan(dataset)
     candidates = screen(scan, config.screen_threshold)
-    forced = _forced_of(dataset)
+    forced = tuple(range(dataset.n_covariates))
     ws = FitWorkspace(dataset, forced)
     tracker = _CandidateTracker(dataset, candidates, ws)
     bic_cfg = CriterionConfig(
@@ -471,7 +423,7 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
     _forward(ws, tracker, config, _CriterionEval(bic_cfg, ws.rss_base), trace)
 
     ev = _CriterionEval(config.criterion, ws.rss_base)
-    _backward(ws, config, ev, trace)
+    _backward(ws, ev, trace)
     tracker.sync(ws)
     _stepwise(ws, tracker, config, ev, trace)
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from gwasel.cli import main
 from gwasel.genotype import impute_missing, load_dataset
@@ -27,7 +28,10 @@ def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_scan_reproduces_library_tsv_byte_for_byte(tmp_path):
+def test_scan_reproduces_library_tsv_byte_for_byte(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
     g, t = write_fixture(tmp_path, causal=(3,), effects=(1.0,))
     out = tmp_path / "out"
     code = main(["scan", "--genotypes", str(g), "--trait", str(t), "--out", str(out)])
@@ -35,7 +39,13 @@ def test_scan_reproduces_library_tsv_byte_for_byte(tmp_path):
     ds = load_dataset(g, trait_path=t)
     expected = scan_to_tsv(single_marker_scan(ds), [m.snp_id for m in ds.meta])
     assert (out / "scan.tsv").read_text() == expected
-    assert json.loads((out / "manifest.json").read_text())["command"] == "scan"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "scan"
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                        "MKL_NUM_THREADS": "2"}
+    assert "backend" not in manifest
 
 
 def test_select_finds_planted_snp(tmp_path):
@@ -90,6 +100,21 @@ def test_malformed_genotypes_exit_2(tmp_path):
     code = main(["scan", "--genotypes", str(g), "--trait", str(t),
                  "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_non_finite_trait_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    g = tmp_path / "g.txt"
+    g.write_text("\n".join(" ".join(map(str, row)) for row in rng.integers(-1, 2, (30, 8))) + "\n")
+    y = [f"{v:.6f}" for v in rng.normal(size=30)]
+    for token, command in (("nan", "scan"), ("inf", "select")):
+        t = tmp_path / f"{token}.txt"
+        t.write_text("\n".join([token] + y[1:]) + "\n")
+        out = tmp_path / token
+        code = main([command, "--genotypes", str(g), "--trait", str(t), "--out", str(out)])
+        assert code == 2
+        assert f"{t}: row 1 has a non-finite trait value" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_runtime_error_exits_1(tmp_path):
@@ -175,6 +200,18 @@ def test_simulate_subcommand(tmp_path):
     ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": 0.3}, "'effect_range'"),
     ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": "12"}, "'effect_range'"),
     ({"synthetic": {"n": 40, "p": 10}, "k": 2, "effect_range": ["0.3", "0.6"]}, "'effect_range'"),
+    ({"synthetic": 5, "k": 2}, "'synthetic'"),
+    ({"synthetic": {"n": 40.5, "p": 10}, "k": 2}, "'n'"),
+    ({"synthetic": {"n": 40, "p": "10"}, "k": 2}, "'p'"),
+    ({"synthetic": {"n": 40, "p": 10, "maf_range": 0.3}, "k": 2}, "'maf_range'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2.7}, "'k'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2, "seed": 1.5}, "'seed'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2, "sigma": [1]}, "'sigma'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2, "alpha": "0.05"}, "'alpha'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2, "d": None}, "'d'"),
+    ({"synthetic": {"n": 40, "p": 10}, "k": 2, "p_effective": 2.5}, "'p_effective'"),
+    ({"genotypes": "absent.txt", "k": 2}, "'genotypes'"),
+    (5, "JSON object"),
 ])
 def test_simulate_bad_config_exits_2(tmp_path, capsys, cfg, key):
     cfg_path = tmp_path / "study.json"

@@ -57,6 +57,20 @@ def test_trait_length_mismatch(tmp_path):
         load_dataset(g, trait_path=t)
 
 
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity"])
+def test_non_finite_trait_and_covariate_name_file_and_row(tmp_path, token):
+    g = tmp_path / "g.txt"
+    g.write_text("-1 0\n1 0\n0 1\n")
+    t = tmp_path / "t.txt"
+    t.write_text(f"1.5\n{token}\n2\n")
+    with pytest.raises(ParseError, match=r"t\.txt: row 2 has a non-finite trait value"):
+        load_dataset(g, trait_path=t)
+    c = tmp_path / "c.txt"
+    c.write_text(f"1 0\n0 1\n0 {token}\n")
+    with pytest.raises(ParseError, match=r"c\.txt: row 3 has a non-finite covariate value"):
+        load_dataset(g, covariate_path=c)
+
+
 def test_empty_genotype_file(tmp_path):
     g = tmp_path / "g.txt"
     g.write_text("")

@@ -1,5 +1,9 @@
 """The numpy kernels against the per-column and per-subset kernels they
-replaced, which stay as their references."""
+replaced, which stay as their references, and the subset kernel against a
+direct itertools + lstsq enumeration."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,15 +25,8 @@ def subset_rss(z, y, subset):
     return float(r @ r)
 
 
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 9),
-    st.integers(0, 5),
-    st.sampled_from(["independent", "duplicate", "combination"]),
-    st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_best_subset_qr_matches_gram_schmidt(seed, s, cap, columns, log_mode):
+def subset_inputs(seed, s, cap, columns, log_mode):
+    """Positional arguments of the subset kernels for a random problem."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(s + 5, 50))
     z = rng.normal(size=(n, s))
@@ -43,9 +40,22 @@ def test_best_subset_qr_matches_gram_schmidt(seed, s, cap, columns, log_mode):
     y -= y.mean()
     orig_norm2 = np.einsum("ij,ij->j", z, z) * rng.uniform(1.0, 2.0)
     pen = np.arange(s + 1) * rng.uniform(0.5, 6.0)
-    cap = min(cap, s)
-    args = (z, y, float(y @ y), orig_norm2, pen, cap,
+    return (z, y, float(y @ y), orig_norm2, pen, min(cap, s),
             log_mode, float(n), 1.7, 1e-12, 1e-20)
+
+
+subset_problems = (
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["independent", "duplicate", "combination"]),
+    st.booleans(),
+)
+
+
+@given(st.integers(1, 9), st.integers(0, 5), *subset_problems)
+@settings(max_examples=300, deadline=None)
+def test_best_subset_qr_matches_gram_schmidt(s, cap, seed, columns, log_mode):
+    args = subset_inputs(seed, s, cap, columns, log_mode)
+    z, y = args[:2]
 
     val_gs, idx_gs, n_gs = _kernels._best_subset_numpy(*args)
     val_qr, idx_qr, n_qr = _kernels._best_subset_qr(*args)
@@ -58,6 +68,43 @@ def test_best_subset_qr_matches_gram_schmidt(seed, s, cap, columns, log_mode):
         assert columns != "independent"
         assert len(idx_qr) == len(idx_gs)
         assert subset_rss(z, y, idx_qr) == pytest.approx(subset_rss(z, y, idx_gs), rel=1e-9)
+
+
+def enumerate_subsets(z, y, pen, cap, log_mode, n_obs, sigma2, floor):
+    """Every full-rank subset of up to ``cap`` columns, scored by lstsq.
+
+    Returns the (value, size, subset) minimum and the number scored.
+    """
+    best, n_eval = None, 0
+    for size in range(cap + 1):
+        for subset in itertools.combinations(range(z.shape[1]), size):
+            if size and np.linalg.matrix_rank(z[:, subset]) < size:
+                continue
+            n_eval += 1
+            rss = subset_rss(z, y, subset)
+            base = n_obs * math.log(max(rss, floor)) if log_mode else rss / sigma2
+            key = (base + pen[size], size, subset)
+            if best is None or key < best:
+                best = key
+    return best, n_eval
+
+
+@given(st.integers(1, 7), st.integers(0, 4), *subset_problems)
+@settings(max_examples=200, deadline=None)
+def test_best_subset_matches_itertools_lstsq_enumeration(s, cap, seed, columns, log_mode):
+    z, y, rss0, orig_norm2, pen, cap, log_mode, n_obs, sigma2, floor, _ = subset_inputs(
+        seed, s, cap, columns, log_mode)
+    val, idx, n_eval = _kernels.best_subset(z, y, rss0, orig_norm2, pen, cap,
+                                            log_mode=log_mode, n_obs=n_obs, sigma2=sigma2,
+                                            floor=floor, tol=1e-10)
+    (want_val, want_size, want_subset), want_eval = enumerate_subsets(
+        z, y, pen, cap, log_mode, n_obs, sigma2, floor)
+
+    assert n_eval == want_eval
+    assert val == pytest.approx(want_val, rel=1e-9)
+    assert len(idx) == want_size
+    if columns == "independent":
+        assert tuple(idx) == want_subset
 
 
 def test_best_subset_qr_skips_exact_duplicate():
@@ -88,8 +135,7 @@ def test_best_subset_exact_ties_go_to_smallest_subset(cap, pen, expected):
         assert list(kernel(*args)[1]) == expected
 
 
-def test_best_subset_uses_qr_kernel_without_numba(monkeypatch):
-    monkeypatch.setenv("GWASEL_BACKEND", "numpy")
+def test_best_subset_uses_qr_kernel():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(40, 6))
     y = z[:, 2] + rng.normal(size=40)
@@ -213,8 +259,7 @@ def test_leader_cluster_blocked_matches_reference(seed, n, p, window, block, thr
         assert np.array_equal(got, want)
 
 
-def test_impute_fill_uses_grouped_kernel_without_numba(monkeypatch):
-    monkeypatch.setenv("GWASEL_BACKEND", "numpy")
+def test_impute_fill_uses_grouped_kernel(monkeypatch):
     calls = []
     kernel = _kernels._impute_fill_grouped
 
@@ -232,8 +277,7 @@ def test_impute_fill_uses_grouped_kernel_without_numba(monkeypatch):
     assert done.genotypes.complete
 
 
-def test_leader_cluster_uses_blocked_kernel_on_int8_codes_without_numba(monkeypatch):
-    monkeypatch.setenv("GWASEL_BACKEND", "numpy")
+def test_leader_cluster_uses_blocked_kernel_on_int8_codes(monkeypatch):
     calls = []
     kernel = _kernels._leader_cluster_blocked
 

@@ -14,8 +14,6 @@ from gwasel.regress import (
     f_pvalue,
     fit,
     noncentrality_single_marker,
-    refit_add,
-    refit_drop,
     workspace_for,
 )
 from gwasel.search import _best_drop, _CriterionEval
@@ -146,18 +144,18 @@ def test_refit_roundtrip_and_oracle():
     model = ModelSpec((1, 2, 5))
     base = fit(ds, model)
 
-    added = refit_add(ds, model, 7)
-    rss_oracle, _ = lstsq_rss(ds, (1, 2, 5, 7))
-    assert added.rss == pytest.approx(rss_oracle, rel=1e-8)
-
     ws = workspace_for(ds, model)
     ws.add_snp(7)
+    rss_oracle, _ = lstsq_rss(ds, (1, 2, 5, 7))
+    assert ws.result().rss == pytest.approx(rss_oracle, rel=1e-8)
+
     ws.drop_snp(7)
     assert ws.rss == pytest.approx(base.rss, rel=1e-8)
 
-    dropped = refit_drop(ds, model, 5)
+    ws = workspace_for(ds, model)
+    ws.drop_snp(5)
     rss_oracle, _ = lstsq_rss(ds, (1, 2))
-    assert dropped.rss == pytest.approx(rss_oracle, rel=1e-8)
+    assert ws.result().rss == pytest.approx(rss_oracle, rel=1e-8)
 
 
 def test_refit_many_updates_stay_accurate():
@@ -279,7 +277,7 @@ def test_refit_add_collinear_column_raises():
     values[:, 4] = values[:, 0]
     ds = dataset_from_values(values, trait=rng.normal(size=30))
     with pytest.raises(CollinearityError):
-        refit_add(ds, ModelSpec((0, 1)), 4)
+        workspace_for(ds, ModelSpec((0, 1))).add_snp(4)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,17 @@ import pytest
 from gwasel.criteria import CriterionConfig, evaluate
 from gwasel.errors import BudgetError
 from gwasel.mtest import ScanResult, single_marker_scan
-from gwasel.regress import ModelSpec, fit
+from gwasel.regress import ModelSpec, fit, workspace_for
 from gwasel.search import (
     SearchConfig,
-    backward_elimination,
-    multiple_forward_search,
+    SearchTrace,
+    _backward,
+    _CandidateTracker,
+    _CriterionEval,
+    _stepwise,
     refine_subsets,
     screen,
     select_model,
-    stepwise,
 )
 from gwasel.simulate import SimulationConfig, simulate_trait, synthetic_dataset
 
@@ -35,6 +37,12 @@ def scan_of(p_values):
         order=np.argsort(p, kind="stable").astype(np.int64),
         degenerate=np.zeros(p.shape, dtype=bool),
     )
+
+
+def forward_adds(dataset, p_values, config):
+    """SNPs the forward stage of ``select_model`` adds, screening on p_values."""
+    _, _, trace = select_model(dataset, config, scan=scan_of(p_values))
+    return [r.snp for r in trace.accepted("forward")], trace
 
 
 def exhaustive_minimizer(dataset, crit, p):
@@ -91,15 +99,16 @@ def test_forward_single_useful_candidate():
     values = random_genotypes(rng, 60, 4)
     y = 1.5 * values[:, 2] + rng.normal(size=60)
     ds = dataset_from_values(values, trait=y)
-    model = multiple_forward_search(ds, [2], make_config("mbic", ds))
-    assert model.snp_indices == (2,)
+    added, _ = forward_adds(ds, [0.5, 0.5, 0.01, 0.5], make_config("mbic", ds))
+    assert added == [2]
 
 
 def test_forward_empty_candidates_gives_null_model():
     rng = np.random.default_rng(2)
     ds = dataset_from_values(random_genotypes(rng, 30, 3), trait=rng.normal(size=30))
-    model = multiple_forward_search(ds, [], make_config("mbic", ds))
-    assert model.snp_indices == ()
+    added, trace = forward_adds(ds, [0.5, 0.5, 0.5], make_config("mbic", ds))
+    assert added == []
+    assert trace.records == []
 
 
 def test_forward_stops_at_cap_with_141_strong_effects():
@@ -109,10 +118,11 @@ def test_forward_stops_at_cap_with_141_strong_effects():
     sim = SimulationConfig(tuple(range(141)), tuple(effects), sigma=0.5, seed=4)
     dsy = ds.with_trait(simulate_trait(ds, sim, 0))
     scan = single_marker_scan(dsy)
-    candidates = screen(scan, 0.9999)
-    assert len(candidates) == 141
-    model = multiple_forward_search(dsy, candidates, make_config("mbic", dsy))
-    assert model.size == 140
+    assert len(screen(scan, 0.9999)) == 141
+    # a size-1 cap keeps the refinement after the forward stage within budget
+    cfg = make_config("mbic", dsy, screen_threshold=0.9999, exhaustive_size_cap=1)
+    added, _ = forward_adds(dsy, scan.p_values, cfg)
+    assert len(added) == 140
 
 
 def test_forward_skips_collinear_duplicates():
@@ -121,8 +131,11 @@ def test_forward_skips_collinear_duplicates():
     values[:, 3] = values[:, 1]
     y = 2.0 * values[:, 1] + rng.normal(size=50)
     ds = dataset_from_values(values, trait=y)
-    model = multiple_forward_search(ds, [1, 3], make_config("mbic", ds))
-    assert model.snp_indices == (1,)
+    added, trace = forward_adds(ds, [0.5, 0.01, 0.5, 0.02, 0.5, 0.5],
+                                make_config("mbic", ds))
+    assert added == [1]
+    assert [(r.action, r.snp) for r in trace.records if r.stage == "forward"] == [
+        ("add", 1), ("skip_collinear", 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,27 +144,30 @@ def test_forward_skips_collinear_duplicates():
 
 
 def test_backward_drops_noise_snp_vs_submodel_oracle():
-    rng = np.random.default_rng(6)
     ds = synthetic_dataset(500, 2, seed=6)
     sim = SimulationConfig((0,), (1.0,), sigma=1.0, seed=7)
     dsy = ds.with_trait(simulate_trait(ds, sim, 0))
     crit = CriterionConfig("mbic", n=500, p_effective=2)
-    cfg = SearchConfig(criterion=crit)
-    model = backward_elimination(dsy, ModelSpec((0, 1)), cfg)
+    ws = workspace_for(dsy, ModelSpec((0, 1)))
+    model = _backward(ws, _CriterionEval(crit, ws.rss_base), SearchTrace())
 
     best = exhaustive_minimizer(dsy, crit, 2)
     assert model.snp_indices == best[2] == (0,)
 
 
 def test_backward_fixed_point():
-    rng = np.random.default_rng(8)
     ds = synthetic_dataset(400, 3, seed=8)
     sim = SimulationConfig((0, 1, 2), (1.0, 1.2, 0.9), sigma=1.0, seed=9)
     dsy = ds.with_trait(simulate_trait(ds, sim, 0))
     cfg = make_config("mbic", dsy)
-    model = backward_elimination(dsy, ModelSpec((0, 1, 2)), cfg)
+    ws = workspace_for(dsy, ModelSpec((0, 1, 2)))
+    ev = _CriterionEval(cfg.criterion, ws.rss_base)
+    trace = SearchTrace()
+    model = _backward(ws, ev, trace)
     assert model.snp_indices == (0, 1, 2)
-    assert stepwise(dsy, model, cfg, candidates=[0, 1, 2]).snp_indices == (0, 1, 2)
+    tracker = _CandidateTracker(dsy, [0, 1, 2], ws)
+    assert _stepwise(ws, tracker, cfg, ev, trace).snp_indices == (0, 1, 2)
+    assert trace.records == []
 
 
 def test_stepwise_trace_strictly_decreases():
@@ -324,6 +340,16 @@ def test_select_matches_exhaustive_on_small_p():
         if model.snp_indices == best[2]:
             hits += 1
     assert hits >= 9
+
+
+def test_select_with_fewer_snps_than_subset_cap():
+    # p = 3 < exhaustive_size_cap = 5: the subset step scores sizes 0..3 only
+    ds = synthetic_dataset(120, 3, seed=30)
+    sim = SimulationConfig((1,), (1.5,), sigma=1.0, seed=31)
+    dsy = ds.with_trait(simulate_trait(ds, sim, 0))
+    crit = CriterionConfig("mbic", n=120, p_effective=3)
+    model, _, _ = select_model(dsy, SearchConfig(criterion=crit, screen_threshold=1.0))
+    assert model.snp_indices == exhaustive_minimizer(dsy, crit, 3)[2] == (1,)
 
 
 def test_trace_jsonl_export():
