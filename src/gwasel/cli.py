@@ -29,6 +29,7 @@ from gwasel.genotype import Dataset, impute_missing, load_dataset
 from gwasel.mtest import benjamini_hochberg, bonferroni, scan_to_tsv, single_marker_scan
 from gwasel.search import SearchConfig, select_model
 from gwasel.simulate import (
+    METHOD_KINDS,
     MethodSpec,
     SimulationConfig,
     effect_grid,
@@ -240,7 +241,7 @@ def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConf
         sigma=float(_config_value(parser, cfg, "sigma", 1.0, _is_number, "a number")),
         n_replicates=args.replicates,
         seed=args.seed,
-        tp_thresholds=tuple(float(t) for t in args.thresholds.split(",")),
+        tp_thresholds=args.thresholds,
     )
     return dataset, sim
 
@@ -255,11 +256,7 @@ def cmd_simulate(args, parser) -> int:
                           lambda v: v is None or (_is_int(v) and v >= 1),
                           "a positive integer or null")
     dataset, sim = _study_from_config(cfg, args, parser)
-    methods = [
-        MethodSpec(kind=name.strip(), alpha=alpha, d=d, p_effective=p_eff)
-        for name in args.methods.split(",")
-        if name.strip()
-    ]
+    methods = [MethodSpec(kind=kind, alpha=alpha, d=d, p_effective=p_eff) for kind in args.methods]
     report = run_study(dataset, sim, methods)
     ids = _snp_ids(dataset)
     out = Path(args.out)
@@ -282,17 +279,21 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
+def _genotype_rows(values: np.ndarray) -> str:
+    """Tab-separated rows of -1/0/1 codes, each ended by a newline."""
+    cells = np.empty(values.shape + (2,), dtype=np.uint8)  # a code byte, then its separator
+    cells[:, :, 0] = values + ord("0")  # -1 lands on "/", the byte before "0"
+    cells[:, :, 1] = ord("\t")
+    cells[:, -1, 1] = ord("\n")
+    return cells.tobytes().replace(b"/", b"-1").decode("ascii")
+
+
 def cmd_impute(args, parser) -> int:
     dataset = _load(args)
     completed = impute_missing(dataset, window=args.window, n_predictors=args.predictors)
-    ids = _snp_ids(dataset)
-    # tokens[v] is str(v) for every int8 v, negative codes indexing from the end
-    tokens = np.array([str(v) for v in range(128)] + [str(v) for v in range(-128, 0)])
-    lines = ["\t".join(ids)]
-    for row in completed.genotypes.values:
-        lines.append("\t".join(tokens[row].tolist()))
     out = Path(args.out)
-    _write_atomic(out, "\n".join(lines) + "\n")
+    _write_atomic(out, "\t".join(_snp_ids(dataset)) + "\n"
+                  + _genotype_rows(completed.genotypes.values))
     _write_atomic(out.with_suffix(out.suffix + ".manifest.json"), _manifest(
         "impute", args, {"genotypes": args.genotypes},
     ))
@@ -316,6 +317,41 @@ def cmd_cluster(args, parser) -> int:
         "cluster", args, {"genotypes": args.genotypes},
     ))
     return 0
+
+
+# argparse turns an ArgumentTypeError into a usage error (exit 2) naming the flag
+def _replicate_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _method_kinds(text: str) -> list[str]:
+    kinds = [name.strip() for name in text.split(",") if name.strip()]
+    for i, kind in enumerate(kinds):
+        if kind not in METHOD_KINDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {kind!r}, expected one of {', '.join(METHOD_KINDS)}")
+        if kind in kinds[:i]:
+            raise argparse.ArgumentTypeError(f"method {kind!r} named twice")
+    return kinds
+
+
+def _thresholds(text: str) -> tuple[float, ...]:
+    out = []
+    for token in text.split(","):
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not 0.0 < value <= 1.0:
+            raise argparse.ArgumentTypeError(f"{token!r} is not a number in (0, 1]")
+        out.append(value)
+    return tuple(out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="power/FDR study over simulated traits")
     simulate.add_argument("--config", required=True, help="study definition JSON")
-    simulate.add_argument("--replicates", type=int, default=100)
+    simulate.add_argument("--replicates", type=_replicate_count, default=100)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--methods", default="bonferroni,bh,mbic,mbic2")
-    simulate.add_argument("--thresholds", default="0.7,0.9")
+    simulate.add_argument("--methods", type=_method_kinds, default="bonferroni,bh,mbic,mbic2")
+    simulate.add_argument("--thresholds", type=_thresholds, default="0.7,0.9")
     simulate.add_argument("--out", required=True)
     simulate.set_defaults(func=cmd_simulate)
 

@@ -3,11 +3,20 @@
 Genotype codes are -1/0/1 (minor-allele count minus one).  Text inputs use
 whitespace-separated rows, one per individual; ``NA`` or ``.`` marks a
 missing call and any other unrecognized token is treated as missing too.
+
+A genotype file whose rows hold only the tokens ``-1 0 1 NA .``, separated
+by spaces and tabs, ended by ``\n`` and all of one width, after an optional
+ASCII header line of SNP ids, is parsed in a few whole-file passes over its
+bytes.  Every other file (other tokens, other whitespace or line endings,
+non-ASCII bytes, ragged rows, no rows) goes through the token parser, which
+raises every parse error; on the files the byte path takes, both give the
+same codes, mask and header.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -24,6 +33,17 @@ from gwasel.errors import (
 
 _MISSING_TOKENS = frozenset({"NA", "na", "Na", "nA", "."})
 _CODE_TOKENS = {"-1": -1, "0": 0, "1": 1}
+
+# The byte path rewrites ``-1`` as ``2`` and ``NA`` as ``3``, so that every
+# call of a conforming file is one byte, then maps bytes to codes and mask.
+_BYTE_ALPHABET = b" \t\n-01NA."
+_ONE_BYTE_CALLS = b" \t\n0123."
+_MULTI_BYTE_PROBE = bytes.maketrans(b"0123.", b"xxxxx")  # a token of 2+ bytes shows as b"xx"
+_NON_BLANK = re.compile(rb"[^ \t\n]")
+_BYTE_CODES = np.zeros(256, dtype=np.int8)
+_BYTE_CODES[[ord("1"), ord("2")]] = (1, -1)
+_BYTE_MISSING = np.zeros(256, dtype=np.bool_)
+_BYTE_MISSING[[ord("3"), ord(".")]] = True
 
 
 @dataclass(frozen=True)
@@ -56,9 +76,10 @@ class GenotypeMatrix:
             raise ValueError("values and missing_mask must be 2-D with equal shape")
         if values.shape[0] < 2 or values.shape[1] < 1:
             raise ValueError("need at least 2 individuals and 1 SNP")
-        observed = values[~mask]
-        if observed.size and not np.isin(observed, (-1, 0, 1)).all():
-            raise ValueError("non-missing genotype codes must be -1, 0 or 1")
+        # min/max allocate nothing; the masked range test runs only when they fail
+        if values.min() < -1 or values.max() > 1:
+            if not (((values >= -1) & (values <= 1)) | mask).all():
+                raise ValueError("non-missing genotype codes must be -1, 0 or 1")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "missing_mask", mask)
 
@@ -146,6 +167,58 @@ def default_meta(n_snps: int, snp_ids: list[str] | None = None) -> tuple[SnpMeta
     )
 
 
+def _is_header(tokens: list[str]) -> bool:
+    """A first row with any non-genotype token is a header of SNP ids."""
+    return any(t not in _CODE_TOKENS and t not in _MISSING_TOKENS for t in tokens)
+
+
+def _parse_genotype_bytes(path: Path) -> tuple[np.ndarray, np.ndarray, list[str] | None] | None:
+    """Codes, mask and header of a conforming genotype file, else None.
+
+    The result equals ``_parse_genotype_text``'s on every file it accepts.
+    A file it declines (see the module docstring) is left to that parser,
+    which also raises every error.
+    """
+    raw = path.read_bytes()
+    first = _NON_BLANK.search(raw)
+    if first is None:
+        return None
+    start = raw.rfind(b"\n", 0, first.start()) + 1
+    del first  # the match holds raw alive, past the header slice below
+    end = raw.find(b"\n", start)
+    end = len(raw) if end < 0 else end
+    try:
+        line = raw[start:end].decode("ascii")
+    except UnicodeDecodeError:
+        return None
+    if line.splitlines() != [line]:  # \r, \v, \f, \x1c-\x1e end a line of the text parser
+        return None
+    header = line.split()
+    if _is_header(header):
+        raw = raw[end + 1:]
+    else:
+        header = None
+    if raw.translate(None, _BYTE_ALPHABET):
+        return None
+    body = raw.replace(b"-1", b"2")
+    del raw  # at most two copies of the file live at once
+    body = body.replace(b"NA", b"3")
+    if body.translate(None, _ONE_BYTE_CALLS) or b"xx" in body.translate(_MULTI_BYTE_PROBE):
+        return None  # a token such as -10, NNA, -, 1NA or 00
+    rows = body.translate(None, b" \t")  # one byte per call, rows ended by \n
+    del body
+    breaks = np.flatnonzero(np.frombuffer(rows, dtype=np.uint8) == ord("\n"))
+    widths = np.diff(breaks, prepend=-1, append=len(rows)) - 1
+    widths = widths[widths > 0]  # blank lines hold no calls
+    if widths.size == 0 or (widths != widths[0]).any():
+        return None
+    width = int(widths[0])
+    if header is not None and len(header) != width:
+        return None
+    calls = np.frombuffer(rows.translate(None, b"\n"), dtype=np.uint8).reshape(-1, width)
+    return _BYTE_CODES[calls], _BYTE_MISSING[calls], header
+
+
 def _parse_genotype_text(text: str, path: str) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
     rows: list[list[int]] = []
     mask_rows: list[list[bool]] = []
@@ -156,8 +229,7 @@ def _parse_genotype_text(text: str, path: str) -> tuple[np.ndarray, np.ndarray, 
         if not tokens:
             continue
         if width is None and header is None:
-            # a first row with any non-genotype token is a header of SNP ids
-            if any(t not in _CODE_TOKENS and t not in _MISSING_TOKENS for t in tokens):
+            if _is_header(tokens):
                 header = tokens
                 continue
         if width is None:
@@ -232,9 +304,10 @@ def load_dataset(
     individual.
     """
     genotype_path = Path(genotype_path)
-    values, mask, header = _parse_genotype_text(
-        genotype_path.read_text(), str(genotype_path)
-    )
+    parsed = _parse_genotype_bytes(genotype_path)
+    if parsed is None:
+        parsed = _parse_genotype_text(genotype_path.read_text(), str(genotype_path))
+    values, mask, header = parsed
     n, p = values.shape
     if header is not None and len(header) != p:
         raise ParseError(f"{genotype_path}: header width {len(header)} against {p} columns")

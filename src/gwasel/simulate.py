@@ -185,6 +185,9 @@ def classify_detections(detected, dataset: Dataset, config: SimulationConfig,
     return ClassificationResult(len(tp_causal), tuple(fp), tuple(sorted(tp_causal)))
 
 
+METHOD_KINDS = ("bonferroni", "bh", "mbic", "mbic2")
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """One analysis method to run inside a study."""
@@ -196,7 +199,7 @@ class MethodSpec:
     search: SearchConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in ("bonferroni", "bh", "mbic", "mbic2"):
+        if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method {self.kind!r}")
 
     def search_config(self, dataset: Dataset) -> SearchConfig:

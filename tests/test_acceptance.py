@@ -5,7 +5,9 @@ Each check prints one PASS/FAIL line so a full run reads as a scorecard:
     pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import itertools
+import json
 import math
 
 import mpmath
@@ -152,6 +154,10 @@ def test_criterion_3_exhaustive_oracle():
 # ---------------------------------------------------------------------------
 
 
+# sha256 of the desk study's detections, the ROADMAP fingerprint
+DESK_FINGERPRINT = "05b9aa0196d7f7993b412465b32b0de1fbb0c5adf3b772acd8c32236a4236588"
+
+
 @pytest.fixture(scope="module")
 def desk_study():
     n, p, k = 600, 10_000, 30
@@ -171,6 +177,12 @@ def desk_study():
                selection_method("mbic"), selection_method("mbic2")]
     report_obj = run_study(ds, sim, methods)
     return ds, sim, report_obj
+
+
+def test_desk_fingerprint(desk_study):
+    _, _, rep = desk_study
+    digest = hashlib.sha256(json.dumps(rep.detections, sort_keys=True).encode()).hexdigest()
+    report("desk fingerprint", digest == DESK_FINGERPRINT, digest)
 
 
 def test_criterion_4a_power_ordering(desk_study):

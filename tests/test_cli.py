@@ -224,6 +224,25 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys, cfg, key):
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--replicates", "0"], "argument --replicates: must be a positive integer, got '0'"),
+    (["--replicates", "-3"], "argument --replicates: must be a positive integer, got '-3'"),
+    (["--thresholds", "0.7,abc"], "argument --thresholds: 'abc' is not a number in (0, 1]"),
+    (["--thresholds", "1.5"], "argument --thresholds: '1.5' is not a number in (0, 1]"),
+    (["--methods", "foo"], "argument --methods: unknown method 'foo'"),
+    (["--methods", "bh,mbic3"], "argument --methods: unknown method 'mbic3'"),
+    (["--methods", "mbic,bh,mbic"], "argument --methods: method 'mbic' named twice"),
+])
+def test_simulate_bad_flag_exits_2(tmp_path, capsys, flags, message):
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps({"synthetic": {"n": 20, "p": 5}, "k": 1}))
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")] + flags)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_no_temp_files_left_behind(tmp_path):
     g, t = write_fixture(tmp_path)
     out = tmp_path / "o"

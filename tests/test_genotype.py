@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from gwasel import genotype
 from gwasel.errors import (
     DegenerateColumnError,
     DimensionError,
@@ -110,6 +114,107 @@ def test_matrix_invariants():
         GenotypeMatrix(np.array([[2]], dtype=np.int8), np.array([[False]]))
     with pytest.raises(ValueError):
         GenotypeMatrix(np.array([[1, 0]], dtype=np.int8), np.array([[False, False]]))
+    every_code = np.arange(-128, 128, dtype=np.int8).reshape(2, 128)
+    masked = (every_code < -1) | (every_code > 1)
+    GenotypeMatrix(every_code, masked)  # any code under the mask is accepted
+    GenotypeMatrix(every_code, np.ones_like(masked))
+    for code in (-2, 2, -128, 127):
+        values = np.array([[0, code], [1, -1]], dtype=np.int8)
+        with pytest.raises(ValueError, match="must be -1, 0 or 1"):
+            GenotypeMatrix(values, np.zeros_like(values, dtype=bool))
+        observed = every_code == code
+        with pytest.raises(ValueError, match="must be -1, 0 or 1"):
+            GenotypeMatrix(every_code, masked & ~observed)
+
+
+# ---------------------------------------------------------------------------
+# byte path against the token parser
+# ---------------------------------------------------------------------------
+
+_CONFORMING = ["-1", "0", "1", "NA", "."]
+_OTHER = ["na", "2", "-10", "00", "1NA", "N", "-", "rs7"]
+
+
+@st.composite
+def genotype_files(draw):
+    """Genotype text of the byte path's shape, or bent out of it in one way."""
+    bend = draw(st.sampled_from([None, None, None, "token", "merge", "sep", "eol", "ragged",
+                                 "header"]))
+    width = draw(st.integers(1, 5))
+    odd = [draw(st.sampled_from(_OTHER))] * 3 if bend == "token" else []
+    token = st.sampled_from(_CONFORMING + odd)
+    sep = st.sampled_from([" ", "\t", "  ", " \t", "\t\t"] + ([" \x0b"] if bend == "sep" else []))
+    pad = st.sampled_from(["", "", "", " ", "\t", " \t "])
+
+    def row(n, merge=False):
+        tokens = draw(st.lists(token, min_size=n, max_size=n))
+        seps = [draw(sep) for _ in tokens[1:]]
+        if merge and seps:  # two calls run together: one token fewer, as many bytes
+            seps[draw(st.integers(0, len(seps) - 1))] = ""
+        return draw(pad) + tokens[0] + "".join(map(str.__add__, seps, tokens[1:])) + draw(pad)
+
+    lines = []
+    header = draw(st.sampled_from(
+        ["wide", "narrow", "mixed", "non-ascii", "split"] if bend == "header" else [None, "ids"]))
+    if header in ("ids", "wide", "narrow"):
+        names = width + {"ids": 0, "wide": 1, "narrow": -1}[header]
+        lines.append(" ".join(f"rs{j}" for j in range(names)))
+    elif header == "split":  # a line break of the token parser inside the header line
+        brk = draw(st.sampled_from(["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]))
+        lines.append("rs0" + brk + " ".join(f"rs{j}" for j in range(1, width)))
+    elif header == "mixed":
+        lines.append("\t".join(["rs0"] + ["1"] * (width - 1)))
+    elif header == "non-ascii":
+        lines.append(" ".join(f"rs\u00e9{j}" for j in range(width)))
+    for i in range(draw(st.integers(0, 6))):
+        ragged = bend == "ragged" and draw(st.booleans())
+        lines.append(row(draw(st.integers(1, 6)) if ragged else width,
+                         merge=bend == "merge" and i > 0))
+    for _ in range(draw(st.integers(0, 2))):  # blank lines anywhere, the first included
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t "])))
+    eol = draw(st.sampled_from(["\r\n", "\r"] if bend == "eol" else ["\n"]))
+    text = eol.join(lines) + (eol if lines and draw(st.booleans()) else "")
+    return text.encode()
+
+
+def _outcome(load):
+    try:
+        ds = load()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    gm = ds.genotypes
+    return gm.values.tolist(), gm.missing_mask.tolist(), [m.snp_id for m in ds.meta]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=genotype_files())
+def test_byte_path_matches_token_parser(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("diff") / "g.txt"
+    path.write_bytes(data)
+    fast = genotype._parse_genotype_bytes(path)
+    event("token parser" if fast is None else "byte path")
+    if fast is not None:
+        values, mask, header = genotype._parse_genotype_text(path.read_text(), str(path))
+        assert fast[0].dtype == np.int8 and fast[1].dtype == np.bool_
+        assert np.array_equal(fast[0], values) and np.array_equal(fast[1], mask)
+        assert fast[2] == header
+    with mock.patch.object(genotype, "_parse_genotype_bytes", return_value=None):
+        expected = _outcome(lambda: load_dataset(path))
+    assert _outcome(lambda: load_dataset(path)) == expected
+
+
+def test_conforming_file_takes_byte_path(tmp_path, monkeypatch):
+    def no_text_parse(text, path):
+        raise AssertionError("the token parser ran on a conforming file")
+
+    monkeypatch.setattr(genotype, "_parse_genotype_text", no_text_parse)
+    g = tmp_path / "g.txt"
+    g.write_text("\n  \n rs1\trs2  rs3\n-1 NA 1\n\n0\t.   -1\n\t1 1 NA \n")
+    ds = load_dataset(g)
+    assert [m.snp_id for m in ds.meta] == ["rs1", "rs2", "rs3"]
+    assert ds.genotypes.values.tolist() == [[-1, 0, 1], [0, 0, -1], [1, 1, 0]]
+    assert ds.genotypes.missing_mask.tolist() == [
+        [False, True, False], [False, True, False], [False, False, True]]
 
 
 # ---------------------------------------------------------------------------
