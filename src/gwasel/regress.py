@@ -4,10 +4,12 @@ A model is the design ``[1 | forced covariates | selected SNPs]``.  The
 model sum of squares is measured against the intercept-plus-forced null,
 so the F statistic tests joint nullity of the selected SNP block only.
 
-:class:`FitWorkspace` keeps an orthonormal basis of the design and supports
-adding or dropping one column in O(n*q + q^2), which the stagewise search
-relies on.  A workspace is single-owner; independent workspaces over the
-same dataset may run in parallel.
+:class:`FitWorkspace` keeps an orthonormal basis of the design and adds one
+column in O(n*q); dropping a column rebuilds the basis from the remaining
+columns in O(n*q^2).  Backward elimination drops many columns in a row and
+runs on the inverse Gram matrix from :meth:`FitWorkspace.inverse_gram`
+instead, rebuilding once at the end.  A workspace is single-owner;
+independent workspaces over the same dataset may run in parallel.
 """
 
 from __future__ import annotations
@@ -133,6 +135,7 @@ class FitWorkspace:
             for j in self.forced_indices:
                 self._push(cov[:, j], label=j)
         self.rss_base = self.rss
+        self._r_base = self._r
 
     # -- core updates -------------------------------------------------
 
@@ -201,32 +204,22 @@ class FitWorkspace:
         return u, d
 
     def drop_snp(self, j: int) -> None:
-        """Remove genotype column j, re-triangularizing with Givens rotations."""
-        pos = self._base + self.snps.index(j)
-        m = self._m
-        # shift columns of R left over the removed one
-        self._R[:, pos : m - 1] = self._R[:, pos + 1 : m]
-        for t in range(pos, m - 1):
-            c, s = _givens(self._R[t, t], self._R[t + 1, t])
-            row0 = self._R[t, t : m - 1].copy()
-            row1 = self._R[t + 1, t : m - 1].copy()
-            self._R[t, t : m - 1] = c * row0 + s * row1
-            self._R[t + 1, t : m - 1] = -s * row0 + c * row1
-            self._R[t + 1, t] = 0.0
-            q0 = self._Q[:, t].copy()
-            q1 = self._Q[:, t + 1]
-            self._Q[:, t] = c * q0 + s * q1
-            self._Q[:, t + 1] = -s * q0 + c * q1
-            y0 = self._qty[t]
-            y1 = self._qty[t + 1]
-            self._qty[t] = c * y0 + s * y1
-            self._qty[t + 1] = -s * y0 + c * y1
-        self._m = m - 1
-        self._R[:, self._m] = 0.0
-        self._R[self._m, :] = 0.0
-        self.snps.remove(j)
-        # the rotated-out direction returns to the residual
-        self._r = self.y - self._Q[:, : self._m] @ self._qty[: self._m]
+        """Remove genotype column j by rebuilding from the remaining SNPs."""
+        rest = list(self.snps)
+        rest.remove(j)
+        self.rebuild(rest)
+
+    def rebuild(self, snps) -> None:
+        """Reset to the intercept and forced columns, then push ``snps`` in order."""
+        b = self._base
+        self._R[:, b:] = 0.0
+        self._R[b:, :] = 0.0
+        self._m = b
+        self._r = self._r_base
+        self.snps = []
+        for j in snps:
+            self._push(self.X[:, j], label=j)
+            self.snps.append(j)
 
     def rss_if_dropped(self, j: int) -> float:
         """RSS after removing SNP j, without touching the workspace state."""
@@ -245,6 +238,16 @@ class FitWorkspace:
             qty[t] = c * y0 + s * y1
             qty[t + 1] = -s * y0 + c * y1
         return self.rss + float(qty[k - 1] ** 2)
+
+    def inverse_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, beta) with S = (X'X)^-1 = R^-1 R^-T and beta = R^-1 Q'y.
+
+        Rows and columns follow the workspace order [intercept, forced...,
+        SNPs by insertion].
+        """
+        m = self._m
+        r_inv = solve_triangular(self._R[:m, :m], np.eye(m))
+        return r_inv @ r_inv.T, r_inv @ self._qty[:m]
 
     def drop_rss(self) -> np.ndarray:
         """RSS after removing each SNP, aligned with ``self.snps``."""

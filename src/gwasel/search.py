@@ -2,10 +2,10 @@
 
 The pipeline mirrors a screen-then-refine strategy: a single-marker p-value
 screen, a one-pass forward build-up under plain BIC seeded with the best
-marker, backward elimination and stepwise refinement under the configured
-criterion, and a final subset-enumeration step.  Every accepted move must
-strictly lower the criterion, so traces are monotone and termination is
-guaranteed.
+marker, backward elimination (sweep downdates of the inverse Gram matrix)
+and stepwise refinement under the configured criterion, and a final
+subset-enumeration step.  Every accepted move must strictly lower the
+criterion, so traces are monotone and termination is guaranteed.
 """
 
 from __future__ import annotations
@@ -212,30 +212,69 @@ def _forward(ws: FitWorkspace, tracker: _CandidateTracker, config: SearchConfig,
             trace.append("forward", "add", j, cur_val, len(ws.snps))
 
 
-def _best_drop(ws: FitWorkspace, ev: _CriterionEval) -> tuple[float, int] | None:
-    """Best single drop as (criterion value, SNP).
+def _pick_drop(drop_rss: np.ndarray, snps: np.ndarray, ev: _CriterionEval) -> tuple[float, int]:
+    """(criterion value, position) of the best drop given each SNP's drop RSS.
 
     Equal values drop the largest SNP index, which leaves the
     lexicographically smallest model.
     """
+    vals = ev.value_array(drop_rss, snps.size - 1)
+    pick = int(np.lexsort((-snps, vals))[0])
+    return float(vals[pick]), pick
+
+
+def _best_drop(ws: FitWorkspace, ev: _CriterionEval) -> tuple[float, int] | None:
+    """Best single drop as (criterion value, SNP)."""
     if not ws.snps:
         return None
     snps = np.asarray(ws.snps, dtype=np.int64)
-    vals = ev.value_array(ws.drop_rss(), snps.size - 1)
-    pick = np.lexsort((-snps, vals))[0]
-    return float(vals[pick]), int(snps[pick])
+    val, pick = _pick_drop(ws.drop_rss(), snps, ev)
+    return val, int(snps[pick])
+
+
+# a sweep downdate lost too many digits once a surviving diagonal of S has
+# shrunk below this fraction of its value at the last inversion
+SWEEP_LOSS = 1e-6
 
 
 def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
               stage: str = "backward") -> ModelSpec:
-    cur_val = ev.value(ws.rss, len(ws.snps))
-    while ws.snps:
-        val, j = _best_drop(ws, ev)
+    """Backward elimination by sweep downdates of S = (X'X)^-1.
+
+    Dropping column k raises the RSS by beta_k^2 / S_kk and leaves
+    S - S[:, k] S[k, :] / S_kk and beta - S[:, k] beta_k / S_kk over the
+    remaining columns (the sweep operator: Goodnight, Am. Stat. 1979).  S is
+    inverted afresh from the survivors whenever a downdate leaves a diagonal
+    that is not positive or has lost most of its digits to cancellation.
+    The workspace is rebuilt once, from the survivors in insertion order.
+    """
+    live = list(ws.snps)
+    base = ws.m - len(live)
+    cur_val = ev.value(ws.rss, len(live))
+    S, beta = ws.inverse_gram()
+    rss = ws.rss
+    ref = S.diagonal()[base:].copy()
+    while live:
+        drops = rss + beta[base:] ** 2 / S.diagonal()[base:]
+        val, pos = _pick_drop(drops, np.asarray(live, dtype=np.int64), ev)
         if val >= cur_val:
             break
-        ws.drop_snp(j)
+        k = base + pos
+        col = S[:, k] / S[k, k]
+        beta = np.delete(beta - col * beta[k], k)
+        S = np.delete(np.delete(S - np.outer(col, S[k]), k, axis=0), k, axis=1)
+        ref = np.delete(ref, pos)
+        rss = float(drops[pos])
+        j = live.pop(pos)
         cur_val = val
-        trace.append(stage, "drop", j, cur_val, len(ws.snps))
+        trace.append(stage, "drop", j, cur_val, len(live))
+        if not np.all(S.diagonal()[base:] > SWEEP_LOSS * ref):
+            ws.rebuild(live)
+            S, beta = ws.inverse_gram()
+            rss = ws.rss
+            ref = S.diagonal()[base:].copy()
+    if len(live) < len(ws.snps):
+        ws.rebuild(live)
     return ws.model()
 
 

@@ -70,6 +70,9 @@ def effect_grid(k: int, low: float = 0.27, high: float = 0.66) -> np.ndarray:
     return np.linspace(low, high, k)
 
 
+_DRAW_ROWS = 64  # rows of uniforms drawn at a time by synthetic_dataset
+
+
 def synthetic_dataset(n_individuals: int, n_snps: int,
                       maf_range: tuple[float, float] = (0.3, 0.5),
                       seed: int = 0) -> Dataset:
@@ -83,10 +86,15 @@ def synthetic_dataset(n_individuals: int, n_snps: int,
         raise ValueError("maf_range must satisfy 0 < low <= high <= 0.5")
     rng = rng_stream(seed, 0, "genotype")
     maf = rng.uniform(lo, hi, size=n_snps)
-    u = rng.random(size=(n_individuals, n_snps))
     p_low = (1.0 - maf) ** 2
     p_mid = p_low + 2.0 * maf * (1.0 - maf)
-    values = np.where(u < p_low, -1, np.where(u < p_mid, 0, 1)).astype(np.int8)
+    values = np.empty((n_individuals, n_snps), dtype=np.int8)
+    # row blocks read the uniform stream in the C order of one whole draw
+    for r0 in range(0, n_individuals, _DRAW_ROWS):
+        u = rng.random(size=(min(_DRAW_ROWS, n_individuals - r0), n_snps))
+        block = values[r0 : r0 + u.shape[0]]
+        np.add(u >= p_low, u >= p_mid, out=block, dtype=np.int8)
+        block -= 1
     gm = GenotypeMatrix(values, np.zeros_like(values, dtype=np.bool_))
     return Dataset(genotypes=gm, meta=default_meta(n_snps))
 

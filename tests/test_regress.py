@@ -19,19 +19,7 @@ from gwasel.regress import (
 from gwasel.search import _best_drop, _CriterionEval
 
 from conftest import dataset_from_values, random_genotypes
-
-
-def lstsq_rss(dataset, snps, forced=()):
-    """From-scratch oracle for the workspace fits."""
-    n = dataset.n_individuals
-    cols = [np.ones(n)]
-    if dataset.covariates is not None:
-        cols.extend(dataset.covariates[:, j] for j in forced)
-    cols.extend(dataset.float_values[:, j] for j in snps)
-    D = np.column_stack(cols)
-    beta, *_ = np.linalg.lstsq(D, dataset.trait, rcond=None)
-    r = dataset.trait - D @ beta
-    return float(r @ r), beta
+from oracles import lstsq_design, lstsq_rss
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +232,36 @@ def test_drop_rss_matches_oracles_after_add_drop_sequence(seed, moves):
                 pass
     assume(ws.snps)
     assert_drop_rss_oracles(ws, ds)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2),
+       st.lists(st.sampled_from(["add", "drop", "rebuild"]), min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_workspace_add_drop_rebuild_sequence_matches_lstsq(seed, n_forced, moves):
+    rng = np.random.default_rng(seed)
+    n, p = 40, 15
+    values = random_genotypes(rng, n, p)
+    values[:, 14] = values[:, 3]  # a duplicate the workspace must refuse
+    ds = dataset_from_values(values, trait=rng.normal(size=n),
+                             covariates=rng.normal(size=(n, 2)))
+    forced = tuple(range(n_forced))
+    ws = FitWorkspace(ds, forced)
+    for move in moves:
+        if move == "add":
+            free = [j for j in range(p) if j not in ws.snps]
+            try:
+                ws.add_snp(int(rng.choice(free)))
+            except CollinearityError:
+                pass
+        elif move == "drop" and ws.snps:
+            ws.drop_snp(int(rng.choice(ws.snps)))
+        elif move == "rebuild":
+            ws.rebuild([int(j) for j in rng.permutation(ws.snps)])
+        rss, beta = lstsq_rss(ds, ws.snps, forced)
+        assert ws.rss == pytest.approx(rss, rel=1e-9)
+        np.testing.assert_allclose(ws.coefficients(), beta, rtol=1e-8, atol=1e-10)
+        residual = ds.trait - lstsq_design(ds, ws.snps, forced) @ beta
+        np.testing.assert_allclose(ws.residual, residual, rtol=0, atol=1e-9)
 
 
 class _FixedDrops:

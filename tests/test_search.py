@@ -3,11 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwasel.criteria import CriterionConfig, evaluate
-from gwasel.errors import BudgetError
+from gwasel.errors import BudgetError, CollinearityError
 from gwasel.mtest import ScanResult, single_marker_scan
-from gwasel.regress import ModelSpec, fit, workspace_for
+from gwasel.regress import FitWorkspace, ModelSpec, fit, workspace_for
 from gwasel.search import (
     SearchConfig,
     SearchTrace,
@@ -22,6 +23,7 @@ from gwasel.search import (
 from gwasel.simulate import SimulationConfig, simulate_trait, synthetic_dataset
 
 from conftest import dataset_from_values, random_genotypes
+from oracles import backward_by_drops, lstsq_rss
 
 
 def make_config(kind, dataset, **kw):
@@ -168,6 +170,86 @@ def test_backward_fixed_point():
     tracker = _CandidateTracker(dsy, [0, 1, 2], ws)
     assert _stepwise(ws, tracker, cfg, ev, trace).snp_indices == (0, 1, 2)
     assert trace.records == []
+
+
+def design_with_near_collinearity(seed, n_forced, eps):
+    """Genotypes with a duplicated column and a column one entry away from
+    another, and a forced covariate equal to x0 + x1 up to noise of scale
+    ``eps``."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(30, 80)), 14
+    values = random_genotypes(rng, n, p)
+    values[:, 13] = values[:, 4]
+    values[:, 12] = values[:, 5]
+    values[0, 12] = (values[0, 5] + 2) % 3 - 1
+    cov = rng.normal(size=(n, 2))
+    cov[:, 0] = values[:, 0] + values[:, 1] + eps * rng.normal(size=n)
+    y = values[:, 2:5] @ rng.normal(0.0, 0.4, size=3) + rng.normal(size=n)
+    order = [int(j) for j in rng.permutation(p)[: int(rng.integers(4, p + 1))]]
+    ds = dataset_from_values(values, trait=y, covariates=cov)
+    return ds, tuple(range(n_forced)), order
+
+
+def filled_workspace(ds, forced, order):
+    ws = FitWorkspace(ds, forced)
+    for j in order:
+        try:
+            ws.add_snp(j)
+        except CollinearityError:
+            pass
+    return ws
+
+
+def assert_backward_matches_oracle(ds, forced, order, crit):
+    runs = []
+    for backward in (_backward, backward_by_drops):
+        ws = filled_workspace(ds, forced, order)
+        trace = SearchTrace()
+        model = backward(ws, _CriterionEval(crit, ws.rss_base), trace)
+        runs.append((ws, model, trace.records))
+    (ws, model, records), (ws_o, model_o, records_o) = runs
+    assert model == model_o
+    assert ws.snps == ws_o.snps
+    assert ([(r.stage, r.action, r.snp, r.model_size) for r in records]
+            == [(r.stage, r.action, r.snp, r.model_size) for r in records_o])
+    for r, r_o in zip(records, records_o):
+        assert r.criterion_value == pytest.approx(r_o.criterion_value, rel=1e-9)
+    assert ws.rss == pytest.approx(lstsq_rss(ds, ws.snps, forced)[0], rel=1e-8)
+    return records
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0),
+       st.sampled_from(["mbic", "mbic2", "bic"]), st.booleans(), st.integers(14, 5000))
+@settings(max_examples=80, deadline=None)
+def test_backward_sweeps_match_per_drop_oracle(seed, n_forced, neg_log_eps, kind, log_mode,
+                                               p_effective):
+    ds, forced, order = design_with_near_collinearity(seed, n_forced, 10.0**-neg_log_eps)
+    crit = CriterionConfig(kind, n=ds.n_individuals, p_effective=p_effective,
+                           sigma=None if log_mode else 1.0)
+    assert_backward_matches_oracle(ds, forced, order, crit)
+
+
+@pytest.mark.parametrize("log_mode", [True, False])
+def test_backward_rebuilds_when_a_sweep_loses_its_pivot(monkeypatch, log_mode):
+    # x0 and x1 each sit within 1e-7 of the span of the other and the forced
+    # x0 + x1 + noise, so S_00 and S_11 are ~1e14 times their values once
+    # either is dropped: the downdate that drops one cancels the other's pivot
+    ds, forced, order = design_with_near_collinearity(3, 1, 1e-7)
+    order = [0, 1, 6, 7, 8, 9]
+    crit = CriterionConfig("mbic", n=ds.n_individuals, p_effective=5000,
+                           sigma=None if log_mode else 1.0)
+    inversions = []
+    inverse_gram = FitWorkspace.inverse_gram
+
+    def counted(self):
+        inversions.append(list(self.snps))
+        return inverse_gram(self)
+
+    monkeypatch.setattr(FitWorkspace, "inverse_gram", counted)
+    records = assert_backward_matches_oracle(ds, forced, order, crit)
+    dropped = [r.snp for r in records]
+    assert {0, 1} & set(dropped)
+    assert len(inversions) >= 2  # the stage start and at least one guarded rebuild
 
 
 def test_stepwise_trace_strictly_decreases():

@@ -38,6 +38,26 @@ def test_rng_stream_reproducible_and_separated():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("n, p, seed, maf_range", [
+    (600, 5000, 11, (0.3, 0.5)),
+    (200, 400, 42, (0.3, 0.5)),
+    (65, 129, 3, (0.3, 0.5)),
+    (128, 7, 5, (0.05, 0.5)),
+    (7, 3, 1, (0.5, 0.5)),
+])
+def test_synthetic_dataset_matches_one_whole_draw(n, p, seed, maf_range):
+    # the codes of a single (n, p) uniform draw, as the panel was first defined
+    rng = rng_stream(seed, 0, "genotype")
+    maf = rng.uniform(*maf_range, size=p)
+    u = rng.random(size=(n, p))
+    p_low = (1.0 - maf) ** 2
+    p_mid = p_low + 2.0 * maf * (1.0 - maf)
+    expected = np.where(u < p_low, -1, np.where(u < p_mid, 0, 1)).astype(np.int8)
+    values = synthetic_dataset(n, p, maf_range=maf_range, seed=seed).genotypes.values
+    assert values.dtype == np.int8
+    assert np.array_equal(values, expected)
+
+
 def test_trait_bitwise_reproducible():
     ds = synthetic_dataset(50, 10, seed=1)
     cfg = SimulationConfig((2, 7), (0.5, -0.4), sigma=1.2, seed=9)
