@@ -9,11 +9,13 @@ column in O(n*q); dropping a column rebuilds the basis from the remaining
 columns in O(n*q^2).  Backward elimination drops many columns in a row and
 runs on the inverse Gram matrix from :meth:`FitWorkspace.inverse_gram`
 instead, rebuilding once at the end.  A workspace is single-owner;
-independent workspaces over the same dataset may run in parallel.
+:meth:`FitWorkspace.copy` forks an independent one, and independent
+workspaces over the same dataset may run in parallel.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -220,6 +222,14 @@ class FitWorkspace:
         for j in snps:
             self._push(self.X[:, j], label=j)
             self.snps.append(j)
+
+    def copy(self) -> FitWorkspace:
+        """Independent workspace in the same state; dataset and trait are shared."""
+        new = copy.copy(self)
+        new._Q, new._R, new._qty = self._Q.copy(), self._R.copy(), self._qty.copy()
+        new._r = self._r.copy()
+        new.snps = list(self.snps)
+        return new
 
     def rss_if_dropped(self, j: int) -> float:
         """RSS after removing SNP j, without touching the workspace state."""

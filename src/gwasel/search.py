@@ -10,6 +10,7 @@ criterion, so traces are monotone and termination is guaranteed.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -146,7 +147,6 @@ class _CandidateTracker:
         self.cols = dataset.float_values[:, self.idx] if self.idx.size else np.empty((dataset.n_individuals, 0))
         self.orig_norm2 = np.einsum("ij,ij->j", self.cols, self.cols)
         self.tol2 = tol * tol
-        self.in_model = np.zeros(self.idx.size, dtype=bool)
         self.sync(ws)
 
     def sync(self, ws: FitWorkspace) -> None:
@@ -154,9 +154,13 @@ class _CandidateTracker:
         z = self.cols - Q @ (Q.T @ self.cols)
         self.s = np.einsum("ij,ij->j", z, z)
         self.t = self.cols.T @ ws.residual
-        member = set(ws.snps)
-        for k, j in enumerate(self.idx):
-            self.in_model[k] = int(j) in member
+        self.in_model = np.isin(self.idx, ws.snps)
+
+    def copy(self) -> _CandidateTracker:
+        """Independent s, t and membership over the same read-only candidate block."""
+        new = copy.copy(self)
+        new.s, new.t, new.in_model = self.s.copy(), self.t.copy(), self.in_model.copy()
+        return new
 
     def on_push(self, u: np.ndarray, d: float) -> None:
         c = self.cols.T @ u
@@ -171,7 +175,7 @@ def screen(scan: ScanResult, threshold: float) -> list[int]:
     """Candidate columns with p strictly below threshold, best p first."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    return [int(j) for j in scan.order if scan.p_values[j] < threshold]
+    return scan.order[scan.p_values[scan.order] < threshold].tolist()
 
 
 def _max_snps(ws: FitWorkspace) -> int:
@@ -439,9 +443,51 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
     return model
 
 
+@dataclass(frozen=True)
+class ForwardState:
+    """Screen and forward build-up of one search, before any criterion stage.
+
+    The forward stage runs under plain BIC whatever the search criterion, so
+    it depends only on the dataset, the scan, ``screen_threshold`` and
+    ``max_forward_size``.  Searches that agree on those can start from one
+    state: each runs on its own copy of the workspace and of the tracker's
+    s, t and membership, and the n x C candidate block is shared read-only.
+    """
+
+    dataset: Dataset
+    screen_threshold: float
+    max_forward_size: int
+    ws: FitWorkspace
+    tracker: _CandidateTracker
+    records: tuple[TraceRecord, ...]
+
+
+def forward_stage(dataset: Dataset, config: SearchConfig,
+                  scan: ScanResult | None = None) -> ForwardState:
+    """Scan (unless given), screen and the forward stage under plain BIC."""
+    if scan is None:
+        scan = single_marker_scan(dataset)
+    candidates = screen(scan, config.screen_threshold)
+    ws = FitWorkspace(dataset, tuple(range(dataset.n_covariates)))
+    tracker = _CandidateTracker(dataset, candidates, ws)
+    bic_cfg = CriterionConfig(
+        "bic", n=dataset.n_individuals, p_effective=max(dataset.n_snps, 1), sigma=None
+    )
+    trace = SearchTrace()
+    _forward(ws, tracker, config, _CriterionEval(bic_cfg, ws.rss_base), trace)
+    return ForwardState(dataset, config.screen_threshold, config.max_forward_size,
+                        ws, tracker, tuple(trace.records))
+
+
 def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
-                 scan: ScanResult | None = None) -> tuple[ModelSpec, FitResult, SearchTrace]:
-    """Full pipeline: scan, screen, forward, backward, stepwise, refine."""
+                 scan: ScanResult | None = None,
+                 _state: ForwardState | None = None) -> tuple[ModelSpec, FitResult, SearchTrace]:
+    """Full pipeline: scan, screen, forward, backward, stepwise, refine.
+
+    ``_state`` is a :func:`forward_stage` of this very dataset, with this
+    ``screen_threshold`` and ``max_forward_size``, to start from instead of
+    building one; the search runs on copies and leaves it unchanged.
+    """
     if dataset.trait is None:
         raise ValueError("dataset has no trait")
     if config.criterion.n != dataset.n_individuals:
@@ -449,17 +495,19 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
             f"criterion config has n={config.criterion.n} but dataset has "
             f"{dataset.n_individuals} individuals"
         )
-    trace = SearchTrace()
-    if scan is None:
-        scan = single_marker_scan(dataset)
-    candidates = screen(scan, config.screen_threshold)
-    forced = tuple(range(dataset.n_covariates))
-    ws = FitWorkspace(dataset, forced)
-    tracker = _CandidateTracker(dataset, candidates, ws)
-    bic_cfg = CriterionConfig(
-        "bic", n=config.criterion.n, p_effective=max(dataset.n_snps, 1), sigma=None
-    )
-    _forward(ws, tracker, config, _CriterionEval(bic_cfg, ws.rss_base), trace)
+    if _state is None:
+        state = forward_stage(dataset, config, scan)
+        ws, tracker = state.ws, state.tracker
+    else:
+        if _state.dataset is not dataset:
+            raise ValueError("forward state was built for another dataset")
+        if (_state.screen_threshold, _state.max_forward_size) != (
+                config.screen_threshold, config.max_forward_size):
+            raise ValueError("forward state was built with another screen_threshold "
+                             "or max_forward_size")
+        state = _state
+        ws, tracker = state.ws.copy(), state.tracker.copy()
+    trace = SearchTrace(list(state.records))
 
     ev = _CriterionEval(config.criterion, ws.rss_base)
     _backward(ws, ev, trace)

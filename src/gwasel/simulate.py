@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from gwasel.criteria import DEFAULT_D, CriterionConfig
 from gwasel.genotype import Dataset, GenotypeMatrix, default_meta
 from gwasel.mtest import ScanEngine, benjamini_hochberg, bonferroni
 from gwasel.regress import noncentrality_single_marker
-from gwasel.search import SearchConfig, select_model
+from gwasel.search import SearchConfig, forward_stage, select_model
 
 _PURPOSES = {"trait": 0, "genotype": 1, "mc": 2}
 
@@ -299,7 +300,10 @@ def run_study(dataset: Dataset, config: SimulationConfig,
     """Simulate traits and score every method at every |R| threshold.
 
     All methods see identical traits per replicate and share the
-    single-marker scan.  A replicate with no detections contributes FDR 0.
+    single-marker scan.  Searches that agree on ``screen_threshold`` and
+    ``max_forward_size`` also share one forward stage per replicate, which
+    does not depend on the criterion.  A replicate with no detections
+    contributes FDR 0.
     """
     names = [m.kind for m in methods]
     if len(set(names)) != len(names):
@@ -316,18 +320,25 @@ def run_study(dataset: Dataset, config: SimulationConfig,
     }
     detections: dict[str, list[list[int]]] = {m: [] for m in names}
     causal_pos = {j: i for i, j in enumerate(config.causal_indices)}
+    searches = {m.kind: m.search_config(dataset) for m in methods if m.kind in ("mbic", "mbic2")}
+    forward_users = Counter((c.screen_threshold, c.max_forward_size) for c in searches.values())
 
     for rep in range(config.n_replicates):
         y = simulate_trait(dataset, config, rep)
         ds_rep = dataset.with_trait(y)
         scan = engine.scan(y)
+        shared = {}  # forward stages of this replicate used by more than one search
         for spec in methods:
             if spec.kind == "bonferroni":
                 detected = bonferroni(scan, spec.alpha, spec.p_effective or dataset.n_snps)
             elif spec.kind == "bh":
                 detected = benjamini_hochberg(scan, spec.alpha)
             else:
-                model, _, _ = select_model(ds_rep, spec.search_config(dataset), scan=scan)
+                cfg = searches[spec.kind]
+                key = (cfg.screen_threshold, cfg.max_forward_size)
+                if forward_users[key] > 1 and key not in shared:
+                    shared[key] = forward_stage(ds_rep, cfg, scan)
+                model, _, _ = select_model(ds_rep, cfg, scan=scan, _state=shared.get(key))
                 detected = np.asarray(model.snp_indices, dtype=np.int64)
             detected_list = [int(j) for j in detected]
             detections[spec.kind].append(detected_list)

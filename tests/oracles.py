@@ -38,3 +38,144 @@ def backward_by_drops(ws, ev, trace: SearchTrace, stage: str = "backward"):
         cur_val = val
         trace.append(stage, "drop", j, cur_val, len(ws.snps))
     return ws.model()
+
+
+# The per-column and per-subset kernels that gwasel._kernels replaced; each
+# takes the same positional arguments as the kernel checked against it.
+
+
+def _impute_fill_numpy(values, observed, window, n_predictors):
+    n, p = values.shape
+    out = values.copy()
+    vals = values.astype(np.float64)
+    for j in range(p):
+        obs_j = observed[:, j]
+        missing_rows = np.nonzero(~obs_j)[0]
+        if missing_rows.size == 0:
+            continue
+        observed_col = values[obs_j, j]
+        if observed_col.size == 0:
+            return out, j
+        col_counts = np.bincount(observed_col.astype(np.int64) + 1, minlength=3)
+        majority = int(np.argmax(col_counts)) - 1  # argmax keeps the smaller code on ties
+
+        lo = max(0, j - window)
+        hi = min(p - 1, j + window)
+        cols = np.arange(lo, hi + 1)
+        cols = cols[cols != j]
+        window_obs = observed[:, cols]
+        both = obs_j[:, None] & window_obs
+        n_ok = both.sum(axis=0)
+        xw = np.where(both, vals[:, cols], 0.0)
+        yw = np.where(both, vals[:, j][:, None], 0.0)
+        sx = xw.sum(axis=0)
+        sy = yw.sum(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vx = (xw * xw).sum(axis=0) - sx * sx / n_ok
+            vy = (yw * yw).sum(axis=0) - sy * sy / n_ok
+            cors = ((xw * yw).sum(axis=0) - sx * sy / n_ok) / np.sqrt(vx * vy)
+        defined = (n_ok >= 2) & (vx > 0.0) & (vy > 0.0) & np.isfinite(cors)
+        dist = np.abs(cols - j)
+
+        for i in missing_rows:
+            usable = defined & window_obs[i]
+            if not usable.any():
+                out[i, j] = majority
+                continue
+            pool = np.nonzero(usable)[0]
+            order = np.lexsort((cols[pool], dist[pool], -np.abs(cors[pool])))
+            predictors = cols[pool[order[:n_predictors]]]
+            match = obs_j & np.all(
+                observed[:, predictors] & (values[:, predictors] == values[i, predictors]),
+                axis=1,
+            )
+            if not match.any():
+                out[i, j] = majority
+            else:
+                counts = np.bincount(values[match, j].astype(np.int64) + 1, minlength=3)
+                out[i, j] = int(np.argmax(counts)) - 1
+    return out, -1
+
+
+
+def _leader_cluster_numpy(x, threshold, window):
+    n, p = x.shape
+    mean = x.mean(axis=0)
+    centered = x - mean
+    cnorm = np.sqrt((centered * centered).sum(axis=0))
+    degenerate = cnorm <= 0.0
+    normed = np.where(degenerate[None, :], 0.0, centered / np.where(degenerate, 1.0, cnorm)[None, :])
+
+    cluster_id = np.empty(p, np.int64)
+    reps: list[int] = []
+    for j in range(p):
+        if degenerate[j]:
+            cluster_id[j] = len(reps)
+            reps.append(j)
+            continue
+        rep_arr = np.asarray(reps, dtype=np.int64)
+        in_window = np.nonzero(np.abs(rep_arr - j) <= window)[0] if rep_arr.size else rep_arr
+        assigned = -1
+        if in_window.size:
+            cand = rep_arr[in_window]
+            cors = normed[:, cand].T @ normed[:, j]
+            hits = np.nonzero(np.abs(cors) > threshold)[0]
+            if hits.size:
+                assigned = int(in_window[hits[0]])
+        if assigned >= 0:
+            cluster_id[j] = assigned
+        else:
+            cluster_id[j] = len(reps)
+            reps.append(j)
+    return cluster_id, np.asarray(reps, dtype=np.int64), degenerate
+
+
+
+def _best_subset_numpy(z, y_resid, rss0, orig_norm2, pen, max_size,
+                       log_mode, n_obs, sigma2, floor, tol2):
+    n, s = z.shape
+
+    def value(rss, size):
+        if log_mode:
+            return n_obs * np.log(max(rss, floor)) + pen[size]
+        return rss / sigma2 + pen[size]
+
+    best = [value(rss0, 0), 0, np.empty(0, np.int64)]
+    n_eval = 1
+    basis = np.empty((n, max_size))
+    chosen = np.empty(max_size, np.int64)
+
+    def consider(val, size):
+        nonlocal n_eval
+        n_eval += 1
+        idx = chosen[:size]
+        better = val < best[0] or (
+            val == best[0]
+            and (size < best[1] or (size == best[1] and list(idx) < list(best[2])))
+        )
+        if better:
+            best[0] = val
+            best[1] = size
+            best[2] = idx.copy()
+
+    def descend(depth, start, rss):
+        for t in range(start, s):
+            work = z[:, t].copy()
+            for _ in range(2):
+                if depth:
+                    work -= basis[:, :depth] @ (basis[:, :depth].T @ work)
+            nrm2 = float(work @ work)
+            if nrm2 <= tol2 * orig_norm2[t]:
+                continue
+            u = work / np.sqrt(nrm2)
+            ty = float(u @ y_resid)
+            rss_new = max(rss - ty * ty, 0.0)
+            basis[:, depth] = u
+            chosen[depth] = t
+            consider(value(rss_new, depth + 1), depth + 1)
+            if depth + 1 < max_size:
+                descend(depth + 1, t + 1, rss_new)
+
+    if max_size > 0 and s > 0:
+        descend(0, 0, rss0)
+    return best[0], best[2], n_eval

@@ -1,6 +1,6 @@
 """The numpy kernels against the per-column and per-subset kernels they
-replaced, which stay as their references, and the subset kernel against a
-direct itertools + lstsq enumeration."""
+replaced, which stay as their references in ``oracles.py``, and the subset
+kernel against a direct itertools + lstsq enumeration."""
 
 import itertools
 import math
@@ -14,6 +14,7 @@ from gwasel.cluster import cluster_snps
 from gwasel.genotype import impute_missing
 
 from conftest import dataset_from_values
+from oracles import _best_subset_numpy, _impute_fill_numpy, _leader_cluster_numpy
 
 
 def subset_rss(z, y, subset):
@@ -57,7 +58,7 @@ def test_best_subset_qr_matches_gram_schmidt(s, cap, seed, columns, log_mode):
     args = subset_inputs(seed, s, cap, columns, log_mode)
     z, y = args[:2]
 
-    val_gs, idx_gs, n_gs = _kernels._best_subset_numpy(*args)
+    val_gs, idx_gs, n_gs = _best_subset_numpy(*args)
     val_qr, idx_qr, n_qr = _kernels._best_subset_qr(*args)
 
     assert n_qr == n_gs
@@ -117,7 +118,7 @@ def test_best_subset_qr_skips_exact_duplicate():
     _, _, n_eval = _kernels._best_subset_qr(*args)
     # 16 subsets of four columns; the 4 holding both copies are skipped
     assert n_eval == 16 - 4
-    assert n_eval == _kernels._best_subset_numpy(*args)[2]
+    assert n_eval == _best_subset_numpy(*args)[2]
 
 
 @pytest.mark.parametrize("cap, pen, expected", [
@@ -131,7 +132,7 @@ def test_best_subset_exact_ties_go_to_smallest_subset(cap, pen, expected):
     y = np.array([1.0, 1.0, 1.0, 0.5, 0.0])
     args = (z, y, float(y @ y), np.ones(3), np.asarray(pen), cap,
             True, 5.0, 1.0, 1e-12, 1e-20)
-    for kernel in (_kernels._best_subset_numpy, _kernels._best_subset_qr):
+    for kernel in (_best_subset_numpy, _kernels._best_subset_qr):
         assert list(kernel(*args)[1]) == expected
 
 
@@ -186,7 +187,7 @@ def test_impute_fill_grouped_matches_reference(seed, n, p, window, n_predictors,
     else:
         values[~observed] = 0
 
-    ref, ref_bad = _kernels._impute_fill_numpy(values, observed, window, n_predictors)
+    ref, ref_bad = _impute_fill_numpy(values, observed, window, n_predictors)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_IMPUTE_CHUNK", chunk)
         out, bad = _kernels._impute_fill_grouped(values, observed, window, n_predictors)
@@ -209,7 +210,7 @@ def test_impute_fill_grouped_keys_wide_predictor_sets():
     values[2:5, 40] = -1
     observed = np.ones_like(values, dtype=bool)
     observed[0, 40] = False
-    ref = _kernels._impute_fill_numpy(values, observed, 1000, 40)
+    ref = _impute_fill_numpy(values, observed, 1000, 40)
     out = _kernels._impute_fill_grouped(values, observed, 1000, 40)
     assert out[1] == ref[1] == -1
     assert ref[0][0, 40] == -1
@@ -250,7 +251,7 @@ def test_leader_cluster_blocked_matches_reference(seed, n, p, window, block, thr
     # opposite sides of the threshold
     assume(not near_threshold(values, threshold, window))
 
-    ref = _kernels._leader_cluster_numpy(values.astype(np.float64), threshold, window)
+    ref = _leader_cluster_numpy(values.astype(np.float64), threshold, window)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_CLUSTER_BLOCK", block)
         out = _kernels._leader_cluster_blocked(values, threshold, window)

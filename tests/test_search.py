@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gwasel.criteria import CriterionConfig, evaluate
 from gwasel.errors import BudgetError, CollinearityError
-from gwasel.mtest import ScanResult, single_marker_scan
+from gwasel.mtest import ScanEngine, ScanResult, single_marker_scan
 from gwasel.regress import FitWorkspace, ModelSpec, fit, workspace_for
 from gwasel.search import (
     SearchConfig,
@@ -16,11 +16,12 @@ from gwasel.search import (
     _CandidateTracker,
     _CriterionEval,
     _stepwise,
+    forward_stage,
     refine_subsets,
     screen,
     select_model,
 )
-from gwasel.simulate import SimulationConfig, simulate_trait, synthetic_dataset
+from gwasel.simulate import MethodSpec, SimulationConfig, run_study, simulate_trait, synthetic_dataset
 
 from conftest import dataset_from_values, random_genotypes
 from oracles import backward_by_drops, lstsq_rss
@@ -91,6 +92,35 @@ def test_screen_matches_filter_and_sort_oracle():
         assert got == expected
 
 
+def screen_by_loop(scan, threshold):
+    """The per-SNP loop ``screen`` replaced."""
+    return [int(j) for j in scan.order if scan.p_values[j] < threshold]
+
+
+@given(st.lists(st.sampled_from([0.0, 1e-12, 0.05, 0.15, 0.15, 0.3, 0.999, 1.0, 1.0]),
+                max_size=40),
+       st.sampled_from([0.05, 0.15, 0.3, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_screen_matches_per_snp_loop(p_values, threshold):
+    # few distinct values: ties, p exactly at the threshold and p = 1
+    scan = scan_of(p_values)
+    got = screen(scan, threshold)
+    assert got == screen_by_loop(scan, threshold)
+    assert all(type(j) is int for j in got)
+
+
+def test_screen_matches_per_snp_loop_on_degenerate_columns():
+    rng = np.random.default_rng(31)
+    values = random_genotypes(rng, 40, 12)
+    values[:, [2, 7]] = 0  # zero variance: p = 1, flagged degenerate
+    values[:, 9] = values[:, 4]  # a tie in p
+    ds = dataset_from_values(values, trait=values[:, 4] + rng.normal(size=40))
+    scan = single_marker_scan(ds)
+    assert scan.p_values[[2, 7]].tolist() == [1.0, 1.0]
+    for threshold in (1e-3, 0.15, scan.p_values[4], 1.0):
+        assert screen(scan, threshold) == screen_by_loop(scan, threshold)
+
+
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
@@ -138,6 +168,51 @@ def test_forward_skips_collinear_duplicates():
     assert added == [1]
     assert [(r.action, r.snp) for r in trace.records if r.stage == "forward"] == [
         ("add", 1), ("skip_collinear", 3)]
+
+
+# ---------------------------------------------------------------------------
+# candidate tracker
+# ---------------------------------------------------------------------------
+
+# The incremental s and t carry rounding of the order of 1e-15 of the
+# column's squared norm (s) or of |x| |y| (t); this bounds them with margin.
+TRACKER_TOL = 1e-12
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0),
+       st.lists(st.integers(0, 13), max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_tracker_incremental_stats_match_fresh_sync(seed, n_forced, neg_log_eps, adds):
+    ds, forced, _ = design_with_near_collinearity(seed, n_forced, 10.0**-neg_log_eps)
+    candidates = [int(j) for j in np.random.default_rng(seed).permutation(ds.n_snps)]
+    ws = FitWorkspace(ds, forced)
+    tracker = _CandidateTracker(ds, candidates, ws)
+    y_norm = float(np.sqrt(ds.trait @ ds.trait))
+    for j in adds:
+        if j in ws.snps:
+            continue
+        try:
+            u, d = ws.add_snp(j)
+        except CollinearityError:
+            continue
+        tracker.on_push(u, d)
+        tracker.in_model[candidates.index(j)] = True
+
+        fresh = tracker.copy()
+        fresh.sync(ws)
+        norm2 = tracker.orig_norm2
+        assert np.all(np.abs(tracker.s - fresh.s) <= TRACKER_TOL * norm2)
+        assert np.all(np.abs(tracker.t - fresh.t) <= TRACKER_TOL * np.sqrt(norm2) * y_norm)
+        assert fresh.in_model.dtype == bool
+        assert fresh.in_model.tolist() == [c in ws.snps for c in candidates]
+        assert np.array_equal(tracker.in_model, fresh.in_model)
+        # the gates agree on every open column whose fresh s is clear of the
+        # gate by more than the tolerance; an exact copy of a model column
+        # keeps an incremental s of rounding size, above the 1e-20 gate, and
+        # the workspace's own rank check rejects it
+        differ = (tracker.addable() != fresh.addable()) & ~tracker.in_model
+        gate = tracker.tol2 * norm2
+        assert np.all(np.abs(fresh.s - gate)[differ] <= TRACKER_TOL * norm2[differ])
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +518,96 @@ def test_trace_jsonl_export():
     for line in text.strip().splitlines():
         rec = json.loads(line)
         assert set(rec) == {"stage", "action", "snp_id", "criterion_value", "model_size"}
+
+
+# ---------------------------------------------------------------------------
+# forward stage shared between searches
+# ---------------------------------------------------------------------------
+
+
+def small_study(thresholds):
+    ds = synthetic_dataset(150, 300, seed=40)
+    sim = SimulationConfig((10, 120, 250), (0.6, 0.8, 0.5), sigma=1.0, n_replicates=3, seed=41)
+    methods = [MethodSpec("bonferroni"), MethodSpec("bh")]
+    for kind, thr in zip(("mbic", "mbic2"), thresholds):
+        methods.append(MethodSpec(kind, search=make_config(kind, ds, screen_threshold=thr,
+                                                           refinement_trigger=12)))
+    return ds, sim, methods
+
+
+@pytest.mark.parametrize("thresholds, forwards_per_replicate", [
+    ((0.15, 0.15), 1),  # mBIC and mBIC2 share one forward stage
+    ((0.15, 0.3), 2),   # different screens: one forward stage each
+])
+def test_run_study_matches_standalone_selects(monkeypatch, thresholds, forwards_per_replicate):
+    import gwasel.search
+    import gwasel.simulate
+
+    ds, sim, methods = small_study(thresholds)
+    forwards, traces = [], []
+    forward, select = gwasel.search._forward, gwasel.simulate.select_model
+
+    def counted_forward(*args):
+        forwards.append(1)
+        return forward(*args)
+
+    def recorded_select(*args, **kwargs):
+        out = select(*args, **kwargs)
+        traces.append(out[2])
+        return out
+
+    monkeypatch.setattr(gwasel.search, "_forward", counted_forward)
+    monkeypatch.setattr(gwasel.simulate, "select_model", recorded_select)
+    report = run_study(ds, sim, methods)
+    monkeypatch.undo()
+    assert len(forwards) == forwards_per_replicate * sim.n_replicates
+
+    engine = ScanEngine(ds)
+    searches = [m for m in methods if m.search is not None]
+    for rep in range(sim.n_replicates):
+        y = simulate_trait(ds, sim, rep)
+        dsy = ds.with_trait(y)
+        for pos, spec in enumerate(searches):
+            model, _, trace = select_model(dsy, spec.search, scan=engine.scan(y))
+            assert report.detections[spec.kind][rep] == list(model.snp_indices)
+            shared = traces[rep * len(searches) + pos]
+            assert shared.to_jsonl() == trace.to_jsonl()
+            assert shared.truncated == trace.truncated
+
+
+def state_arrays(state):
+    ws, tr = state.ws, state.tracker
+    m = ws.m
+    return [ws._Q[:, :m].copy(), ws._R[:m, :m].copy(), ws._qty[:m].copy(), ws.residual.copy(),
+            np.asarray(ws.snps), tr.s.copy(), tr.t.copy(), tr.in_model.copy()]
+
+
+def test_shared_forward_state_is_left_unchanged():
+    ds, sim, methods = small_study((0.15, 0.15))
+    dsy = ds.with_trait(simulate_trait(ds, sim, 0))
+    mbic, mbic2 = (m.search for m in methods[2:])
+    state = forward_stage(dsy, mbic, single_marker_scan(dsy))
+    assert state.records and all(r.stage == "forward" for r in state.records)
+    before = state_arrays(state)
+
+    own = select_model(dsy, mbic2)
+    first = select_model(dsy, mbic2, _state=state)
+    select_model(dsy, mbic, _state=state)
+    second = select_model(dsy, mbic2, _state=state)
+    for out in (first, second):
+        assert out[0] == own[0]
+        assert out[2].records == own[2].records
+    for got, want in zip(state_arrays(state), before):
+        assert np.array_equal(got, want)
+
+
+def test_forward_state_of_another_dataset_or_screen_is_refused():
+    ds, sim, methods = small_study((0.15, 0.3))
+    y = simulate_trait(ds, sim, 0)
+    dsy = ds.with_trait(y)
+    mbic, mbic2 = (m.search for m in methods[2:])
+    state = forward_stage(dsy, mbic)
+    with pytest.raises(ValueError, match="another dataset"):
+        select_model(ds.with_trait(y), mbic, _state=state)
+    with pytest.raises(ValueError, match="screen_threshold"):
+        select_model(dsy, mbic2, _state=state)
