@@ -159,6 +159,7 @@ def cmd_select(args, parser) -> int:
         "intercept": result.intercept,
         "coefficients": {ids[j]: float(b)
                          for j, b in zip(model.snp_indices, result.snp_coefficients)},
+        "search_stats": trace.stats,
     }
     _write_atomic(out / "selection.json", json.dumps(selection, indent=2))
     _write_atomic(out / "trace.jsonl", trace.to_jsonl(ids))

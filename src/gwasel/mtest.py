@@ -65,7 +65,8 @@ class ScanEngine:
         self.s = np.empty(dataset.n_snps)
         for start in range(0, dataset.n_snps, 4096):
             block = X[:, start : start + 4096]
-            z = block - self.Q0 @ (self.Q0.T @ block)
+            z = self.Q0 @ (self.Q0.T @ block)
+            np.subtract(block, z, out=z)  # one n x 4096 temporary, not two
             self.s[start : start + 4096] = np.einsum("ij,ij->j", z, z)
         self.degenerate = self.s <= (tol * tol) * np.maximum(xnorm2, 1e-300)
         self.df2 = n - self.m0 - 1

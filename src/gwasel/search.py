@@ -6,11 +6,25 @@ marker, backward elimination (sweep downdates of the inverse Gram matrix)
 and stepwise refinement under the configured criterion, and a final
 subset-enumeration step.  Every accepted move must strictly lower the
 criterion, so traces are monotone and termination is guaranteed.
+
+The forward pass walks the screened candidates in blocks of
+``FORWARD_BLOCK``: each block is projected off the current model basis in
+one matrix product, and an accepted candidate updates only the rest of its
+block by a rank-one downdate.
+
+The refinement fallback enumerates small subsets of the backward-reduced
+model M only when an exact bound leaves room for one to win (the global
+bound of leaps and bounds: Furnival & Wilson, Technometrics 1974).  With Z
+the SNP block of M projected off the forced base and beta its coefficients,
+every subset T of M has RSS(T) >= RSS(M) + lambda_min(Z'Z) * ||beta_D||^2
+for D = M minus T, hence at least RSS(M) plus lambda_min times the sum of
+the |M| - |T| smallest beta_j^2.  When the criterion at that bound exceeds
+M's own value for every admissible size, the enumeration cannot change the
+result and is skipped.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,6 +46,10 @@ from gwasel.regress import (
 )
 
 SUBSET_BUDGET = 10**7
+FORWARD_BLOCK = 128  # screened candidates projected per matrix product in forward
+# the bound must clear the reduced model's value by this relative margin,
+# which absorbs the rounding of the values the enumeration would compute
+BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,10 @@ class SearchTrace:
 
     records: list[TraceRecord] = field(default_factory=list)
     truncated: bool = False
+    # refinement counters: subsets the enumeration scored, subsets the bound
+    # ruled out without scoring, and fallbacks to backward elimination taken
+    stats: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("subsets_scored", "subsets_skipped_by_bound", "refine_fallbacks"), 0))
 
     def append(self, stage: str, action: str, snp: int | None,
                value: float | None, size: int) -> None:
@@ -138,14 +160,16 @@ class _CandidateTracker:
     For candidate x with residual part z (x minus its projection on the
     model basis): s = ||z||^2 and t = z'r, so adding x changes RSS by
     -t^2/s.  Pushing a new basis vector u with y-load d updates these as
-    s -= (u'x)^2 and t -= (u'x) d; drops require a rebuild.
+    s -= (u'x)^2 and t -= (u'x) d; drops require a rebuild.  ``cols`` is the
+    n x C block of the candidates ``idx`` and ``orig_norm2`` its squared
+    column norms; both are read only.
     """
 
-    def __init__(self, dataset: Dataset, candidate_indices, ws: FitWorkspace,
-                 tol: float = RANK_TOL):
-        self.idx = np.asarray(list(candidate_indices), dtype=np.int64)
-        self.cols = dataset.float_values[:, self.idx] if self.idx.size else np.empty((dataset.n_individuals, 0))
-        self.orig_norm2 = np.einsum("ij,ij->j", self.cols, self.cols)
+    def __init__(self, idx: np.ndarray, cols: np.ndarray, orig_norm2: np.ndarray,
+                 ws: FitWorkspace, tol: float = RANK_TOL):
+        self.idx = idx
+        self.cols = cols
+        self.orig_norm2 = orig_norm2
         self.tol2 = tol * tol
         self.sync(ws)
 
@@ -155,12 +179,6 @@ class _CandidateTracker:
         self.s = np.einsum("ij,ij->j", z, z)
         self.t = self.cols.T @ ws.residual
         self.in_model = np.isin(self.idx, ws.snps)
-
-    def copy(self) -> _CandidateTracker:
-        """Independent s, t and membership over the same read-only candidate block."""
-        new = copy.copy(self)
-        new.s, new.t, new.in_model = self.s.copy(), self.t.copy(), self.in_model.copy()
-        return new
 
     def on_push(self, u: np.ndarray, d: float) -> None:
         c = self.cols.T @ u
@@ -182,38 +200,51 @@ def _max_snps(ws: FitWorkspace) -> int:
     return ws.n - len(ws.forced_indices) - 2
 
 
-def _forward(ws: FitWorkspace, tracker: _CandidateTracker, config: SearchConfig,
-             ev: _CriterionEval, trace: SearchTrace) -> None:
+def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndarray,
+             config: SearchConfig, ev: _CriterionEval, trace: SearchTrace) -> None:
+    """One pass over the candidates ``idx`` (columns ``cols``), best p first.
+
+    A candidate is added when it lowers the criterion (the first one always
+    is).  s and t of a block of ``FORWARD_BLOCK`` candidates come from one
+    projection against the basis at the block's start; each add downdates
+    the rest of the block only, since earlier candidates are not revisited.
+    """
     q_cap = min(config.max_forward_size, _max_snps(ws))
     if q_cap < 1:
         return
+    gate = RANK_TOL * RANK_TOL * np.maximum(norm2, 1e-300)
     cur_rss = ws.rss
     cur_val = None
-    for pos in range(tracker.idx.size):
-        if len(ws.snps) >= q_cap:
-            break
-        if tracker.in_model[pos]:
-            continue
-        j = int(tracker.idx[pos])
-        if tracker.s[pos] <= tracker.tol2 * max(tracker.orig_norm2[pos], 1e-300):
-            trace.append("forward", "skip_collinear", j, None, len(ws.snps))
-            continue
-        new_rss = max(cur_rss - tracker.t[pos] ** 2 / tracker.s[pos], 0.0)
-        if cur_val is None:
-            accept = True  # the stage starts from the best single marker
-        else:
-            accept = ev.value(new_rss, len(ws.snps) + 1) < cur_val
-        if accept:
-            try:
-                u, d = ws.add_snp(j)
-            except CollinearityError:
+    for start in range(0, idx.size, FORWARD_BLOCK):
+        block = cols[:, start:start + FORWARD_BLOCK]
+        Q = ws.basis
+        z = block - Q @ (Q.T @ block)
+        s = np.einsum("ij,ij->j", z, z)
+        t = block.T @ ws.residual
+        for i in range(block.shape[1]):
+            if len(ws.snps) >= q_cap:
+                return
+            j = int(idx[start + i])
+            if s[i] <= gate[start + i]:
                 trace.append("forward", "skip_collinear", j, None, len(ws.snps))
                 continue
-            tracker.on_push(u, d)
-            tracker.in_model[pos] = True
-            cur_rss = new_rss
-            cur_val = ev.value(cur_rss, len(ws.snps))
-            trace.append("forward", "add", j, cur_val, len(ws.snps))
+            new_rss = max(cur_rss - t[i] ** 2 / s[i], 0.0)
+            if cur_val is None:
+                accept = True  # the stage starts from the best single marker
+            else:
+                accept = ev.value(new_rss, len(ws.snps) + 1) < cur_val
+            if accept:
+                try:
+                    u, d = ws.add_snp(j)
+                except CollinearityError:
+                    trace.append("forward", "skip_collinear", j, None, len(ws.snps))
+                    continue
+                c = block[:, i + 1:].T @ u
+                s[i + 1:] = np.maximum(s[i + 1:] - c * c, 0.0)
+                t[i + 1:] -= c * d
+                cur_rss = new_rss
+                cur_val = ev.value(cur_rss, len(ws.snps))
+                trace.append("forward", "add", j, cur_val, len(ws.snps))
 
 
 def _pick_drop(drop_rss: np.ndarray, snps: np.ndarray, ev: _CriterionEval) -> tuple[float, int]:
@@ -350,21 +381,20 @@ def _subset_counts(n_cols: int, max_size: int) -> int:
     return total
 
 
-def _enumerate_best(dataset: Dataset, base_ws: FitWorkspace, columns: list[int],
-                    max_size: int, ev: _CriterionEval):
-    """Best subset of ``columns`` (sizes 0..max_size) behind the forced base."""
-    X = dataset.float_values
+def _enumerate_best(ws: FitWorkspace, columns: list[int], max_size: int,
+                    ev: _CriterionEval):
+    """Best subset of ``columns`` (sizes 0..max_size) behind the forced base of ``ws``."""
     cols = np.asarray(columns, dtype=np.int64)
-    sub = X[:, cols] if cols.size else np.empty((dataset.n_individuals, 0))
-    Q = base_ws.basis
+    sub = ws.X[:, cols]
+    Q = ws.basis[:, : ws.m - len(ws.snps)]
     z = sub - Q @ (Q.T @ sub)
-    orig_norm2 = np.einsum("ij,ij->j", sub, sub) if cols.size else np.empty(0)
-    max_size = min(max_size, _max_snps(base_ws), cols.size)
+    orig_norm2 = np.einsum("ij,ij->j", sub, sub)
+    max_size = min(max_size, _max_snps(ws), cols.size)
     pens = ev.pens_array(max(max_size, 0))
     val, local_idx, n_eval = _kernels.best_subset(
         z,
-        base_ws.residual,
-        base_ws.rss,
+        ws.base_residual,
+        ws.rss_base,
         orig_norm2,
         pens,
         max_size,
@@ -378,61 +408,92 @@ def _enumerate_best(dataset: Dataset, base_ws: FitWorkspace, columns: list[int],
     return float(val), subset, n_eval
 
 
+def _subset_bounds(ws: FitWorkspace, max_size: int, ev: _CriterionEval) -> np.ndarray:
+    """Lower bounds on the criterion value of any q-SNP subset of the SNPs
+    of ``ws``, for q = 0..max_size (see the module docstring).
+
+    R of the workspace restricted to the SNP block satisfies Z'Z = R22'R22,
+    so lambda_min(Z'Z) is the smallest singular value of R22 squared; it is
+    lowered by the backward error of the SVD and clamped at 0, so an
+    ill-conditioned model is never ruled out on a rounded bound.
+    """
+    k = len(ws.snps)
+    b = ws.m - k
+    sig = np.linalg.svd(ws.r_factor[b:, b:], compute_uv=False)
+    lam = max(sig[-1] ** 2 - 2 * k * np.finfo(np.float64).eps * sig[0] ** 2, 0.0)
+    # smallest[j] = sum of the j smallest beta^2
+    smallest = np.concatenate(([0.0], np.cumsum(np.sort(ws.inverse_gram()[1][b:] ** 2))))
+    rss = ws.rss
+    return np.array([ev.value(rss + lam * smallest[k - q], q) for q in range(max_size + 1)])
+
+
 def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
-                   config: SearchConfig, _trace: SearchTrace | None = None) -> ModelSpec:
+                   config: SearchConfig, _trace: SearchTrace | None = None,
+                   _ws: FitWorkspace | None = None) -> ModelSpec:
     """Final enumeration step over the model plus externally suggested SNPs.
 
     When the combined set is small enough, subsets of it up to
     ``exhaustive_size_cap`` and every subset of the incumbent are scored and
     the minimizer returned, ties going to the incumbent.  Larger combined
     sets fall back to backward elimination followed by enumeration of
-    subsets strictly below the cap.  Forced covariates are always retained.
+    subsets strictly below the cap, skipped when the bound in the module
+    docstring rules every such subset out.  Forced covariates are always
+    retained.  ``_ws`` is a workspace holding exactly ``model`` to work from
+    instead of building one; it is left unchanged.
     """
     trace = _trace if _trace is not None else SearchTrace()
+    stats = trace.stats
     forced = model.forced_indices
-    combined = sorted(set(model.snp_indices) | {int(e) for e in extra_candidates})
-    base_ws = FitWorkspace(dataset, forced)
-    ev = _CriterionEval(config.criterion, base_ws.rss_base)
-
-    inc_ws = workspace_for(dataset, model)
-    inc_val = ev.value(inc_ws.rss, model.size)
+    extras = sorted({int(e) for e in extra_candidates} - set(model.snp_indices))
+    n_combined = model.size + len(extras)
+    ws = _ws if _ws is not None else workspace_for(dataset, model)
+    ev = _CriterionEval(config.criterion, ws.rss_base)
+    inc_val = ev.value(ws.rss, model.size)
 
     cap = config.exhaustive_size_cap
     candidates: list[tuple[float, int, tuple[int, ...]]] = []
-    if len(combined) <= config.refinement_trigger:
-        predicted = _subset_counts(len(combined), cap) + 2 ** model.size
+    if n_combined <= config.refinement_trigger:
+        predicted = _subset_counts(n_combined, cap) + 2 ** model.size
         if predicted > SUBSET_BUDGET:
             raise BudgetError(
                 f"refinement would score ~{predicted} subsets (> {SUBSET_BUDGET}); "
                 "lower exhaustive_size_cap or refinement_trigger"
             )
-        val, subset, _ = _enumerate_best(dataset, base_ws, combined, cap, ev)
+        combined = sorted([*model.snp_indices, *extras])
+        val, subset, n_eval = _enumerate_best(ws, combined, cap, ev)
+        stats["subsets_scored"] += n_eval
         candidates.append((val, len(subset), subset))
         if model.size:
-            val_i, subset_i, _ = _enumerate_best(
-                dataset, base_ws, list(model.snp_indices), model.size, ev
-            )
+            val_i, subset_i, n_eval = _enumerate_best(ws, list(model.snp_indices), model.size, ev)
+            stats["subsets_scored"] += n_eval
             candidates.append((val_i, len(subset_i), subset_i))
     else:
-        trace.append("refine", "fallback_backward", None, None, len(combined))
-        ws = FitWorkspace(dataset, forced)
-        for j in combined:
+        trace.append("refine", "fallback_backward", None, None, n_combined)
+        stats["refine_fallbacks"] += 1
+        red_ws = ws.copy()
+        for j in extras:
             try:
-                ws.add_snp(j)
+                red_ws.add_snp(j)
             except CollinearityError:
-                trace.append("refine", "skip_collinear", j, None, len(ws.snps))
-        reduced = _backward(ws, ev, trace, stage="refine_backward")
-        candidates.append((ev.value(ws.rss, reduced.size), reduced.size, reduced.snp_indices))
+                trace.append("refine", "skip_collinear", j, None, len(red_ws.snps))
+        reduced = _backward(red_ws, ev, trace, stage="refine_backward")
+        red_val = ev.value(red_ws.rss, reduced.size)
+        candidates.append((red_val, reduced.size, reduced.snp_indices))
         predicted = _subset_counts(reduced.size, cap - 1)
         if predicted > SUBSET_BUDGET:
             raise BudgetError(
                 f"refinement would score ~{predicted} subsets (> {SUBSET_BUDGET}); "
                 "lower exhaustive_size_cap"
             )
-        val, subset, _ = _enumerate_best(
-            dataset, base_ws, list(reduced.snp_indices), cap - 1, ev
-        )
-        candidates.append((val, len(subset), subset))
+        max_size = min(cap - 1, _max_snps(red_ws), reduced.size)
+        # at max_size == |M| the model itself is a candidate, so nothing is ruled out
+        if 0 <= max_size < reduced.size and (_subset_bounds(red_ws, max_size, ev).min()
+                                        > red_val + BOUND_MARGIN * abs(red_val)):
+            stats["subsets_skipped_by_bound"] += _subset_counts(reduced.size, max_size)
+        else:
+            val, subset, n_eval = _enumerate_best(red_ws, list(reduced.snp_indices), cap - 1, ev)
+            stats["subsets_scored"] += n_eval
+            candidates.append((val, len(subset), subset))
 
     best_val, _, best_subset_idx = min(candidates)
     if best_val < inc_val:
@@ -450,15 +511,18 @@ class ForwardState:
     The forward stage runs under plain BIC whatever the search criterion, so
     it depends only on the dataset, the scan, ``screen_threshold`` and
     ``max_forward_size``.  Searches that agree on those can start from one
-    state: each runs on its own copy of the workspace and of the tracker's
-    s, t and membership, and the n x C candidate block is shared read-only.
+    state: each runs on its own copy of the workspace, and the screened
+    candidates, their n x C column block and its squared column norms are
+    shared read-only.
     """
 
     dataset: Dataset
     screen_threshold: float
     max_forward_size: int
     ws: FitWorkspace
-    tracker: _CandidateTracker
+    candidates: np.ndarray  # screened SNPs, best p first
+    cols: np.ndarray
+    norm2: np.ndarray
     records: tuple[TraceRecord, ...]
 
 
@@ -467,16 +531,17 @@ def forward_stage(dataset: Dataset, config: SearchConfig,
     """Scan (unless given), screen and the forward stage under plain BIC."""
     if scan is None:
         scan = single_marker_scan(dataset)
-    candidates = screen(scan, config.screen_threshold)
+    idx = np.asarray(screen(scan, config.screen_threshold), dtype=np.int64)
+    cols = dataset.float_values[:, idx]
+    norm2 = np.einsum("ij,ij->j", cols, cols)
     ws = FitWorkspace(dataset, tuple(range(dataset.n_covariates)))
-    tracker = _CandidateTracker(dataset, candidates, ws)
     bic_cfg = CriterionConfig(
         "bic", n=dataset.n_individuals, p_effective=max(dataset.n_snps, 1), sigma=None
     )
     trace = SearchTrace()
-    _forward(ws, tracker, config, _CriterionEval(bic_cfg, ws.rss_base), trace)
+    _forward(ws, idx, cols, norm2, config, _CriterionEval(bic_cfg, ws.rss_base), trace)
     return ForwardState(dataset, config.screen_threshold, config.max_forward_size,
-                        ws, tracker, tuple(trace.records))
+                        ws, idx, cols, norm2, tuple(trace.records))
 
 
 def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
@@ -486,7 +551,9 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
 
     ``_state`` is a :func:`forward_stage` of this very dataset, with this
     ``screen_threshold`` and ``max_forward_size``, to start from instead of
-    building one; the search runs on copies and leaves it unchanged.
+    building one; the search runs on a copy of its workspace and leaves it
+    unchanged.  One workspace carries the search from backward through
+    refinement to the returned fit.
     """
     if dataset.trait is None:
         raise ValueError("dataset has no trait")
@@ -497,7 +564,7 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
         )
     if _state is None:
         state = forward_stage(dataset, config, scan)
-        ws, tracker = state.ws, state.tracker
+        ws = state.ws
     else:
         if _state.dataset is not dataset:
             raise ValueError("forward state was built for another dataset")
@@ -506,13 +573,14 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
             raise ValueError("forward state was built with another screen_threshold "
                              "or max_forward_size")
         state = _state
-        ws, tracker = state.ws.copy(), state.tracker.copy()
+        ws = state.ws.copy()
     trace = SearchTrace(list(state.records))
 
     ev = _CriterionEval(config.criterion, ws.rss_base)
     _backward(ws, ev, trace)
-    tracker.sync(ws)
+    tracker = _CandidateTracker(state.candidates, state.cols, state.norm2, ws)
     _stepwise(ws, tracker, config, ev, trace)
 
-    model = refine_subsets(dataset, ws.model(), extra_candidates, config, _trace=trace)
-    return model, fit(dataset, model), trace
+    found = ws.model()
+    model = refine_subsets(dataset, found, extra_candidates, config, _trace=trace, _ws=ws)
+    return model, ws.result() if model == found else fit(dataset, model), trace

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from gwasel.search import SearchTrace, _best_drop
+from gwasel.errors import CollinearityError
+from gwasel.search import SearchTrace, _best_drop, _max_snps
 
 
 def lstsq_design(dataset, snps, forced=()):
@@ -38,6 +39,45 @@ def backward_by_drops(ws, ev, trace: SearchTrace, stage: str = "backward"):
         cur_val = val
         trace.append(stage, "drop", j, cur_val, len(ws.snps))
     return ws.model()
+
+
+def forward_by_pushes(ws, tracker, config, ev, trace: SearchTrace) -> None:
+    """The forward stage with every screened candidate updated on every add.
+
+    ``tracker`` is a ``_CandidateTracker`` synced to ``ws``; each accepted
+    candidate's basis vector is pushed into the s and t of all candidates
+    (``on_push``), where ``search._forward`` projects a block at a time.
+    """
+    q_cap = min(config.max_forward_size, _max_snps(ws))
+    if q_cap < 1:
+        return
+    cur_rss = ws.rss
+    cur_val = None
+    for pos in range(tracker.idx.size):
+        if len(ws.snps) >= q_cap:
+            break
+        if tracker.in_model[pos]:
+            continue
+        j = int(tracker.idx[pos])
+        if tracker.s[pos] <= tracker.tol2 * max(tracker.orig_norm2[pos], 1e-300):
+            trace.append("forward", "skip_collinear", j, None, len(ws.snps))
+            continue
+        new_rss = max(cur_rss - tracker.t[pos] ** 2 / tracker.s[pos], 0.0)
+        if cur_val is None:
+            accept = True  # the stage starts from the best single marker
+        else:
+            accept = ev.value(new_rss, len(ws.snps) + 1) < cur_val
+        if accept:
+            try:
+                u, d = ws.add_snp(j)
+            except CollinearityError:
+                trace.append("forward", "skip_collinear", j, None, len(ws.snps))
+                continue
+            tracker.on_push(u, d)
+            tracker.in_model[pos] = True
+            cur_rss = new_rss
+            cur_val = ev.value(cur_rss, len(ws.snps))
+            trace.append("forward", "add", j, cur_val, len(ws.snps))
 
 
 # The per-column and per-subset kernels that gwasel._kernels replaced; each

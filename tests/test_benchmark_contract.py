@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gwasel.cli
 import gwasel.mtest
@@ -85,7 +86,9 @@ def test_study_calls_select_model_once_per_search_and_replicate(monkeypatch):
         assert mbic.records[:n_forward] == mbic2.records[:n_forward]
 
 
-def test_toy_benchmark_run_ends_with_a_result_line(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload, trace", [("desk", 0), ("desk", 1), ("null", 0)])
+def test_toy_benchmark_run_ends_with_a_result_line(tmp_path, monkeypatch, workload, trace):
+    # the traced run goes through the tracer's wrappers of the search;
     # references for the toy sizes, as perfbench/selftest.py builds them
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the reference module pins these on import
@@ -95,14 +98,25 @@ def test_toy_benchmark_run_ends_with_a_result_line(tmp_path, monkeypatch):
     toy = reference.W.TOY
     ref_dir = tmp_path / "reference"
     ref_dir.mkdir()
-    desk = reference.desk_reference(toy, toy.desk_replicates)
-    (ref_dir / "desk.json").write_text(json.dumps(desk))
+    if workload == "desk":
+        ref = reference.desk_reference(toy, toy.desk_replicates)
+    else:
+        ref = reference.null_reference(toy, toy.null_replicates)
+    (ref_dir / f"{workload}.json").write_text(json.dumps(ref))
 
-    cmd = [sys.executable, str(PERFBENCH / "run.py"), "--toy", "--workload", "desk",
-           "--seed", "3", "--seconds", "1", "--reference-dir", str(ref_dir)]
+    cmd = [sys.executable, str(PERFBENCH / "run.py"), "--toy", "--workload", workload,
+           "--seed", "3", "--seconds", "1", "--trace", str(trace),
+           "--reference-dir", str(ref_dir)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300, cwd=PERFBENCH.parent)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0
-    assert np.isfinite(result["metrics"]["wall_per_cal"]["value"])
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    assert all(np.isfinite(v) for v in metrics.values())
+    if trace:
+        assert json.loads(lines[-2])["detail"]["absent"] == []
+        assert metrics["search.selects"] > 0 and metrics["search.refine_s"] > 0
+    else:
+        assert set(metrics) == {"setup_s", "wall_per_cal", "peak_rss_mb"}

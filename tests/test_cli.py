@@ -58,6 +58,11 @@ def test_select_finds_planted_snp(tmp_path):
     assert code == 0
     selection = json.loads((out / "selection.json").read_text())
     assert selection["selected_indices"] == [11]
+    stats = selection["search_stats"]
+    assert set(stats) == {"subsets_scored", "subsets_skipped_by_bound", "refine_fallbacks"}
+    # one SNP is under the refinement trigger: exhaustive scoring, no fallback
+    assert stats["subsets_scored"] > 0
+    assert stats["subsets_skipped_by_bound"] == stats["refine_fallbacks"] == 0
     trace_lines = (out / "trace.jsonl").read_text().strip().splitlines()
     assert all("stage" in json.loads(line) for line in trace_lines)
 

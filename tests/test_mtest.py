@@ -174,3 +174,22 @@ def test_tsv_export():
     assert lines[0] == "snp_id\tf\tp\trank"
     assert lines[1].startswith("a\t") and lines[1].endswith("\t2")
     assert lines[2].startswith("b\t") and lines[2].endswith("\t1")
+
+
+def test_engine_residual_norms_match_two_temporary_projection():
+    # 4096-column blocks: 5000 columns span two, the second one partial
+    rng = np.random.default_rng(10)
+    n, p = 24, 5000
+    values = random_genotypes(rng, n, p)
+    ds = dataset_from_values(values, trait=rng.normal(size=n), covariates=rng.normal(size=(n, 2)))
+    from gwasel.mtest import ScanEngine
+
+    engine = ScanEngine(ds)
+    X = ds.float_values
+    want = np.empty(p)
+    for start in range(0, p, 4096):
+        block = X[:, start : start + 4096]
+        z = block - engine.Q0 @ (engine.Q0.T @ block)
+        want[start : start + 4096] = np.einsum("ij,ij->j", z, z)
+    assert engine.m0 == 3
+    assert np.array_equal(engine.s, want)

@@ -1,5 +1,6 @@
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,13 +10,18 @@ from gwasel.criteria import CriterionConfig, evaluate
 from gwasel.errors import BudgetError, CollinearityError
 from gwasel.mtest import ScanEngine, ScanResult, single_marker_scan
 from gwasel.regress import FitWorkspace, ModelSpec, fit, workspace_for
+import gwasel.search
 from gwasel.search import (
     SearchConfig,
     SearchTrace,
     _backward,
     _CandidateTracker,
     _CriterionEval,
+    _enumerate_best,
+    _forward,
     _stepwise,
+    _subset_bounds,
+    _subset_counts,
     forward_stage,
     refine_subsets,
     screen,
@@ -24,7 +30,7 @@ from gwasel.search import (
 from gwasel.simulate import MethodSpec, SimulationConfig, run_study, simulate_trait, synthetic_dataset
 
 from conftest import dataset_from_values, random_genotypes
-from oracles import backward_by_drops, lstsq_rss
+from oracles import backward_by_drops, forward_by_pushes, lstsq_rss
 
 
 def make_config(kind, dataset, **kw):
@@ -179,14 +185,22 @@ def test_forward_skips_collinear_duplicates():
 TRACKER_TOL = 1e-12
 
 
+def gathered(ds, candidates):
+    """(indices, n x C column block, squared column norms) as forward_stage gathers them."""
+    idx = np.asarray(candidates, dtype=np.int64)
+    cols = ds.float_values[:, idx]
+    return idx, cols, np.einsum("ij,ij->j", cols, cols)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0),
        st.lists(st.integers(0, 13), max_size=20))
 @settings(max_examples=150, deadline=None)
 def test_tracker_incremental_stats_match_fresh_sync(seed, n_forced, neg_log_eps, adds):
     ds, forced, _ = design_with_near_collinearity(seed, n_forced, 10.0**-neg_log_eps)
     candidates = [int(j) for j in np.random.default_rng(seed).permutation(ds.n_snps)]
+    block = gathered(ds, candidates)
     ws = FitWorkspace(ds, forced)
-    tracker = _CandidateTracker(ds, candidates, ws)
+    tracker = _CandidateTracker(*block, ws)
     y_norm = float(np.sqrt(ds.trait @ ds.trait))
     for j in adds:
         if j in ws.snps:
@@ -198,8 +212,7 @@ def test_tracker_incremental_stats_match_fresh_sync(seed, n_forced, neg_log_eps,
         tracker.on_push(u, d)
         tracker.in_model[candidates.index(j)] = True
 
-        fresh = tracker.copy()
-        fresh.sync(ws)
+        fresh = _CandidateTracker(*block, ws)
         norm2 = tracker.orig_norm2
         assert np.all(np.abs(tracker.s - fresh.s) <= TRACKER_TOL * norm2)
         assert np.all(np.abs(tracker.t - fresh.t) <= TRACKER_TOL * np.sqrt(norm2) * y_norm)
@@ -213,6 +226,79 @@ def test_tracker_incremental_stats_match_fresh_sync(seed, n_forced, neg_log_eps,
         differ = (tracker.addable() != fresh.addable()) & ~tracker.in_model
         gate = tracker.tol2 * norm2
         assert np.all(np.abs(fresh.s - gate)[differ] <= TRACKER_TOL * norm2[differ])
+
+
+def fresh_projection(ws, j):
+    """(s, t) of candidate j from one projection against the basis of ``ws``."""
+    x = ws.X[:, j]
+    z = x - ws.basis @ (ws.basis.T @ x)
+    return float(z @ z), float(x @ ws.residual)
+
+
+def record_key(r):
+    return (r.stage, r.action, r.snp, r.model_size)
+
+
+def forward_allowance(ds, forced, records):
+    """Rounding allowance on each forward record's criterion value.
+
+    The per-push walk's incremental s and t are good to TRACKER_TOL (see
+    the tracker test above), so each add's predicted RSS drop t^2/s may move
+    by (2 |t| dt + t^2/s ds) / s; these accumulate along the walk, and the
+    unknown-sigma criterion n log(RSS) turns them into n drift / RSS.
+    """
+    y_norm = float(np.sqrt(ds.trait @ ds.trait))
+    ws = FitWorkspace(ds, forced)
+    drift, out = 0.0, []
+    for r in records:
+        if r.action == "add":
+            s, t = fresh_projection(ws, r.snp)
+            norm2 = float(ws.X[:, r.snp] @ ws.X[:, r.snp])
+            ds_, dt = TRACKER_TOL * norm2, TRACKER_TOL * np.sqrt(norm2) * y_norm
+            drift += (2.0 * abs(t) * dt + t * t / s * ds_) / s
+            ws.add_snp(r.snp)
+        out.append(ds.n_individuals * drift / ws.rss)
+    return out, ws
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0),
+       st.integers(1, 14), st.floats(0.0, 2.0))
+@settings(max_examples=150, deadline=None)
+def test_blocked_forward_matches_per_push_oracle(seed, n_forced, neg_log_eps, max_forward,
+                                                 effect):
+    ds, forced, order = strong_design(seed, n_forced, 10.0**-neg_log_eps, effect)
+    crit = CriterionConfig("bic", n=ds.n_individuals, p_effective=ds.n_snps)
+    config = SearchConfig(criterion=crit, max_forward_size=max_forward)
+    block = gathered(ds, order)
+    runs = []
+    for blocked in (True, False):
+        ws = FitWorkspace(ds, forced)
+        ev, trace = _CriterionEval(crit, ws.rss_base), SearchTrace()
+        if blocked:
+            # blocks of 3 so that walks cross block boundaries
+            with mock.patch.object(gwasel.search, "FORWARD_BLOCK", 3):
+                _forward(ws, *block, config, ev, trace)
+        else:
+            forward_by_pushes(ws, _CandidateTracker(*block, ws), config, ev, trace)
+        runs.append(trace.records)
+    got, want = runs
+    allowance, _ = forward_allowance(ds, forced, want)
+    for i, (r, r_o) in enumerate(itertools.zip_longest(got, want)):
+        if r is None or r_o is None or record_key(r) != record_key(r_o):
+            # allowed only where the first candidate the two walks treat
+            # differently has a fresh s within rounding of the collinearity gate
+            j = min((q.snp for q in (r, r_o) if q is not None), key=order.index)
+            _, ws = forward_allowance(ds, forced, got[:i])
+            s = fresh_projection(ws, j)[0]
+            norm2 = float(ws.X[:, j] @ ws.X[:, j])
+            gate = gwasel.search.RANK_TOL ** 2 * norm2
+            assert abs(s - gate) <= TRACKER_TOL * norm2, (r, r_o)
+            return
+        if r_o.criterion_value is None:
+            assert r.criterion_value is None
+        else:
+            tol = 1e-12 * abs(r_o.criterion_value) + allowance[i]
+            assert abs(r.criterion_value - r_o.criterion_value) <= tol, (r, r_o)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +328,7 @@ def test_backward_fixed_point():
     trace = SearchTrace()
     model = _backward(ws, ev, trace)
     assert model.snp_indices == (0, 1, 2)
-    tracker = _CandidateTracker(dsy, [0, 1, 2], ws)
+    tracker = _CandidateTracker(*gathered(dsy, [0, 1, 2]), ws)
     assert _stepwise(ws, tracker, cfg, ev, trace).snp_indices == (0, 1, 2)
     assert trace.records == []
 
@@ -263,6 +349,14 @@ def design_with_near_collinearity(seed, n_forced, eps):
     order = [int(j) for j in rng.permutation(p)[: int(rng.integers(4, p + 1))]]
     ds = dataset_from_values(values, trait=y, covariates=cov)
     return ds, tuple(range(n_forced)), order
+
+
+def strong_design(seed, n_forced, eps, effect):
+    """design_with_near_collinearity with the effects of the first half of its
+    column order raised by ``effect``, and that column order."""
+    ds, forced, order = design_with_near_collinearity(seed, n_forced, eps)
+    y = ds.trait + effect * ds.float_values[:, order[: len(order) // 2]].sum(axis=1)
+    return ds.with_trait(y), forced, order
 
 
 def filled_workspace(ds, forced, order):
@@ -415,6 +509,93 @@ def test_refine_budget_error():
         refine_subsets(ds, incumbent, (), cfg)
 
 
+criterion_kinds = st.sampled_from(["bic", "mbic", "mbic2", "ebic"])
+
+
+def criterion_for(kind, ds, known_sigma):
+    return CriterionConfig(kind, n=ds.n_individuals, p_effective=5000,
+                           sigma=1.0 if known_sigma else None, kappa=0.5)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0),
+       st.floats(0.0, 3.0), criterion_kinds, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_subset_bound_never_exceeds_the_best_subset_of_each_size(seed, n_forced, neg_log_eps,
+                                                                 effect, kind, known_sigma):
+    ds, forced, order = strong_design(seed, n_forced, 10.0**-neg_log_eps, effect)
+    ws = filled_workspace(ds, forced, order[:9])
+    k = len(ws.snps)
+    crit = criterion_for(kind, ds, known_sigma)
+    ev = _CriterionEval(crit, ws.rss_base)
+    max_size = min(3, k - 1)
+    bounds = _subset_bounds(ws, max_size, ev)
+    assert bounds.shape == (max_size + 1,)
+    for q in range(max_size + 1):
+        best = min(ev.value(lstsq_rss(ds, sub, forced)[0], q)
+                   for sub in itertools.combinations(ws.snps, q))
+        assert best >= bounds[q] - 1e-9 * max(abs(bounds[q]), 1.0), q
+        # the enumeration kernel over sizes <= q agrees
+        assert _enumerate_best(ws, ws.snps, q, ev)[0] >= bounds[: q + 1].min() - 1e-9 * max(
+            abs(bounds[q]), 1.0)
+
+
+def never_ruled_out(ws, max_size, ev):
+    """A vacuous bound: the fallback always enumerates."""
+    return np.full(max_size + 1, -np.inf)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0),
+       st.floats(0.0, 3.0), criterion_kinds, st.booleans(), st.integers(1, 4),
+       st.integers(0, 4), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_bounded_refine_matches_always_enumerate(seed, n_forced, neg_log_eps, effect, kind,
+                                                 known_sigma, trigger, cap_below, n_extra):
+    ds, forced, order = strong_design(seed, n_forced, 10.0**-neg_log_eps, effect)
+    ws = filled_workspace(ds, forced, order)
+    model = ws.model()
+    rest = [j for j in range(ds.n_snps) if j not in ws.snps]
+    extras = rest[:n_extra]
+    cfg = SearchConfig(criterion=criterion_for(kind, ds, known_sigma),
+                       refinement_trigger=trigger, exhaustive_size_cap=max(trigger - cap_below, 1))
+    runs = []
+    for bounded in (True, False):
+        trace = SearchTrace()
+        work = ws.copy()
+        if bounded:
+            refined = refine_subsets(ds, model, extras, cfg, _trace=trace, _ws=work)
+        else:
+            with mock.patch.object(gwasel.search, "_subset_bounds", never_ruled_out):
+                refined = refine_subsets(ds, model, extras, cfg, _trace=trace, _ws=work)
+        assert work.snps == ws.snps and work.rss == ws.rss  # the workspace is left as it was
+        runs.append((refined, trace))
+    (got, trace), (want, trace_o) = runs
+    assert got == want
+    assert trace.to_jsonl() == trace_o.to_jsonl()
+    assert trace.stats["refine_fallbacks"] == trace_o.stats["refine_fallbacks"]
+    if trace.stats["subsets_skipped_by_bound"]:
+        assert trace.stats["subsets_scored"] == 0
+        assert trace_o.stats["subsets_scored"] > 0
+
+
+def test_bound_skips_the_enumeration_of_a_strong_model():
+    ds = synthetic_dataset(300, 12, seed=50)
+    causal = tuple(range(8))
+    sim = SimulationConfig(causal, (1.0,) * 8, sigma=1.0, seed=51)
+    dsy = ds.with_trait(simulate_trait(ds, sim, 0))
+    cfg = SearchConfig(criterion=CriterionConfig("mbic2", n=300, p_effective=12),
+                       refinement_trigger=6, exhaustive_size_cap=5)
+    trace = SearchTrace()
+    refined = refine_subsets(dsy, ModelSpec(causal), (), cfg, _trace=trace)
+    assert refined.snp_indices == causal
+    assert trace.stats == {"subsets_scored": 0, "refine_fallbacks": 1,
+                           "subsets_skipped_by_bound": _subset_counts(8, 4)}
+    with mock.patch.object(gwasel.search, "_subset_bounds", never_ruled_out):
+        oracle = SearchTrace()
+        assert refine_subsets(dsy, ModelSpec(causal), (), cfg, _trace=oracle) == refined
+    assert oracle.stats["subsets_scored"] == _subset_counts(8, 4)
+    assert oracle.to_jsonl() == trace.to_jsonl()
+
+
 # ---------------------------------------------------------------------------
 # select_model
 # ---------------------------------------------------------------------------
@@ -427,6 +608,24 @@ def test_select_single_strong_signal():
     model, result, trace = select_model(dsy, make_config("mbic", dsy))
     assert model.snp_indices == (17,)
     assert result.p_value < 1e-6
+
+
+@pytest.mark.parametrize("kind, trigger", [("mbic", 25), ("mbic2", 2)])
+def test_select_fit_matches_a_fresh_fit(kind, trigger):
+    # the fit comes from the search's own workspace when refinement keeps the model
+    ds = synthetic_dataset(200, 60, seed=32)
+    sim = SimulationConfig((4, 30, 51), (0.9, 1.1, 0.8), sigma=1.0, seed=33)
+    dsy = ds.with_trait(simulate_trait(ds, sim, 0))
+    model, result, trace = select_model(dsy, make_config(kind, dsy, refinement_trigger=trigger,
+                                                         exhaustive_size_cap=min(trigger, 5)))
+    assert model.size >= 2
+    assert trace.stats["refine_fallbacks"] == int(trigger == 2)
+    want = fit(dsy, model)
+    for name in ("rss", "mss", "intercept", "f_statistic", "p_value"):
+        assert getattr(result, name) == pytest.approx(getattr(want, name), rel=1e-9), name
+    assert result.snp_coefficients == pytest.approx(want.snp_coefficients, rel=1e-9)
+    assert (result.df_model, result.df_resid, result.perfect_fit) == (
+        want.df_model, want.df_resid, want.perfect_fit)
 
 
 def test_select_null_mostly_empty():
@@ -576,10 +775,10 @@ def test_run_study_matches_standalone_selects(monkeypatch, thresholds, forwards_
 
 
 def state_arrays(state):
-    ws, tr = state.ws, state.tracker
+    ws = state.ws
     m = ws.m
     return [ws._Q[:, :m].copy(), ws._R[:m, :m].copy(), ws._qty[:m].copy(), ws.residual.copy(),
-            np.asarray(ws.snps), tr.s.copy(), tr.t.copy(), tr.in_model.copy()]
+            np.asarray(ws.snps), state.candidates.copy(), state.cols.copy(), state.norm2.copy()]
 
 
 def test_shared_forward_state_is_left_unchanged():
