@@ -34,9 +34,14 @@ _CLUSTER_BLOCK = 128  # columns correlated per product in leader clustering
 
 def _impute_fill_grouped(values, observed, window, n_predictors):
     # Same imputations as _impute_fill_numpy.  The pairwise-complete sums of
-    # up to _IMPUTE_CHUNK target columns come from three matrix products over
-    # the span of their windows; the sums are integers <= n, so any
-    # summation order gives the same float64 and the correlations are
+    # up to _IMPUTE_CHUNK target columns t against the columns c of the span
+    # of their windows come from one matrix product, sxy = Y'X, with Y and
+    # X zero at missing calls, and from corrections over missing calls only:
+    # sx and sxx are the span's column sums of x and x*x less their sums over
+    # t's missing rows, n_ok = n_obs(t) - n_miss(c) + |miss(t) & miss(c)|,
+    # and sy, syy are t's totals less Y'M and (Y*Y)'M, where M flags the
+    # missing calls of the span columns that have one.  Every sum is an
+    # integer, exact in float64 in any order, so the correlations are
     # bit-identical.  Each column's window is ranked once; a missing row's
     # predictors are the first n_predictors of that ranking it has observed,
     # and the rows that share a predictor set are voted on together.
@@ -56,35 +61,46 @@ def _impute_fill_grouped(values, observed, window, n_predictors):
         s0 = max(0, int(cur[0]) - window)
         s1 = min(p, int(cur[-1]) + window + 1)
         obs_span = observed[:, s0:s1]
-        o = obs_span.astype(np.float64)
-        x = np.where(obs_span, values[:, s0:s1], 0).astype(np.float64)
-        a = observed[:, cur].T.astype(np.float64)
-        y = np.where(observed[:, cur], values[:, cur], 0).T.astype(np.float64)
-        m = cur.size
-        by_obs = np.vstack([a, y, y * y]) @ o
-        by_x = np.vstack([a, y]) @ x
-        by_xx = a @ (x * x)
+        x = (values[:, s0:s1] * obs_span).astype(np.float64)
+        y = (values[:, cur] * observed[:, cur]).T.astype(np.float64)
+        sxy = y @ x
+        sum_x = x.sum(axis=0)
+        sum_xx = np.einsum("ij,ij->j", x, x)
+        n_miss = n - n_obs[s0:s1]
+        sy = np.repeat(y.sum(axis=1)[:, None], s1 - s0, axis=1)
+        syy = np.repeat(np.einsum("ij,ij->i", y, y)[:, None], s1 - s0, axis=1)
+        holed = np.nonzero(n_miss)[0]  # span columns with a missing call
+        by_miss = np.vstack([y, y * y]) @ (~obs_span[:, holed]).astype(np.float64)
+        sy[:, holed] -= by_miss[:cur.size]
+        syy[:, holed] -= by_miss[cur.size:]
         for t, j in enumerate(cur.tolist()):
             lo, hi = max(0, j - window), min(p - 1, j + window)
             w = slice(lo - s0, hi + 1 - s0)
-            n_ok, sy, syy = by_obs[t, w], by_obs[m + t, w], by_obs[2 * m + t, w]
-            sx, sxy, sxx = by_x[t, w], by_x[m + t, w], by_xx[t, w]
+            rows = np.nonzero(~observed[:, j])[0]
+            x_miss = x[rows, w]
+            n_ok = n_obs[j] - n_miss[w] + (~obs_span[rows, w]).sum(axis=0)
+            sx = sum_x[w] - x_miss.sum(axis=0)
+            sxx = sum_xx[w] - np.einsum("ij,ij->j", x_miss, x_miss)
             with np.errstate(invalid="ignore", divide="ignore"):
                 vx = sxx - sx * sx / n_ok
-                vy = syy - sy * sy / n_ok
-                cors = (sxy - sx * sy / n_ok) / np.sqrt(vx * vy)
+                vy = syy[t, w] - sy[t, w] * sy[t, w] / n_ok
+                cors = (sxy[t, w] - sx * sy[t, w] / n_ok) / np.sqrt(vx * vy)
             cols = np.arange(lo, hi + 1)
             defined = (n_ok >= 2) & (vx > 0.0) & (vy > 0.0) & np.isfinite(cors) & (cols != j)
             pool = cols[defined]
             # by |corr| desc, then file distance asc, then index
             ranked = pool[np.lexsort((pool, np.abs(pool - j), -np.abs(cors[defined])))]
-            _impute_column(out, values, observed, j, ranked, n_predictors)
+            # every row observes the complete columns, so its predictors lie
+            # at or before the n_predictors-th of them
+            complete = np.flatnonzero(n_obs[ranked] == n)
+            if complete.size >= n_predictors:
+                ranked = ranked[:complete[n_predictors - 1] + 1]
+            _impute_column(out, values, observed, j, rows, ranked, n_predictors)
     return out, bad
 
 
-def _impute_column(out, values, observed, j, ranked, n_predictors):
+def _impute_column(out, values, observed, j, rows, ranked, n_predictors):
     obs_j = observed[:, j]
-    rows = np.nonzero(~obs_j)[0]
     codes = values[obs_j, j].astype(np.int64) + 1
     majority = int(np.argmax(np.bincount(codes, minlength=3))) - 1  # smaller code on ties
     avail = observed[np.ix_(rows, ranked)]
@@ -98,9 +114,15 @@ def _impute_column(out, values, observed, j, ranked, n_predictors):
         if preds.size == 0:
             out[members, j] = majority
             continue
-        # rows keyed by their predictor codes, 3 where missing
+        # rows keyed by their predictor codes, 3 where missing: sorted, a
+        # row opens a new key where its codes differ from the row before
         digits = np.where(observed[:, preds], values[:, preds], 3)
-        key = np.unique(digits, axis=0, return_inverse=True)[1].reshape(-1)
+        order = np.lexsort(digits.T)
+        sorted_digits = digits[order]
+        opens = np.ones(digits.shape[0], np.int64)
+        opens[1:] = (sorted_digits[1:] != sorted_digits[:-1]).any(axis=1)
+        key = np.empty_like(opens)
+        key[order] = np.cumsum(opens) - 1
         counts = np.bincount(key[obs_j] * 3 + codes, minlength=3 * (key.max() + 1))
         counts = counts.reshape(-1, 3)[key[members]]
         out[members, j] = np.where(counts.any(axis=1), counts.argmax(axis=1) - 1, majority)

@@ -321,7 +321,7 @@ def cmd_cluster(args, parser) -> int:
 
 
 # argparse turns an ArgumentTypeError into a usage error (exit 2) naming the flag
-def _replicate_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -342,17 +342,18 @@ def _method_kinds(text: str) -> list[str]:
     return kinds
 
 
+def _unit_threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1]")
+    return value
+
+
 def _thresholds(text: str) -> tuple[float, ...]:
-    out = []
-    for token in text.split(","):
-        try:
-            value = float(token)
-        except ValueError:
-            value = math.nan
-        if not 0.0 < value <= 1.0:
-            raise argparse.ArgumentTypeError(f"{token!r} is not a number in (0, 1]")
-        out.append(value)
-    return tuple(out)
+    return tuple(_unit_threshold(token) for token in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="power/FDR study over simulated traits")
     simulate.add_argument("--config", required=True, help="study definition JSON")
-    simulate.add_argument("--replicates", type=_replicate_count, default=100)
+    simulate.add_argument("--replicates", type=_positive_int, default=100)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--methods", type=_method_kinds, default="bonferroni,bh,mbic,mbic2")
     simulate.add_argument("--thresholds", type=_thresholds, default="0.7,0.9")
@@ -400,16 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     impute = sub.add_parser("impute", help="fill missing genotypes")
     impute.add_argument("--genotypes", required=True)
     impute.add_argument("--meta")
-    impute.add_argument("--window", type=int, default=500)
-    impute.add_argument("--predictors", type=int, default=4)
+    impute.add_argument("--window", type=_positive_int, default=500)
+    impute.add_argument("--predictors", type=_positive_int, default=4)
     impute.add_argument("--out", required=True, help="completed genotype file")
     impute.set_defaults(func=cmd_impute)
 
     cluster = sub.add_parser("cluster", help="effective-marker clustering report")
     cluster.add_argument("--genotypes", required=True)
     cluster.add_argument("--meta")
-    cluster.add_argument("--threshold", type=float, default=0.7)
-    cluster.add_argument("--window", type=int, default=1000)
+    cluster.add_argument("--threshold", type=_unit_threshold, default=0.7)
+    cluster.add_argument("--window", type=_positive_int, default=1000)
     cluster.set_defaults(func=cmd_cluster)
     cluster.add_argument("--out", required=True)
 

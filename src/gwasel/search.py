@@ -68,6 +68,8 @@ class SearchConfig:
             raise ValueError("screen_threshold must lie in (0, 1]")
         if self.max_forward_size < 1:
             raise ValueError("max_forward_size must be >= 1")
+        if self.exhaustive_size_cap < 0:
+            raise ValueError("exhaustive_size_cap must be >= 0")
         if self.exhaustive_size_cap > self.refinement_trigger:
             raise ValueError("exhaustive_size_cap must not exceed refinement_trigger")
         if self.max_stepwise_iterations < 1:
@@ -486,11 +488,12 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
                 "lower exhaustive_size_cap"
             )
         max_size = min(cap - 1, _max_snps(red_ws), reduced.size)
-        # at max_size == |M| the model itself is a candidate, so nothing is ruled out
+        # at max_size == |M| the model itself is a candidate, so nothing is
+        # ruled out; below 0 (a cap of 0) there is no size to score
         if 0 <= max_size < reduced.size and (_subset_bounds(red_ws, max_size, ev).min()
                                         > red_val + BOUND_MARGIN * abs(red_val)):
             stats["subsets_skipped_by_bound"] += _subset_counts(reduced.size, max_size)
-        else:
+        elif max_size >= 0:
             val, subset, n_eval = _enumerate_best(red_ws, list(reduced.snp_indices), cap - 1, ev)
             stats["subsets_scored"] += n_eval
             candidates.append((val, len(subset), subset))

@@ -248,6 +248,28 @@ def test_simulate_bad_flag_exits_2(tmp_path, capsys, flags, message):
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("impute", ["--window", "0"], "argument --window: must be a positive integer, got '0'"),
+    ("impute", ["--window", "-5"], "argument --window: must be a positive integer, got '-5'"),
+    ("impute", ["--predictors", "0"],
+     "argument --predictors: must be a positive integer, got '0'"),
+    ("impute", ["--predictors", "two"],
+     "argument --predictors: must be a positive integer, got 'two'"),
+    ("cluster", ["--window", "0"], "argument --window: must be a positive integer, got '0'"),
+    ("cluster", ["--threshold", "1.5"], "argument --threshold: '1.5' is not a number in (0, 1]"),
+    ("cluster", ["--threshold", "0"], "argument --threshold: '0' is not a number in (0, 1]"),
+    ("cluster", ["--threshold", "nan"], "argument --threshold: 'nan' is not a number in (0, 1]"),
+])
+def test_impute_and_cluster_bad_flag_exits_2(tmp_path, capsys, command, flags, message):
+    g, _ = write_fixture(tmp_path, n=20, p=5)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--genotypes", str(g), "--out", str(out)] + flags)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_temp_files_left_behind(tmp_path):
     g, t = write_fixture(tmp_path)
     out = tmp_path / "o"

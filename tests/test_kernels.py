@@ -168,14 +168,20 @@ def ld_codes(rng, n, p, codes=(-1, 0, 1), keep=0.8):
     st.booleans(),
     st.booleans(),
     st.booleans(),
+    st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
 def test_impute_fill_grouped_matches_reference(seed, n, p, window, n_predictors, chunk,
-                                               missing, sparse, junk, two_codes):
+                                               missing, sparse, junk, two_codes,
+                                               mostly_complete):
     rng = np.random.default_rng(seed)
     # two codes per column make code ties and exact |corr| ties common
     values = ld_codes(rng, n, p, codes=(0, 1) if two_codes else (-1, 0, 1))
     observed = rng.random((n, p)) >= missing
+    if mostly_complete:
+        # a random majority of columns has no missing call, as in a real
+        # panel: the kernel's sums treat complete and incomplete columns apart
+        observed[:, rng.permutation(p)[:int(rng.integers(p // 2 + 1, p + 1))]] = True
     if sparse:
         one = rng.integers(0, p)
         observed[:, one] = False
@@ -194,6 +200,41 @@ def test_impute_fill_grouped_matches_reference(seed, n, p, window, n_predictors,
 
     assert bad == ref_bad
     assert np.array_equal(out, ref)
+
+
+def impute_both(values, observed, window, n_predictors):
+    ref = _impute_fill_numpy(values, observed, window, n_predictors)
+    out = _kernels._impute_fill_grouped(values, observed, window, n_predictors)
+    assert out[1] == ref[1]
+    assert np.array_equal(out[0], ref[0])
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+def test_impute_fill_grouped_target_with_a_complete_window(chunk, monkeypatch):
+    # column 20's window, 17..23, has no missing call but in column 20
+    # itself; the columns far outside it have many
+    monkeypatch.setattr(_kernels, "_IMPUTE_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    values = ld_codes(rng, 60, 41)
+    observed = rng.random(values.shape) >= 0.2
+    observed[:, 17:24] = True
+    observed[rng.choice(60, size=9, replace=False), 20] = False
+    out, bad = impute_both(values, observed, 3, 2)
+    assert bad == -1
+    assert np.array_equal(out[observed], values[observed])
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+def test_impute_fill_grouped_every_column_has_a_missing_call(chunk, monkeypatch):
+    monkeypatch.setattr(_kernels, "_IMPUTE_CHUNK", chunk)
+    rng = np.random.default_rng(22)
+    values = ld_codes(rng, 50, 30)
+    observed = rng.random(values.shape) >= 0.05
+    observed[rng.integers(0, 50, size=30), np.arange(30)] = False
+    assert (~observed).any(axis=0).all()
+    out, bad = impute_both(values, observed, 4, 3)
+    assert bad == -1
 
 
 def test_impute_fill_grouped_keys_wide_predictor_sets():

@@ -596,6 +596,28 @@ def test_bound_skips_the_enumeration_of_a_strong_model():
     assert oracle.to_jsonl() == trace.to_jsonl()
 
 
+def test_fallback_with_a_zero_cap_scores_no_subsets():
+    # no size lies strictly below a cap of 0, so the fallback keeps the
+    # backward-reduced model without asking the subset kernel for size -1
+    ds = synthetic_dataset(300, 12, seed=50)
+    causal = tuple(range(8))
+    sim = SimulationConfig(causal, (1.0,) * 8, sigma=1.0, seed=51)
+    dsy = ds.with_trait(simulate_trait(ds, sim, 0))
+    cfg = SearchConfig(criterion=CriterionConfig("mbic2", n=300, p_effective=12),
+                       refinement_trigger=6, exhaustive_size_cap=0)
+    trace = SearchTrace()
+    refined = refine_subsets(dsy, ModelSpec(tuple(range(10))), (), cfg, _trace=trace)
+    assert refined.snp_indices == causal
+    assert trace.stats == {"subsets_scored": 0, "refine_fallbacks": 1,
+                           "subsets_skipped_by_bound": 0}
+
+
+def test_negative_subset_cap_is_refused():
+    with pytest.raises(ValueError, match="exhaustive_size_cap must be >= 0"):
+        SearchConfig(criterion=CriterionConfig("mbic2", n=300, p_effective=12),
+                     exhaustive_size_cap=-1)
+
+
 # ---------------------------------------------------------------------------
 # select_model
 # ---------------------------------------------------------------------------
