@@ -6,9 +6,10 @@ so the F statistic tests joint nullity of the selected SNP block only.
 
 :class:`FitWorkspace` keeps an orthonormal basis of the design and adds one
 column in O(n*q); dropping a column rebuilds the basis from the remaining
-columns in O(n*q^2).  Backward elimination drops many columns in a row and
-runs on the inverse Gram matrix from :meth:`FitWorkspace.inverse_gram`
-instead, rebuilding once at the end.  A workspace is single-owner;
+columns in O(n*q^2).  The search scores every drop at once from the
+inverse Gram matrix of :meth:`FitWorkspace.inverse_gram`; backward
+elimination drops many columns in a row by sweep downdates of it instead,
+rebuilding once at the end.  A workspace is single-owner;
 :meth:`FitWorkspace.copy` forks an independent one, and independent
 workspaces over the same dataset may run in parallel.
 """
@@ -102,12 +103,12 @@ class FitWorkspace:
     Columns are held as an orthonormal basis Q with R upper triangular and
     qty = Q'y, in the order [intercept, forced..., SNPs by insertion].
 
-    Drop scoring is closed form: with beta = R^-1 qty, removing column j
-    raises the RSS by beta_j^2 / [(R'R)^-1]_jj, and that diagonal entry is
-    the squared norm of row j of R^-1 (Miller, Subset Selection in
-    Regression, 2002).  :meth:`drop_rss` scores every SNP from one
-    triangular solve; :meth:`rss_if_dropped` computes one drop by Givens
-    rotations and serves as its reference.
+    Drop scoring is closed form: with S = (R'R)^-1 and beta = R^-1 qty,
+    removing column j raises the RSS by beta_j^2 / S_jj (Miller, Subset
+    Selection in Regression, 2002).  :meth:`inverse_gram` gives S and beta
+    from one triangular solve, from which the search scores every SNP;
+    :meth:`rss_if_dropped` computes one drop by Givens rotations and serves
+    as its reference.
     """
 
     def __init__(self, dataset: Dataset, forced_indices: tuple[int, ...] = (),
@@ -209,6 +210,8 @@ class FitWorkspace:
 
     def add_snp(self, j: int):
         """Append genotype column j; returns (new basis vector, its y load)."""
+        if not 0 <= j < self.X.shape[1]:
+            raise ValueError(f"SNP {j} is outside [0, {self.X.shape[1]})")
         if j in self.snps:
             raise ValueError(f"SNP {j} already in model")
         u, d = self._push(self.X[:, j], label=j)
@@ -268,15 +271,6 @@ class FitWorkspace:
         m = self._m
         r_inv = solve_triangular(self._R[:m, :m], np.eye(m))
         return r_inv @ r_inv.T, r_inv @ self._qty[:m]
-
-    def drop_rss(self) -> np.ndarray:
-        """RSS after removing each SNP, aligned with ``self.snps``."""
-        m = self._m
-        r_inv = solve_triangular(self._R[:m, :m], np.eye(m))
-        beta = r_inv @ self._qty[:m]
-        b = self._base
-        row_norm2 = np.einsum("ij,ij->i", r_inv[b:], r_inv[b:])
-        return self.rss + beta[b:] ** 2 / row_norm2
 
     @property
     def _base(self) -> int:

@@ -7,10 +7,16 @@ and stepwise refinement under the configured criterion, and a final
 subset-enumeration step.  Every accepted move must strictly lower the
 criterion, so traces are monotone and termination is guaranteed.
 
-The forward pass walks the screened candidates in blocks of
-``FORWARD_BLOCK``: each block is projected off the current model basis in
-one matrix product, and an accepted candidate updates only the rest of its
-block by a rank-one downdate.
+Every stage scores moves with the same two updates.  Adding a candidate x
+lowers the RSS by t^2/s, with s and t from projecting x off the model basis
+(``_project``) and downdated by each basis vector added later
+(``_downdate``); x is skipped as collinear while s is at or below
+``_gate``.  Dropping a model SNP raises the RSS by beta_j^2 / S_jj, with S
+and beta from ``FitWorkspace.inverse_gram`` (``_drop_rss``).  Forward
+projects a block of ``FORWARD_BLOCK`` candidates at a time and an add
+downdates only the rest of its block; backward sweeps S from one inversion
+per stage; stepwise downdates all its candidates on each add, projects
+them afresh after each drop and scores drops from a fresh inverse.
 
 The refinement fallback enumerates small subsets of the backward-reduced
 model M only when an exact bound leaves room for one to win (the global
@@ -156,41 +162,6 @@ class _CriterionEval:
         return rss / self.sigma2 + self.pen(q)
 
 
-class _CandidateTracker:
-    """Residual projections of candidate columns against the live model.
-
-    For candidate x with residual part z (x minus its projection on the
-    model basis): s = ||z||^2 and t = z'r, so adding x changes RSS by
-    -t^2/s.  Pushing a new basis vector u with y-load d updates these as
-    s -= (u'x)^2 and t -= (u'x) d; drops require a rebuild.  ``cols`` is the
-    n x C block of the candidates ``idx`` and ``orig_norm2`` its squared
-    column norms; both are read only.
-    """
-
-    def __init__(self, idx: np.ndarray, cols: np.ndarray, orig_norm2: np.ndarray,
-                 ws: FitWorkspace, tol: float = RANK_TOL):
-        self.idx = idx
-        self.cols = cols
-        self.orig_norm2 = orig_norm2
-        self.tol2 = tol * tol
-        self.sync(ws)
-
-    def sync(self, ws: FitWorkspace) -> None:
-        Q = ws.basis
-        z = self.cols - Q @ (Q.T @ self.cols)
-        self.s = np.einsum("ij,ij->j", z, z)
-        self.t = self.cols.T @ ws.residual
-        self.in_model = np.isin(self.idx, ws.snps)
-
-    def on_push(self, u: np.ndarray, d: float) -> None:
-        c = self.cols.T @ u
-        self.s = np.maximum(self.s - c * c, 0.0)
-        self.t = self.t - c * d
-
-    def addable(self) -> np.ndarray:
-        return self.s > self.tol2 * np.maximum(self.orig_norm2, 1e-300)
-
-
 def screen(scan: ScanResult, threshold: float) -> list[int]:
     """Candidate columns with p strictly below threshold, best p first."""
     if not 0.0 < threshold <= 1.0:
@@ -200,6 +171,39 @@ def screen(scan: ScanResult, threshold: float) -> list[int]:
 
 def _max_snps(ws: FitWorkspace) -> int:
     return ws.n - len(ws.forced_indices) - 2
+
+
+def _project(ws: FitWorkspace, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) of the candidate columns ``cols`` against the model of ``ws``.
+
+    With z a column less its projection on the model basis, s = ||z||^2 and
+    t = z'r = x'r, so adding the column lowers the RSS by t^2 / s.
+    """
+    Q = ws.basis
+    z = cols - Q @ (Q.T @ cols)
+    return np.einsum("ij,ij->j", z, z), cols.T @ ws.residual
+
+
+def _downdate(cols: np.ndarray, s: np.ndarray, t: np.ndarray, u: np.ndarray, d: float) -> None:
+    """Update s and t of ``cols`` in place for a new basis vector u with y-load d."""
+    c = cols.T @ u
+    np.maximum(s - c * c, 0.0, out=s)
+    t -= c * d
+
+
+def _gate(norm2: np.ndarray) -> np.ndarray:
+    """Collinearity gate: a candidate is addable only while s exceeds this."""
+    return RANK_TOL * RANK_TOL * np.maximum(norm2, 1e-300)
+
+
+def _drop_rss(rss: float, S: np.ndarray, beta: np.ndarray, base: int) -> np.ndarray:
+    """RSS after dropping each SNP column, from (S, beta) of ``inverse_gram``.
+
+    Dropping column k raises the RSS by beta_k^2 / S_kk (Miller, Subset
+    Selection in Regression, 2002); ``base`` is the number of intercept and
+    forced columns ahead of the SNPs.
+    """
+    return rss + beta[base:] ** 2 / S.diagonal()[base:]
 
 
 def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndarray,
@@ -214,15 +218,12 @@ def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndar
     q_cap = min(config.max_forward_size, _max_snps(ws))
     if q_cap < 1:
         return
-    gate = RANK_TOL * RANK_TOL * np.maximum(norm2, 1e-300)
+    gate = _gate(norm2)
     cur_rss = ws.rss
     cur_val = None
     for start in range(0, idx.size, FORWARD_BLOCK):
         block = cols[:, start:start + FORWARD_BLOCK]
-        Q = ws.basis
-        z = block - Q @ (Q.T @ block)
-        s = np.einsum("ij,ij->j", z, z)
-        t = block.T @ ws.residual
+        s, t = _project(ws, block)
         for i in range(block.shape[1]):
             if len(ws.snps) >= q_cap:
                 return
@@ -241,9 +242,7 @@ def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndar
                 except CollinearityError:
                     trace.append("forward", "skip_collinear", j, None, len(ws.snps))
                     continue
-                c = block[:, i + 1:].T @ u
-                s[i + 1:] = np.maximum(s[i + 1:] - c * c, 0.0)
-                t[i + 1:] -= c * d
+                _downdate(block[:, i + 1:], s[i + 1:], t[i + 1:], u, d)
                 cur_rss = new_rss
                 cur_val = ev.value(cur_rss, len(ws.snps))
                 trace.append("forward", "add", j, cur_val, len(ws.snps))
@@ -265,7 +264,8 @@ def _best_drop(ws: FitWorkspace, ev: _CriterionEval) -> tuple[float, int] | None
     if not ws.snps:
         return None
     snps = np.asarray(ws.snps, dtype=np.int64)
-    val, pick = _pick_drop(ws.drop_rss(), snps, ev)
+    drops = _drop_rss(ws.rss, *ws.inverse_gram(), ws.m - snps.size)
+    val, pick = _pick_drop(drops, snps, ev)
     return val, int(snps[pick])
 
 
@@ -278,12 +278,12 @@ def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
               stage: str = "backward") -> ModelSpec:
     """Backward elimination by sweep downdates of S = (X'X)^-1.
 
-    Dropping column k raises the RSS by beta_k^2 / S_kk and leaves
-    S - S[:, k] S[k, :] / S_kk and beta - S[:, k] beta_k / S_kk over the
-    remaining columns (the sweep operator: Goodnight, Am. Stat. 1979).  S is
-    inverted afresh from the survivors whenever a downdate leaves a diagonal
-    that is not positive or has lost most of its digits to cancellation.
-    The workspace is rebuilt once, from the survivors in insertion order.
+    Dropping column k leaves S - S[:, k] S[k, :] / S_kk and
+    beta - S[:, k] beta_k / S_kk over the remaining columns (the sweep
+    operator: Goodnight, Am. Stat. 1979).  S is inverted afresh from the
+    survivors whenever a downdate leaves a diagonal that is not positive or
+    has lost most of its digits to cancellation.  The workspace is rebuilt
+    once, from the survivors in insertion order.
     """
     live = list(ws.snps)
     base = ws.m - len(live)
@@ -292,7 +292,7 @@ def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
     rss = ws.rss
     ref = S.diagonal()[base:].copy()
     while live:
-        drops = rss + beta[base:] ** 2 / S.diagonal()[base:]
+        drops = _drop_rss(rss, S, beta, base)
         val, pos = _pick_drop(drops, np.asarray(live, dtype=np.int64), ev)
         if val >= cur_val:
             break
@@ -315,64 +315,69 @@ def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
     return ws.model()
 
 
-def _stepwise(ws: FitWorkspace, tracker: _CandidateTracker, config: SearchConfig,
-              ev: _CriterionEval, trace: SearchTrace) -> ModelSpec:
+def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndarray,
+              config: SearchConfig, ev: _CriterionEval, trace: SearchTrace) -> ModelSpec:
+    """Alternate the best add among the candidates ``idx`` (columns ``cols``,
+    squared norms ``norm2``) and the best drop while either lowers the
+    criterion, for at most ``max_stepwise_iterations`` moves.
+
+    s and t of the candidates are downdated on each add and projected
+    afresh after each drop.
+    """
+    gate = _gate(norm2)
+    s, t = _project(ws, cols)
+    in_model = np.isin(idx, ws.snps)
     moves = 0
     cur_rss = ws.rss
     cur_val = ev.value(cur_rss, len(ws.snps))
     q_cap = _max_snps(ws)
-    while True:
+    made_move = True
+    while made_move:
         made_move = False
-
-        if tracker.idx.size and len(ws.snps) < q_cap:
-            open_pos = np.nonzero(~tracker.in_model & tracker.addable())[0]
-            if open_pos.size:
-                new_rss = np.maximum(
-                    cur_rss - tracker.t[open_pos] ** 2 / tracker.s[open_pos], 0.0
-                )
+        for action in ("add", "drop"):
+            if action == "add":
+                if len(ws.snps) >= q_cap:
+                    continue
+                open_pos = np.nonzero(~in_model & (s > gate))[0]
+                if not open_pos.size:
+                    continue
+                new_rss = np.maximum(cur_rss - t[open_pos] ** 2 / s[open_pos], 0.0)
                 vals = ev.value_array(new_rss, len(ws.snps) + 1)
-                pick = np.lexsort((tracker.idx[open_pos], vals))[0]
-                if vals[pick] < cur_val:
-                    pos = int(open_pos[pick])
-                    j = int(tracker.idx[pos])
-                    try:
-                        u, d = ws.add_snp(j)
-                    except CollinearityError:
-                        # the tracker's incremental stats drifted; resync and
-                        # let the rejected column fail the addable() gate
-                        trace.append("stepwise", "skip_collinear", j, None, len(ws.snps))
-                        tracker.sync(ws)
-                        tracker.s[pos] = 0.0
-                        continue
-                    tracker.on_push(u, d)
-                    tracker.in_model[pos] = True
-                    cur_rss = float(new_rss[pick])
-                    cur_val = float(vals[pick])
-                    trace.append("stepwise", "add", j, cur_val, len(ws.snps))
-                    moves += 1
+                pick = np.lexsort((idx[open_pos], vals))[0]
+                if vals[pick] >= cur_val:
+                    continue
+                pos = int(open_pos[pick])
+                j = int(idx[pos])
+                try:
+                    u, d = ws.add_snp(j)
+                except CollinearityError:
+                    # the downdated s drifted from a fresh projection; project
+                    # afresh, let the rejected column fail the gate and try
+                    # the adds again before any drop
+                    trace.append("stepwise", "skip_collinear", j, None, len(ws.snps))
+                    s, t = _project(ws, cols)
+                    s[pos] = 0.0
                     made_move = True
-                    if moves >= config.max_stepwise_iterations:
-                        trace.truncated = True
-                        trace.append("stepwise", "truncated", None, cur_val, len(ws.snps))
-                        return ws.model()
-
-        found = _best_drop(ws, ev)
-        if found is not None and found[0] < cur_val:
-            val, j = found
-            ws.drop_snp(j)
-            tracker.sync(ws)
-            cur_rss = ws.rss
-            cur_val = val
-            trace.append("stepwise", "drop", j, cur_val, len(ws.snps))
+                    break
+                _downdate(cols, s, t, u, d)
+                in_model[pos] = True
+                cur_rss, cur_val = float(new_rss[pick]), float(vals[pick])
+            else:
+                found = _best_drop(ws, ev)
+                if found is None or found[0] >= cur_val:
+                    continue
+                cur_val, j = found
+                ws.drop_snp(j)
+                s, t = _project(ws, cols)
+                in_model = np.isin(idx, ws.snps)
+                cur_rss = ws.rss
+            trace.append("stepwise", action, j, cur_val, len(ws.snps))
             moves += 1
             made_move = True
             if moves >= config.max_stepwise_iterations:
                 trace.truncated = True
                 trace.append("stepwise", "truncated", None, cur_val, len(ws.snps))
                 return ws.model()
-
-        if not made_move:
-            break
     return ws.model()
 
 
@@ -440,13 +445,18 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
     sets fall back to backward elimination followed by enumeration of
     subsets strictly below the cap, skipped when the bound in the module
     docstring rules every such subset out.  Forced covariates are always
-    retained.  ``_ws`` is a workspace holding exactly ``model`` to work from
-    instead of building one; it is left unchanged.
+    retained.  An extra candidate outside [0, p) raises ``ValueError``.
+    ``_ws`` is a workspace holding exactly ``model`` to work from instead of
+    building one; it is left unchanged.
     """
     trace = _trace if _trace is not None else SearchTrace()
     stats = trace.stats
     forced = model.forced_indices
-    extras = sorted({int(e) for e in extra_candidates} - set(model.snp_indices))
+    extras = {int(e) for e in extra_candidates}
+    for e in sorted(extras):
+        if not 0 <= e < dataset.n_snps:
+            raise ValueError(f"extra candidate {e} is outside [0, {dataset.n_snps})")
+    extras = sorted(extras - set(model.snp_indices))
     n_combined = model.size + len(extras)
     ws = _ws if _ws is not None else workspace_for(dataset, model)
     ev = _CriterionEval(config.criterion, ws.rss_base)
@@ -581,8 +591,7 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
 
     ev = _CriterionEval(config.criterion, ws.rss_base)
     _backward(ws, ev, trace)
-    tracker = _CandidateTracker(state.candidates, state.cols, state.norm2, ws)
-    _stepwise(ws, tracker, config, ev, trace)
+    _stepwise(ws, state.candidates, state.cols, state.norm2, config, ev, trace)
 
     found = ws.model()
     model = refine_subsets(dataset, found, extra_candidates, config, _trace=trace, _ws=ws)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from gwasel.errors import CollinearityError
-from gwasel.search import SearchTrace, _best_drop, _max_snps
+from gwasel.search import SearchTrace, _best_drop, _downdate, _gate, _max_snps, _project
 
 
 def lstsq_design(dataset, snps, forced=()):
@@ -27,7 +27,7 @@ def lstsq_rss(dataset, snps, forced=()):
 def backward_by_drops(ws, ev, trace: SearchTrace, stage: str = "backward"):
     """Backward elimination one workspace drop at a time.
 
-    Every step scores all drops from a fresh triangular inverse of the
+    Every step scores all drops from a fresh ``inverse_gram`` of the
     workspace (``_best_drop``) and applies the best with ``drop_snp``.
     """
     cur_val = ev.value(ws.rss, len(ws.snps))
@@ -41,28 +41,29 @@ def backward_by_drops(ws, ev, trace: SearchTrace, stage: str = "backward"):
     return ws.model()
 
 
-def forward_by_pushes(ws, tracker, config, ev, trace: SearchTrace) -> None:
+def forward_by_pushes(ws, idx, cols, norm2, config, ev, trace: SearchTrace) -> None:
     """The forward stage with every screened candidate updated on every add.
 
-    ``tracker`` is a ``_CandidateTracker`` synced to ``ws``; each accepted
-    candidate's basis vector is pushed into the s and t of all candidates
-    (``on_push``), where ``search._forward`` projects a block at a time.
+    s and t of all candidates come from one projection at the start
+    (``_project``), and each accepted candidate's basis vector is pushed
+    into all of them (``_downdate``), where ``search._forward`` projects a
+    block at a time.
     """
     q_cap = min(config.max_forward_size, _max_snps(ws))
     if q_cap < 1:
         return
+    gate = _gate(norm2)
+    s, t = _project(ws, cols)
     cur_rss = ws.rss
     cur_val = None
-    for pos in range(tracker.idx.size):
+    for pos in range(idx.size):
         if len(ws.snps) >= q_cap:
             break
-        if tracker.in_model[pos]:
-            continue
-        j = int(tracker.idx[pos])
-        if tracker.s[pos] <= tracker.tol2 * max(tracker.orig_norm2[pos], 1e-300):
+        j = int(idx[pos])
+        if s[pos] <= gate[pos]:
             trace.append("forward", "skip_collinear", j, None, len(ws.snps))
             continue
-        new_rss = max(cur_rss - tracker.t[pos] ** 2 / tracker.s[pos], 0.0)
+        new_rss = max(cur_rss - t[pos] ** 2 / s[pos], 0.0)
         if cur_val is None:
             accept = True  # the stage starts from the best single marker
         else:
@@ -73,8 +74,7 @@ def forward_by_pushes(ws, tracker, config, ev, trace: SearchTrace) -> None:
             except CollinearityError:
                 trace.append("forward", "skip_collinear", j, None, len(ws.snps))
                 continue
-            tracker.on_push(u, d)
-            tracker.in_model[pos] = True
+            _downdate(cols, s, t, u, d)
             cur_rss = new_rss
             cur_val = ev.value(cur_rss, len(ws.snps))
             trace.append("forward", "add", j, cur_val, len(ws.snps))

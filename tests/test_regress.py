@@ -16,7 +16,7 @@ from gwasel.regress import (
     noncentrality_single_marker,
     workspace_for,
 )
-from gwasel.search import _best_drop, _CriterionEval
+from gwasel.search import _best_drop, _CriterionEval, _drop_rss
 
 from conftest import dataset_from_values, random_genotypes
 from oracles import lstsq_design, lstsq_rss
@@ -54,6 +54,15 @@ def test_fit_duplicate_column_collinear():
     with pytest.raises(CollinearityError) as err:
         fit(ds, ModelSpec((1, 3)))
     assert err.value.column == 3
+
+
+@pytest.mark.parametrize("j", [-1, 4])
+def test_fit_refuses_snps_outside_the_panel(j):
+    # -1 would otherwise fit column p - 1 and 4 end in a bare IndexError
+    rng = np.random.default_rng(1)
+    ds = dataset_from_values(random_genotypes(rng, 30, 4), trait=rng.normal(size=30))
+    with pytest.raises(ValueError, match=rf"SNP {j} is outside \[0, 4\)"):
+        fit(ds, ModelSpec((j,)))
 
 
 def test_fit_perfect_flag():
@@ -184,8 +193,9 @@ def test_rss_if_dropped_matches_actual_drop():
 
 
 def assert_drop_rss_oracles(ws, ds):
-    """drop_rss() against the Givens reference and a from-scratch lstsq."""
-    drops = ws.drop_rss()
+    """_drop_rss from inverse_gram() against the Givens reference and a
+    from-scratch lstsq."""
+    drops = _drop_rss(ws.rss, *ws.inverse_gram(), ws.m - len(ws.snps))
     assert drops.shape == (len(ws.snps),)
     for k, j in enumerate(ws.snps):
         assert drops[k] == pytest.approx(ws.rss_if_dropped(j), rel=1e-9)
@@ -265,14 +275,20 @@ def test_workspace_add_drop_rebuild_sequence_matches_lstsq(seed, n_forced, moves
 
 
 class _FixedDrops:
-    """Workspace stand-in whose drop scores are given exactly."""
+    """Workspace stand-in whose drop scores are given exactly.
+
+    With S = diag(drops), beta = drops and RSS 0, each drop's RSS
+    beta_j^2 / S_jj is drops[j] to the last bit.
+    """
 
     def __init__(self, snps, drops):
         self.snps = list(snps)
-        self._drops = np.asarray(drops, dtype=np.float64)
+        self.m = len(self.snps)  # no intercept or forced columns
+        self.rss = 0.0
+        self.drops = np.asarray(drops, dtype=np.float64)
 
-    def drop_rss(self):
-        return self._drops
+    def inverse_gram(self):
+        return np.diag(self.drops), self.drops.copy()
 
 
 @pytest.mark.parametrize("log_mode", [True, False])
@@ -281,11 +297,12 @@ def test_best_drop_ties_drop_largest_index(log_mode):
     ev = _CriterionEval(crit, rss_base=50.0)
     snps = [7, 2, 9, 4, 11]
     ws = _FixedDrops(snps, [30.0, 20.0, 20.0, 20.0, 25.0])
+    assert _drop_rss(ws.rss, *ws.inverse_gram(), 0).tolist() == ws.drops.tolist()
     val, j = _best_drop(ws, ev)
     assert j == 9
     assert val == ev.value(20.0, 4)
     # the rule it encodes: the lexicographically smallest remaining model
-    tied = [k for k, d in zip(snps, ws.drop_rss()) if d == 20.0]
+    tied = [k for k, d in zip(snps, ws.drops) if d == 20.0]
     assert j == min(tied, key=lambda k: sorted(i for i in snps if i != k))
 
 

@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import itertools
 import json
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -15,10 +18,12 @@ from gwasel.search import (
     SearchConfig,
     SearchTrace,
     _backward,
-    _CandidateTracker,
     _CriterionEval,
+    _downdate,
     _enumerate_best,
     _forward,
+    _gate,
+    _project,
     _stepwise,
     _subset_bounds,
     _subset_counts,
@@ -27,7 +32,14 @@ from gwasel.search import (
     screen,
     select_model,
 )
-from gwasel.simulate import MethodSpec, SimulationConfig, run_study, simulate_trait, synthetic_dataset
+from gwasel.simulate import (
+    MethodSpec,
+    SimulationConfig,
+    effect_grid,
+    run_study,
+    simulate_trait,
+    synthetic_dataset,
+)
 
 from conftest import dataset_from_values, random_genotypes
 from oracles import backward_by_drops, forward_by_pushes, lstsq_rss
@@ -177,12 +189,12 @@ def test_forward_skips_collinear_duplicates():
 
 
 # ---------------------------------------------------------------------------
-# candidate tracker
+# candidate projections
 # ---------------------------------------------------------------------------
 
-# The incremental s and t carry rounding of the order of 1e-15 of the
+# The downdated s and t carry rounding of the order of 1e-15 of the
 # column's squared norm (s) or of |x| |y| (t); this bounds them with margin.
-TRACKER_TOL = 1e-12
+DOWNDATE_TOL = 1e-12
 
 
 def gathered(ds, candidates):
@@ -195,12 +207,14 @@ def gathered(ds, candidates):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0),
        st.lists(st.integers(0, 13), max_size=20))
 @settings(max_examples=150, deadline=None)
-def test_tracker_incremental_stats_match_fresh_sync(seed, n_forced, neg_log_eps, adds):
+def test_downdated_stats_match_fresh_projection(seed, n_forced, neg_log_eps, adds):
     ds, forced, _ = design_with_near_collinearity(seed, n_forced, 10.0**-neg_log_eps)
     candidates = [int(j) for j in np.random.default_rng(seed).permutation(ds.n_snps)]
-    block = gathered(ds, candidates)
+    idx, cols, norm2 = gathered(ds, candidates)
+    gate = _gate(norm2)
     ws = FitWorkspace(ds, forced)
-    tracker = _CandidateTracker(*block, ws)
+    s, t = _project(ws, cols)
+    in_model = np.zeros(idx.size, dtype=bool)
     y_norm = float(np.sqrt(ds.trait @ ds.trait))
     for j in adds:
         if j in ws.snps:
@@ -209,23 +223,22 @@ def test_tracker_incremental_stats_match_fresh_sync(seed, n_forced, neg_log_eps,
             u, d = ws.add_snp(j)
         except CollinearityError:
             continue
-        tracker.on_push(u, d)
-        tracker.in_model[candidates.index(j)] = True
+        _downdate(cols, s, t, u, d)
+        in_model[candidates.index(j)] = True
 
-        fresh = _CandidateTracker(*block, ws)
-        norm2 = tracker.orig_norm2
-        assert np.all(np.abs(tracker.s - fresh.s) <= TRACKER_TOL * norm2)
-        assert np.all(np.abs(tracker.t - fresh.t) <= TRACKER_TOL * np.sqrt(norm2) * y_norm)
-        assert fresh.in_model.dtype == bool
-        assert fresh.in_model.tolist() == [c in ws.snps for c in candidates]
-        assert np.array_equal(tracker.in_model, fresh.in_model)
+        fresh_s, fresh_t = _project(ws, cols)
+        assert np.all(np.abs(s - fresh_s) <= DOWNDATE_TOL * norm2)
+        assert np.all(np.abs(t - fresh_t) <= DOWNDATE_TOL * np.sqrt(norm2) * y_norm)
+        fresh_in_model = np.isin(idx, ws.snps)  # as stepwise sets it after a drop
+        assert fresh_in_model.dtype == bool
+        assert fresh_in_model.tolist() == [c in ws.snps for c in candidates]
+        assert np.array_equal(in_model, fresh_in_model)
         # the gates agree on every open column whose fresh s is clear of the
         # gate by more than the tolerance; an exact copy of a model column
-        # keeps an incremental s of rounding size, above the 1e-20 gate, and
+        # keeps a downdated s of rounding size, above the 1e-20 gate, and
         # the workspace's own rank check rejects it
-        differ = (tracker.addable() != fresh.addable()) & ~tracker.in_model
-        gate = tracker.tol2 * norm2
-        assert np.all(np.abs(fresh.s - gate)[differ] <= TRACKER_TOL * norm2[differ])
+        differ = ((s > gate) != (fresh_s > gate)) & ~in_model
+        assert np.all(np.abs(fresh_s - gate)[differ] <= DOWNDATE_TOL * norm2[differ])
 
 
 def fresh_projection(ws, j):
@@ -242,9 +255,9 @@ def record_key(r):
 def forward_allowance(ds, forced, records):
     """Rounding allowance on each forward record's criterion value.
 
-    The per-push walk's incremental s and t are good to TRACKER_TOL (see
-    the tracker test above), so each add's predicted RSS drop t^2/s may move
-    by (2 |t| dt + t^2/s ds) / s; these accumulate along the walk, and the
+    The per-push walk's downdated s and t are good to DOWNDATE_TOL (see
+    the projection test above), so each add's predicted RSS drop t^2/s may
+    move by (2 |t| dt + t^2/s ds) / s; these accumulate along the walk, and the
     unknown-sigma criterion n log(RSS) turns them into n drift / RSS.
     """
     y_norm = float(np.sqrt(ds.trait @ ds.trait))
@@ -254,7 +267,7 @@ def forward_allowance(ds, forced, records):
         if r.action == "add":
             s, t = fresh_projection(ws, r.snp)
             norm2 = float(ws.X[:, r.snp] @ ws.X[:, r.snp])
-            ds_, dt = TRACKER_TOL * norm2, TRACKER_TOL * np.sqrt(norm2) * y_norm
+            ds_, dt = DOWNDATE_TOL * norm2, DOWNDATE_TOL * np.sqrt(norm2) * y_norm
             drift += (2.0 * abs(t) * dt + t * t / s * ds_) / s
             ws.add_snp(r.snp)
         out.append(ds.n_individuals * drift / ws.rss)
@@ -279,7 +292,7 @@ def test_blocked_forward_matches_per_push_oracle(seed, n_forced, neg_log_eps, ma
             with mock.patch.object(gwasel.search, "FORWARD_BLOCK", 3):
                 _forward(ws, *block, config, ev, trace)
         else:
-            forward_by_pushes(ws, _CandidateTracker(*block, ws), config, ev, trace)
+            forward_by_pushes(ws, *block, config, ev, trace)
         runs.append(trace.records)
     got, want = runs
     allowance, _ = forward_allowance(ds, forced, want)
@@ -292,7 +305,7 @@ def test_blocked_forward_matches_per_push_oracle(seed, n_forced, neg_log_eps, ma
             s = fresh_projection(ws, j)[0]
             norm2 = float(ws.X[:, j] @ ws.X[:, j])
             gate = gwasel.search.RANK_TOL ** 2 * norm2
-            assert abs(s - gate) <= TRACKER_TOL * norm2, (r, r_o)
+            assert abs(s - gate) <= DOWNDATE_TOL * norm2, (r, r_o)
             return
         if r_o.criterion_value is None:
             assert r.criterion_value is None
@@ -328,8 +341,7 @@ def test_backward_fixed_point():
     trace = SearchTrace()
     model = _backward(ws, ev, trace)
     assert model.snp_indices == (0, 1, 2)
-    tracker = _CandidateTracker(*gathered(dsy, [0, 1, 2]), ws)
-    assert _stepwise(ws, tracker, cfg, ev, trace).snp_indices == (0, 1, 2)
+    assert _stepwise(ws, *gathered(dsy, [0, 1, 2]), cfg, ev, trace).snp_indices == (0, 1, 2)
     assert trace.records == []
 
 
@@ -496,6 +508,19 @@ def test_refine_large_combined_takes_backward_fallback():
     assert any(r.action == "fallback_backward" for r in trace.records)
     assert set(refined.snp_indices) >= set()  # returns a valid model
     assert {2, 9} <= set(refined.snp_indices)
+
+
+@pytest.mark.parametrize("extra", [-1, 30])
+@pytest.mark.parametrize("trigger", [25, 1])  # the exhaustive path, the backward fallback
+def test_refine_refuses_extras_outside_the_panel(extra, trigger):
+    # -1 would otherwise alias column 29 and 30 end in a bare IndexError
+    ds = synthetic_dataset(200, 30, seed=52)
+    sim = SimulationConfig((3, 17), (1.0, 0.8), sigma=1.0, seed=53)
+    dsy = ds.with_trait(simulate_trait(ds, sim, 0))
+    cfg = make_config("mbic2", dsy, refinement_trigger=trigger,
+                      exhaustive_size_cap=min(trigger, 5))
+    with pytest.raises(ValueError, match=rf"extra candidate {extra} is outside \[0, 30\)"):
+        refine_subsets(dsy, ModelSpec((3,)), (extra, 17), cfg)
 
 
 def test_refine_budget_error():
@@ -832,3 +857,92 @@ def test_forward_state_of_another_dataset_or_screen_is_refused():
         select_model(ds.with_trait(y), mbic, _state=state)
     with pytest.raises(ValueError, match="screen_threshold"):
         select_model(dsy, mbic2, _state=state)
+
+
+# ---------------------------------------------------------------------------
+# the desk design of ROADMAP.md: pinned traces and the stepwise branches
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """(dataset, simulation, scan engine, mBIC and mBIC2 configs) of the desk study."""
+    n, p, k = 600, 10_000, 30
+    ds = synthetic_dataset(n, p, seed=42)
+    causal = tuple(np.linspace(0, p - 1, k).astype(int).tolist())
+    sim = SimulationConfig(causal, tuple(effect_grid(k)), sigma=1.0, n_replicates=100, seed=7)
+    cfgs = {kind: SearchConfig(criterion=CriterionConfig(kind, n=n, p_effective=p),
+                               refinement_trigger=12) for kind in ("mbic", "mbic2")}
+    return ds, sim, ScanEngine(ds), cfgs
+
+
+def desk_replicate(desk, rep):
+    """(dataset with the trait of replicate ``rep``, its scan)."""
+    ds, sim, engine, _ = desk
+    y = simulate_trait(ds, sim, rep)
+    return ds.with_trait(y), engine.scan(y)
+
+
+# sha256 of (stage, action, snp, model_size) of every record of the mBIC and
+# mBIC2 selects of desk replicates 0-18, which share their forward stage as
+# in run_study.  Criterion values are left out: they may move by rounding,
+# while the records themselves are fixed by the tie-breaking rules.  These
+# replicates make stepwise adds (0-5, 10, 18) and drops (10, 18).
+DESK_TRACE_DIGEST = "6d0ccbcb17d115d241c3e95303b759b0e8cca85994a882fd619d16975d28c0f5"
+
+
+def test_desk_trace_structure_is_pinned(desk):
+    cfgs = desk[3]
+    digest = hashlib.sha256()
+    stepwise = Counter()
+    for rep in range(19):
+        dsy, scan = desk_replicate(desk, rep)
+        state = forward_stage(dsy, cfgs["mbic"], scan)
+        for cfg in cfgs.values():
+            _, _, trace = select_model(dsy, cfg, scan=scan, _state=state)
+            rows = [[r.stage, r.action, r.snp, r.model_size] for r in trace.records]
+            digest.update(json.dumps(rows).encode() + b"\n")
+            stepwise.update(r.action for r in trace.records if r.stage == "stepwise")
+    assert stepwise["add"] and stepwise["drop"]
+    assert digest.hexdigest() == DESK_TRACE_DIGEST
+
+
+@pytest.mark.parametrize("limit", [1, 2])  # the cap reached on an add, on a drop
+def test_stepwise_truncates_at_the_iteration_cap(desk, limit):
+    cfg = desk[3]["mbic2"]
+    dsy, scan = desk_replicate(desk, 10)
+    _, _, full = select_model(dsy, cfg, scan=scan)
+    moves = [(r.action, r.snp, r.criterion_value) for r in full.accepted("stepwise")]
+    assert [m[0] for m in moves] == ["add", "drop", "drop"] and not full.truncated
+
+    _, _, trace = select_model(dsy, dataclasses.replace(cfg, max_stepwise_iterations=limit),
+                               scan=scan)
+    steps = [(r.action, r.snp, r.criterion_value) for r in trace.records
+             if r.stage == "stepwise"]
+    assert steps == moves[:limit] + [("truncated", None, moves[limit - 1][2])]
+    assert trace.truncated
+
+
+def test_stepwise_recovers_from_a_collinear_pick(desk, monkeypatch):
+    # the workspace refuses the first stepwise pick as collinear
+    cfg = desk[3]["mbic2"]
+    dsy, scan = desk_replicate(desk, 10)
+    state = forward_stage(dsy, cfg, scan)
+    refused = []
+    add_snp = FitWorkspace.add_snp
+
+    def refuse_first(self, j):
+        if not refused:
+            refused.append(j)
+            raise CollinearityError(j)
+        return add_snp(self, j)
+
+    monkeypatch.setattr(FitWorkspace, "add_snp", refuse_first)
+    _, _, trace = select_model(dsy, cfg, scan=scan, _state=state)
+    monkeypatch.undo()
+    steps = [(r.action, r.snp) for r in trace.records if r.stage == "stepwise"]
+    assert refused == [2116]  # mBIC2's first stepwise add on this replicate
+    assert [s for s in steps if s[0] == "skip_collinear"] == [("skip_collinear", 2116)]
+    first_drop = next((i for i, s in enumerate(steps) if s[0] == "drop"), len(steps))
+    assert ("add", 2116) not in steps[:first_drop]
+    assert not trace.truncated
