@@ -1,14 +1,19 @@
-"""Per-layer timings of the panel pipeline: load, impute, cluster, scan, output.
+"""Per-layer timings of the panel pipeline or of one desk-study replicate.
 
-    python3 benchmarks/bench_pipeline.py --out BENCH.json \
+    python3 benchmarks/bench_pipeline.py --out BENCH.json [--workload panel|desk] \
         --src parent=/path/to/parent/src --src change=src --pairs 10 --seeds 1 2 3
 
 Each ``--src LABEL=DIR`` names a gwasel source tree; the first is the base
-the others are compared against.  The panel of each seed is written to a
-temporary directory by ``perfbench/workloads.py::write_panel`` at its full
-size (600 x 20k, 2% missing calls in 1000 columns).  Every run is a fresh
-child process with ``OPENBLAS_NUM_THREADS=1`` (and the OpenMP and MKL
-equivalents) that imports gwasel from one source tree and times
+the others are compared against.  Every run is a fresh child process with
+``OPENBLAS_NUM_THREADS=1`` (and the OpenMP and MKL equivalents) that
+imports gwasel from one source tree, times the layers of its workload and
+records its peak RSS (``resource.getrusage``).  The sources alternate which
+runs first in each pair.  ``--toy`` takes the sizes of
+``perfbench/workloads.py::TOY`` instead of ``FULL``.
+
+``panel`` (the default): the panel of each seed is written to a temporary
+directory by ``perfbench/workloads.py::write_panel`` (full size: 600 x 20k,
+2% missing calls in 1000 columns), and a run times
 
 * ``load_s``     -- ``load_dataset`` of the genotype and trait text
 * ``impute_s``   -- ``impute_missing`` (window 500, 4 predictors)
@@ -19,9 +24,19 @@ equivalents) that imports gwasel from one source tree and times
 * ``end_to_end_s`` -- ``gwasel impute``, ``cluster`` and ``scan`` through
   ``gwasel.cli.main``, as the perfbench ``panel`` workload runs them
 
-and its peak RSS (``resource.getrusage``).  The sources alternate which
-runs first in each pair.  The output JSON holds every run, each label's
-median and quartiles per metric, and how many pairs each later label won.
+``desk``: replicate 0 of the study ``perfbench/workloads.py::desk_study``
+builds (full size: 600 x 10k, k=30, Bonferroni, BH, mBIC and mBIC2).  As in
+the perfbench set-up, the dataset's float cache is built before any timer
+starts, so ``--seeds`` is not used.  A run times
+
+* ``engine_build_s`` -- ``ScanEngine`` of the panel
+* ``scan_s``     -- the scan of the replicate's trait
+* ``forward_s``  -- the forward stage the mBIC and mBIC2 searches share
+* ``select_s``   -- both ``select_model`` calls, from that forward stage
+* ``study_s``    -- ``run_study`` of the one replicate, end to end
+
+The output JSON holds every run, each label's median and quartiles per
+metric, and how many pairs each later label won.
 """
 
 from __future__ import annotations
@@ -39,16 +54,33 @@ from pathlib import Path
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("load_s", "impute_s", "cluster_s", "scan_s", "output_s", "end_to_end_s",
-           "peak_rss_mb")
+METRICS = {
+    "panel": ("load_s", "impute_s", "cluster_s", "scan_s", "output_s", "end_to_end_s",
+              "peak_rss_mb"),
+    "desk": ("engine_build_s", "scan_s", "forward_s", "select_s", "study_s", "peak_rss_mb"),
+}
 WINDOW, PREDICTORS = 500, 4
 THRESHOLD, CLUSTER_WINDOW = 0.7, 1000
 
 
-def run_layers(inputs: Path, work: Path) -> dict:
-    """One timed pass over the layers, in this process."""
+def timer(out: dict):
+    def timed(name, fn):
+        t0 = time.perf_counter()
+        result = fn()
+        out[name] = time.perf_counter() - t0
+        return result
+
+    return timed
+
+
+def peak_rss_mb() -> float:
     import resource
 
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def run_panel(inputs: Path, work: Path) -> dict:
+    """One timed pass over the panel layers, in this process."""
     from gwasel import cli
     from gwasel.cluster import cluster_snps
     from gwasel.genotype import impute_missing, load_dataset
@@ -56,12 +88,7 @@ def run_layers(inputs: Path, work: Path) -> dict:
 
     geno, trait = inputs / "genotypes.txt", inputs / "trait.txt"
     out: dict[str, float] = {}
-
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        result = fn()
-        out[name] = time.perf_counter() - t0
-        return result
+    timed = timer(out)
 
     ds = timed("load_s", lambda: load_dataset(geno, trait_path=trait))
     done = timed("impute_s", lambda: impute_missing(ds, window=WINDOW, n_predictors=PREDICTORS))
@@ -94,14 +121,42 @@ def run_layers(inputs: Path, work: Path) -> dict:
             raise RuntimeError(f"gwasel exit codes {codes}")
 
     timed("end_to_end_s", end_to_end)
-    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    out["peak_rss_mb"] = peak_rss_mb()
     return out
 
 
-def child(src: Path, inputs: Path) -> dict:
+def run_desk(sizes) -> dict:
+    """One timed pass over replicate 0 of the desk study, in this process."""
+    import workloads
+
+    from gwasel.mtest import ScanEngine
+    from gwasel.search import forward_stage, select_model
+    from gwasel.simulate import run_study, simulate_trait
+
+    ds, sim, methods = workloads.desk_study(sizes, 1)
+    ds.float_values  # the float cache, built untimed as in the perfbench set-up
+    out: dict[str, float] = {}
+    timed = timer(out)
+
+    engine = timed("engine_build_s", lambda: ScanEngine(ds))
+    y = simulate_trait(ds, sim, 0)
+    ds_rep = ds.with_trait(y)
+    scan = timed("scan_s", lambda: engine.scan(y))
+    searches = [m.search for m in methods if m.search is not None]
+    state = timed("forward_s", lambda: forward_stage(ds_rep, searches[0], scan))
+    timed("select_s", lambda: [select_model(ds_rep, cfg, scan=scan, _state=state)
+                               for cfg in searches])
+    timed("study_s", lambda: run_study(ds, sim, methods))
+    out["peak_rss_mb"] = peak_rss_mb()
+    return out
+
+
+def child(src: Path, workload: str, inputs: Path | None, toy: bool) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as work:
-        cmd = [sys.executable, __file__, "--child", str(inputs), "--work", work]
+        cmd = [sys.executable, __file__, "--workload", workload, "--child", "--work", work]
+        cmd += ["--inputs", str(inputs)] if inputs else []
+        cmd += ["--toy"] if toy else []
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"the run of {src} failed:\n{proc.stderr}")
@@ -122,16 +177,24 @@ def quartiles(xs: list[float]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path)
+    ap.add_argument("--workload", choices=tuple(METRICS), default="panel")
     ap.add_argument("--src", action="append", default=[], metavar="LABEL=DIR")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
-    ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--toy", action="store_true", help="perfbench's self-test sizes")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--inputs", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     for var in BLAS_VARS:  # before numpy loads BLAS; children inherit it
         os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads  # read-only: the inputs the perfbench workloads generate
+
+    sizes = workloads.TOY if args.toy else workloads.FULL
     if args.child:
-        print(json.dumps(run_layers(args.child, args.work)))
+        out = run_desk(sizes) if args.workload == "desk" else run_panel(args.inputs, args.work)
+        print(json.dumps(out))
         return 0
     if args.out is None or not args.src:
         ap.error("--out and at least one --src are required")
@@ -142,46 +205,52 @@ def main(argv=None) -> int:
             ap.error(f"--src {spec!r} is not LABEL=DIR with DIR holding gwasel/")
         sources[label] = Path(path).resolve()
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads  # read-only: the panel the perfbench workload generates
-
+    desk = args.workload == "desk"
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for pair in range(args.pairs):
-            seed = args.seeds[pair % len(args.seeds)]
-            inputs = Path(tmp) / f"seed{seed}"
-            if not inputs.exists():
-                workloads.write_panel(workloads.FULL, seed, inputs / "genotypes.txt",
+            seed = None if desk else args.seeds[pair % len(args.seeds)]
+            inputs = None if desk else Path(tmp) / f"seed{seed}"
+            if inputs and not inputs.exists():
+                workloads.write_panel(sizes, seed, inputs / "genotypes.txt",
                                       inputs / "trait.txt")
             labels = list(sources) if pair % 2 == 0 else list(sources)[::-1]
             for label in labels:
                 runs.append({"label": label, "pair": pair, "seed": seed,
-                             **child(sources[label], inputs)})
+                             **child(sources[label], args.workload, inputs, args.toy)})
                 print(json.dumps(runs[-1]), file=sys.stderr)
 
+    metrics = METRICS[args.workload]
     base = next(iter(sources))
     summary = {label: {m: quartiles([r[m] for r in runs if r["label"] == label])
-                       for m in METRICS} for label in sources}
+                       for m in metrics} for label in sources}
     by_pair = {(r["pair"], r["label"]): r for r in runs}
     wins = {}
     for label in list(sources)[1:]:
         wins[label] = {m: sum(by_pair[(k, label)][m] < by_pair[(k, base)][m]
-                              for k in range(args.pairs)) for m in METRICS}
+                              for k in range(args.pairs)) for m in metrics}
+    if desk:
+        study = {"n": sizes.desk_n, "p": sizes.desk_p, "k": sizes.desk_k, "replicate": 0,
+                 "data_seed": workloads.DESK_DATA_SEED, "trait_seed": workloads.DESK_TRAIT_SEED,
+                 "methods": list(workloads.METHODS),
+                 "refinement_trigger": workloads.REFINEMENT_TRIGGER}
+    else:
+        study = {"n": sizes.panel_n, "p": sizes.panel_p,
+                 "missing_columns": sizes.panel_missing_cols,
+                 "missing_rate": sizes.panel_missing_rate,
+                 "impute_window": WINDOW, "impute_predictors": PREDICTORS,
+                 "cluster_threshold": THRESHOLD, "cluster_window": CLUSTER_WINDOW}
     report = {
         "benchmark": "benchmarks/bench_pipeline.py",
-        "workload": "panel",
-        "sizes": {"n": workloads.FULL.panel_n, "p": workloads.FULL.panel_p,
-                  "missing_columns": workloads.FULL.panel_missing_cols,
-                  "missing_rate": workloads.FULL.panel_missing_rate,
-                  "impute_window": WINDOW, "impute_predictors": PREDICTORS,
-                  "cluster_threshold": THRESHOLD, "cluster_window": CLUSTER_WINDOW},
+        "workload": args.workload,
+        "sizes": study,
         "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
         "cpus": os.cpu_count(),
         "python": sys.version.split()[0],
         "sources": {label: revision(src) for label, src in sources.items()},
         "base": base,
         "pairs": args.pairs,
-        "seeds": args.seeds,
+        "seeds": None if desk else args.seeds,
         "summary": summary,
         "pairs_won_vs_base": wins,
         "runs": runs,

@@ -51,7 +51,6 @@ class ScanEngine:
         if dataset.genotypes.missing_mask.any():
             raise ValueError("scan requires complete genotypes; impute first")
         self.dataset = dataset
-        X = dataset.float_values
         n = dataset.n_individuals
         base = [np.ones(n)]
         if dataset.covariates is not None:
@@ -59,15 +58,28 @@ class ScanEngine:
         B = np.column_stack(base)
         self.Q0, _ = np.linalg.qr(B)
         self.m0 = self.Q0.shape[1]
-        # residual norms of the columns after base projection, computed from
-        # the explicitly projected block to avoid catastrophic cancellation
-        xnorm2 = np.einsum("ij,ij->j", X, X)
-        self.s = np.empty(dataset.n_snps)
-        for start in range(0, dataset.n_snps, 4096):
-            block = X[:, start : start + 4096]
-            z = self.Q0 @ (self.Q0.T @ block)
-            np.subtract(block, z, out=z)  # one n x 4096 temporary, not two
-            self.s[start : start + 4096] = np.einsum("ij,ij->j", z, z)
+        # s = squared norm of each column's residual after base projection
+        if dataset.covariates is None:
+            # Intercept alone: s = (n·Σx² - (Σx)²)/n.  On -1/0/1 codes Σx² is
+            # the count of nonzero calls and both numerator terms are exact
+            # integers, so s is rounded once and nothing cancels.  Column
+            # sums of n calls fit int32 (twice as fast to accumulate as int64).
+            V = dataset.genotypes.values
+            xnorm2 = (V != 0).sum(axis=0, dtype=np.int32).astype(np.int64)
+            sm = V.sum(axis=0, dtype=np.int32).astype(np.int64)
+            self.s = (n * xnorm2 - sm * sm) / n
+        else:
+            # xnorm2 - ‖Qᵀx‖² would cancel for a column inside the covariate
+            # span (s ≈ 1e-16·xnorm2, no degenerate flag), so project the
+            # columns explicitly.
+            X = dataset.float_values
+            xnorm2 = np.einsum("ij,ij->j", X, X)
+            self.s = np.empty(dataset.n_snps)
+            for start in range(0, dataset.n_snps, 4096):
+                block = X[:, start : start + 4096]
+                z = self.Q0 @ (self.Q0.T @ block)
+                np.subtract(block, z, out=z)  # one n x 4096 temporary, not two
+                self.s[start : start + 4096] = np.einsum("ij,ij->j", z, z)
         self.degenerate = self.s <= (tol * tol) * np.maximum(xnorm2, 1e-300)
         self.df2 = n - self.m0 - 1
         if self.df2 < 1:

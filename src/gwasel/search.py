@@ -434,6 +434,14 @@ def _subset_bounds(ws: FitWorkspace, max_size: int, ev: _CriterionEval) -> np.nd
     return np.array([ev.value(rss + lam * smallest[k - q], q) for q in range(max_size + 1)])
 
 
+def _checked_extras(dataset: Dataset, extra_candidates) -> set[int]:
+    extras = {int(e) for e in extra_candidates}
+    for e in sorted(extras):
+        if not 0 <= e < dataset.n_snps:
+            raise ValueError(f"extra candidate {e} is outside [0, {dataset.n_snps})")
+    return extras
+
+
 def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
                    config: SearchConfig, _trace: SearchTrace | None = None,
                    _ws: FitWorkspace | None = None) -> ModelSpec:
@@ -452,11 +460,7 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
     trace = _trace if _trace is not None else SearchTrace()
     stats = trace.stats
     forced = model.forced_indices
-    extras = {int(e) for e in extra_candidates}
-    for e in sorted(extras):
-        if not 0 <= e < dataset.n_snps:
-            raise ValueError(f"extra candidate {e} is outside [0, {dataset.n_snps})")
-    extras = sorted(extras - set(model.snp_indices))
+    extras = sorted(_checked_extras(dataset, extra_candidates) - set(model.snp_indices))
     n_combined = model.size + len(extras)
     ws = _ws if _ws is not None else workspace_for(dataset, model)
     ev = _CriterionEval(config.criterion, ws.rss_base)
@@ -566,7 +570,8 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
     ``screen_threshold`` and ``max_forward_size``, to start from instead of
     building one; the search runs on a copy of its workspace and leaves it
     unchanged.  One workspace carries the search from backward through
-    refinement to the returned fit.
+    refinement to the returned fit.  An extra candidate outside [0, p) raises
+    ``ValueError`` before any stage runs.
     """
     if dataset.trait is None:
         raise ValueError("dataset has no trait")
@@ -575,6 +580,7 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
             f"criterion config has n={config.criterion.n} but dataset has "
             f"{dataset.n_individuals} individuals"
         )
+    extras = _checked_extras(dataset, extra_candidates)
     if _state is None:
         state = forward_stage(dataset, config, scan)
         ws = state.ws
@@ -594,5 +600,5 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
     _stepwise(ws, state.candidates, state.cols, state.norm2, config, ev, trace)
 
     found = ws.model()
-    model = refine_subsets(dataset, found, extra_candidates, config, _trace=trace, _ws=ws)
+    model = refine_subsets(dataset, found, extras, config, _trace=trace, _ws=ws)
     return model, ws.result() if model == found else fit(dataset, model), trace

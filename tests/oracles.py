@@ -3,6 +3,7 @@
 import numpy as np
 
 from gwasel.errors import CollinearityError
+from gwasel.regress import RANK_TOL
 from gwasel.search import SearchTrace, _best_drop, _downdate, _gate, _max_snps, _project
 
 
@@ -22,6 +23,25 @@ def lstsq_rss(dataset, snps, forced=()):
     beta, *_ = np.linalg.lstsq(D, dataset.trait, rcond=None)
     r = dataset.trait - D @ beta
     return float(r @ r), beta
+
+
+def projected_residual_norms(dataset, Q0, tol=RANK_TOL):
+    """(s, degenerate) of every column by explicit projection against the base.
+
+    Each 4096-column block of the float panel is projected against the
+    orthonormal base ``Q0`` and s is the squared norm of what is left: the
+    reference for ``ScanEngine``, which projects this way only when there
+    are covariates and takes s from integer column counts otherwise.
+    """
+    X = dataset.float_values
+    xnorm2 = np.einsum("ij,ij->j", X, X)
+    s = np.empty(dataset.n_snps)
+    for start in range(0, dataset.n_snps, 4096):
+        block = X[:, start : start + 4096]
+        z = Q0 @ (Q0.T @ block)
+        np.subtract(block, z, out=z)
+        s[start : start + 4096] = np.einsum("ij,ij->j", z, z)
+    return s, s <= (tol * tol) * np.maximum(xnorm2, 1e-300)
 
 
 def backward_by_drops(ws, ev, trace: SearchTrace, stage: str = "backward"):

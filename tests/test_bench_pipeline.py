@@ -1,0 +1,36 @@
+"""A toy pair through ``benchmarks/bench_pipeline.py`` writes every metric."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+KEYS = {
+    "panel": {"load_s", "impute_s", "cluster_s", "scan_s", "output_s", "end_to_end_s",
+              "peak_rss_mb"},
+    "desk": {"engine_build_s", "scan_s", "forward_s", "select_s", "study_s", "peak_rss_mb"},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(KEYS))
+def test_toy_pair_reports_every_layer(tmp_path, workload):
+    out = tmp_path / "bench.json"
+    src = str(ROOT / "src")
+    cmd = [sys.executable, str(ROOT / "benchmarks" / "bench_pipeline.py"), "--toy",
+           "--workload", workload, "--pairs", "1", "--src", f"a={src}", "--src", f"b={src}",
+           "--out", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(out.read_text())
+    assert report["workload"] == workload
+    assert [(r["label"], r["pair"]) for r in report["runs"]] == [("a", 0), ("b", 0)]
+    for run in report["runs"]:
+        assert set(run) == KEYS[workload] | {"label", "pair", "seed"}
+        assert all(np.isfinite(run[k]) and run[k] > 0 for k in KEYS[workload])
+    assert set(report["summary"]["a"]) == KEYS[workload]
+    assert set(report["pairs_won_vs_base"]["b"]) == KEYS[workload]
+    assert set(report["blas_threads"].values()) == {"1"}

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import kstest
+from scipy.stats import kstest, linregress
 
 from gwasel.mtest import (
+    ScanEngine,
     ScanResult,
     benjamini_hochberg,
     bonferroni,
@@ -13,6 +16,7 @@ from gwasel.mtest import (
 from gwasel.regress import ModelSpec, fit
 
 from conftest import dataset_from_values, random_genotypes
+from oracles import projected_residual_norms
 
 
 def scan_of(p_values):
@@ -153,8 +157,6 @@ def test_null_fwer_bonferroni():
     rng = np.random.default_rng(9)
     values = random_genotypes(rng, 60, 200)
     ds = dataset_from_values(values, trait=np.zeros(60))
-    from gwasel.mtest import ScanEngine
-
     engine = ScanEngine(ds)
     hits = 0
     reps = 1000
@@ -193,3 +195,80 @@ def test_engine_residual_norms_match_two_temporary_projection():
         want[start : start + 4096] = np.einsum("ij,ij->j", z, z)
     assert engine.m0 == 3
     assert np.array_equal(engine.s, want)
+
+
+# ---------------------------------------------------------------------------
+# the intercept-only engine against the explicit projection
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scan_panels(draw):
+    """int8 panels mixing random, constant, single-minor-call and duplicated
+    columns, with a seed for the trait."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "constant", "single", "duplicate"]),
+                          min_size=1, max_size=12))
+    cols = []
+    for kind in kinds:
+        if kind == "duplicate" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))].copy())
+            continue
+        if kind == "random":
+            col = random_genotypes(rng, n, 1)[:, 0]
+        else:
+            col = np.full(n, draw(st.sampled_from([-1, 0, 1])), dtype=np.int8)
+            if kind == "single":
+                col[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, 0, 1]))
+        cols.append(col)
+    return np.column_stack(cols).astype(np.int8), int(rng.integers(2**32))
+
+
+def check_engine_against_oracle(values, trait_seed):
+    n = values.shape[0]
+    ds = dataset_from_values(values, trait=np.random.default_rng(trait_seed).normal(size=n))
+    if n < 3:
+        with pytest.raises(ValueError, match="too few observations"):
+            ScanEngine(ds)
+        return
+    engine = ScanEngine(ds)
+    want_s, want_degenerate = projected_residual_norms(ds, engine.Q0)
+    assert np.array_equal(engine.degenerate, want_degenerate)
+    codes = values.astype(np.int64)
+    sx2 = (codes * codes).sum(axis=0).tolist()
+    sx = codes.sum(axis=0).tolist()
+    exact = [float(Fraction(n * a - b * b, n)) for a, b in zip(sx2, sx)]
+    assert engine.s.tolist() == exact
+    assert np.all(np.abs(engine.s - want_s) <= 1e-12 * np.array(sx2))
+    scan = engine.scan(ds.trait)
+    assert np.all(scan.p_values[engine.degenerate] == 1.0)
+    for j in np.flatnonzero(~engine.degenerate):
+        want_p = linregress(ds.float_values[:, j], ds.trait).pvalue
+        assert scan.p_values[j] == pytest.approx(want_p, rel=1e-9, abs=0.0)
+
+
+@given(scan_panels())
+@settings(max_examples=200, deadline=None)
+def test_engine_closed_form_matches_projection_oracle(panel):
+    check_engine_against_oracle(*panel)
+
+
+def test_engine_closed_form_matches_projection_oracle_past_one_block():
+    # 4097 columns: the oracle projects two blocks, the second of one column
+    rng = np.random.default_rng(11)
+    n = 30
+    values = random_genotypes(rng, n, 4097)
+    values[:, 7] = 1
+    values[:, 4096] = 0
+    values[:, 100] = -1
+    values[5, 100] = 0  # a single minor call
+    values[:, 2000] = values[:, 3]
+    check_engine_against_oracle(values, 12)
+
+
+def test_engine_without_covariates_leaves_float_copy_unbuilt():
+    rng = np.random.default_rng(13)
+    ds = dataset_from_values(random_genotypes(rng, 50, 300), trait=rng.normal(size=50))
+    ScanEngine(ds)
+    assert "float_values" not in ds.__dict__

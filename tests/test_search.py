@@ -523,6 +523,21 @@ def test_refine_refuses_extras_outside_the_panel(extra, trigger):
         refine_subsets(dsy, ModelSpec((3,)), (extra, 17), cfg)
 
 
+@pytest.mark.parametrize("extra", [-1, 30])
+def test_select_refuses_extras_outside_the_panel_before_any_stage(extra, monkeypatch):
+    ds = synthetic_dataset(200, 30, seed=52)
+    sim = SimulationConfig((3, 17), (1.0, 0.8), sigma=1.0, seed=53)
+    dsy = ds.with_trait(simulate_trait(ds, sim, 0))
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a search stage ran before the extra candidates were checked")
+
+    monkeypatch.setattr(gwasel.search, "single_marker_scan", must_not_run)
+    monkeypatch.setattr(gwasel.search, "forward_stage", must_not_run)
+    with pytest.raises(ValueError, match=rf"extra candidate {extra} is outside \[0, 30\)"):
+        select_model(dsy, make_config("mbic2", dsy), extra_candidates=(17, extra))
+
+
 def test_refine_budget_error():
     rng = np.random.default_rng(18)
     values = random_genotypes(rng, 60, 30)
