@@ -6,19 +6,19 @@ Three kernels dominate runtime on large panels:
 * ``leader_cluster`` -- greedy windowed correlation clustering
 * ``best_subset``    -- depth-first exhaustive subset scoring
 
-They run ``_impute_fill_grouped``, ``_leader_cluster_blocked`` and
-``_best_subset_qr``.  The per-column and per-subset kernels these
-replaced, ``_impute_fill_numpy``, ``_leader_cluster_numpy`` and
+The per-column and per-subset kernels these replaced,
+``_impute_fill_numpy``, ``_leader_cluster_numpy`` and
 ``_best_subset_numpy``, run only in the tests: they live in
 ``tests/oracles.py``, and ``tests/test_kernels.py`` checks each kernel
-against its reference.  ``_impute_fill_grouped`` gives the same
-integers as its reference on every input.  ``_leader_cluster_blocked``
-does too, except where a correlation lies within rounding (~1e-12) of the
-threshold: a matrix product and a matrix-vector product may round it to
-opposite sides.  ``_best_subset_qr`` gives the same subset count as its
-reference, and the same subset unless two subsets span the same column
-space (duplicated or linearly dependent columns): their values then tie
-exactly and rounding picks one.
+against its reference.  ``impute_fill`` gives the same integers as its
+reference on every input.  ``leader_cluster`` does too, except where a
+correlation lies within rounding (~1e-12) of the threshold: a matrix
+product and a matrix-vector product may round it to opposite sides.
+``best_subset`` gives the same subset count as its reference, and the same
+subset unless two subsets span the same column space (duplicated or
+linearly dependent columns): their values then tie exactly and rounding
+picks one.  ``best_subset`` takes the collinearity gate and the criterion
+from its caller, so the search and the kernel share one of each.
 """
 from __future__ import annotations
 
@@ -32,7 +32,13 @@ _CLUSTER_BLOCK = 128  # columns correlated per product in leader clustering
 # ---------------------------------------------------------------------------
 
 
-def _impute_fill_grouped(values, observed, window, n_predictors):
+def impute_fill(values, observed, window, n_predictors):
+    """Fill missing genotype codes; returns (filled, failed_column or -1).
+
+    ``values`` holds the int8 codes and ``observed`` is True at observed
+    calls.  All imputed values are computed from the original observed
+    entries, so the result does not depend on column visiting order.
+    """
     # Same imputations as _impute_fill_numpy.  The pairwise-complete sums of
     # up to _IMPUTE_CHUNK target columns t against the columns c of the span
     # of their windows come from one matrix product, sxy = Y'X, with Y and
@@ -128,17 +134,6 @@ def _impute_column(out, values, observed, j, rows, ranked, n_predictors):
         out[members, j] = np.where(counts.any(axis=1), counts.argmax(axis=1) - 1, majority)
 
 
-def impute_fill(values, observed, window, n_predictors):
-    """Fill missing genotype codes; returns (filled, failed_column or -1).
-
-    All imputed values are computed from the original observed entries, so
-    the result does not depend on column visiting order.
-    """
-    values = np.ascontiguousarray(values, dtype=np.int8)
-    observed = np.ascontiguousarray(observed, dtype=np.bool_)
-    return _impute_fill_grouped(values, observed, window, n_predictors)
-
-
 # ---------------------------------------------------------------------------
 # greedy leader clustering
 # ---------------------------------------------------------------------------
@@ -153,7 +148,16 @@ def _normalise(block):
     return normed, degenerate
 
 
-def _leader_cluster_blocked(x, threshold, window):
+def leader_cluster(x, threshold, window):
+    """Greedy file-order leader clustering on complete genotype columns.
+
+    A column joins the earliest-founded cluster whose representative lies
+    within ``window`` file positions and correlates above ``threshold`` in
+    absolute value; otherwise it founds a new cluster.  ``x`` may hold the
+    int8 codes: one block of columns at a time is converted to float64.
+    ``threshold`` must be >= 0; zero-variance columns found singletons.
+    Returns ``(cluster_id, representatives, degenerate)``.
+    """
     # Same clusters as _leader_cluster_numpy, a block of columns at a time.
     # One matrix product correlates the block with every representative
     # founded before it and still in reach; representatives are founded in
@@ -195,29 +199,24 @@ def _leader_cluster_blocked(x, threshold, window):
     return cluster_id, np.asarray(reps, dtype=np.int64), degenerate
 
 
-def leader_cluster(x, threshold, window):
-    """Greedy file-order leader clustering on complete genotype columns.
-
-    A column joins the earliest-founded cluster whose representative lies
-    within ``window`` file positions and correlates above ``threshold`` in
-    absolute value; otherwise it founds a new cluster.  ``x`` may hold the
-    int8 codes: one block of columns at a time is converted to float64.
-    ``threshold`` must be >= 0; zero-variance columns found singletons.
-    """
-    return _leader_cluster_blocked(x, threshold, window)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive subset scoring
 # ---------------------------------------------------------------------------
 
-# Kernel-internal criterion: value(S) = base(rss_S) + pen[|S|] where
-# base is n*log(max(rss, floor)) in log mode or rss/sigma2 otherwise.
-# Best subset is tracked under (value, size, lexicographic indices).
 
+def best_subset(z, y_resid, rss0, gate, max_size, values):
+    """Score every subset of the columns of ``z`` up to ``max_size``.
 
-def _best_subset_qr(z, y_resid, rss0, orig_norm2, pen, max_size,
-                    log_mode, n_obs, sigma2, floor, tol2):
+    ``z`` and ``y_resid`` must already be orthogonal to the forced part of
+    the design (intercept and covariates), so a subset's RSS is
+    ``rss0 - ||proj||^2``.  A branch is skipped as collinear where the
+    squared residual norm of its last column is at or below ``gate`` of
+    that column.  ``values(rss, size)`` is the criterion of an array of
+    RSS values at one subset size.  Returns ``(best_value,
+    best_column_indices, n_subsets_evaluated)`` with ties broken toward
+    smaller, then lexicographically smaller, subsets.  The empty subset is
+    always scored.
+    """
     # Same search, counts and tie order as _best_subset_numpy, on the
     # coordinates of z in its own QR basis (s x s instead of n x s).  A node
     # of the depth-first walk holds the residualised block of the columns
@@ -227,12 +226,6 @@ def _best_subset_qr(z, y_resid, rss0, orig_norm2, pen, max_size,
     # the child's direction projected out twice; a node one level above the
     # leaves scores all of its grandchildren in one step.
     s = z.shape[1]
-
-    def values(rss, size):
-        if log_mode:
-            return n_obs * np.log(np.maximum(rss, floor)) + pen[size]
-        return rss / sigma2 + pen[size]
-
     best_val = float(values(rss0, 0))
     best_idx: list[int] = []
     n_eval = 1
@@ -241,7 +234,6 @@ def _best_subset_qr(z, y_resid, rss0, orig_norm2, pen, max_size,
 
     q, r = np.linalg.qr(z)
     c = q.T @ y_resid
-    thresh = tol2 * orig_norm2
     chosen: list[int] = []
 
     def score(blocks, start, first, rss, size, prefixes):
@@ -250,7 +242,7 @@ def _best_subset_qr(z, y_resid, rss0, orig_norm2, pen, max_size,
         # lexicographic order, so the first minimum is the tie winner
         nonlocal best_val, best_idx, n_eval
         piv = np.einsum("akj,akj->aj", blocks, blocks)
-        ok = piv > thresh[start:]  # collinear branches are skipped
+        ok = piv > gate[start:]  # collinear branches are skipped
         ok[np.arange(piv.shape[1]) < first[:, None]] = False
         root = np.sqrt(np.where(ok, piv, 1.0))
         ty = (c @ blocks) / root
@@ -292,22 +284,3 @@ def _best_subset_qr(z, y_resid, rss0, orig_norm2, pen, max_size,
     descend(r, 0, rss0)
     return best_val, np.asarray(best_idx, dtype=np.int64), n_eval
 
-
-def best_subset(z, y_resid, rss0, orig_norm2, pen, max_size, *,
-                log_mode, n_obs, sigma2, floor, tol):
-    """Score every subset of the columns of ``z`` up to ``max_size``.
-
-    ``z`` and ``y_resid`` must already be orthogonal to the forced part of
-    the design (intercept and covariates), so a subset's RSS is
-    ``rss0 - ||proj||^2``.  Returns ``(best_value, best_column_indices,
-    n_subsets_evaluated)`` with ties broken toward smaller, then
-    lexicographically smaller, subsets.  The empty subset is always scored.
-    """
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    y_resid = np.ascontiguousarray(y_resid, dtype=np.float64)
-    orig_norm2 = np.ascontiguousarray(orig_norm2, dtype=np.float64)
-    pen = np.ascontiguousarray(pen, dtype=np.float64)
-    max_size = int(min(max_size, z.shape[1]))
-    return _best_subset_qr(z, y_resid, float(rss0), orig_norm2, pen, max_size,
-                           bool(log_mode), float(n_obs), float(sigma2), float(floor),
-                           float(tol) ** 2)

@@ -342,14 +342,24 @@ def _method_kinds(text: str) -> list[str]:
     return kinds
 
 
-def _unit_threshold(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1]")
-    return value
+def _number(expected: str, check):
+    """argparse type of a float that ``check`` accepts (NaN never is)."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isnan(value) or not check(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {expected}")
+        return value
+
+    return parse
+
+
+_unit_threshold = _number("a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_finite = _number("a finite number", math.isfinite)
+_unit_interval = _number("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_open_unit = _number("a number in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
@@ -368,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--trait", required=True)
     scan.add_argument("--covariates")
     scan.add_argument("--meta")
-    scan.add_argument("--alpha", type=float, default=0.05)
-    scan.add_argument("--p-effective", type=int, default=None, dest="p_effective")
+    scan.add_argument("--alpha", type=_open_unit, default=0.05)
+    scan.add_argument("--p-effective", type=_positive_int, default=None, dest="p_effective")
     scan.add_argument("--out", required=True)
     scan.set_defaults(func=cmd_scan)
 
@@ -380,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--meta")
     select.add_argument("--criterion", choices=("bic", "mbic", "mbic2", "ebic"),
                         default="mbic2")
-    select.add_argument("--d", type=float, default=DEFAULT_D)
-    select.add_argument("--kappa", type=float, default=0.0)
-    select.add_argument("--p-effective", type=int, default=None, dest="p_effective")
-    select.add_argument("--screen", type=float, default=0.15)
-    select.add_argument("--max-forward", type=int, default=140, dest="max_forward")
+    select.add_argument("--d", type=_finite, default=DEFAULT_D)
+    select.add_argument("--kappa", type=_unit_interval, default=0.0)
+    select.add_argument("--p-effective", type=_positive_int, default=None, dest="p_effective")
+    select.add_argument("--screen", type=_unit_threshold, default=0.15)
+    select.add_argument("--max-forward", type=_positive_int, default=140, dest="max_forward")
     select.add_argument("--refine-extras", dest="refine_extras")
     select.add_argument("--out", required=True)
     select.set_defaults(func=cmd_select)

@@ -83,7 +83,3 @@ def evaluate(config: CriterionConfig, rss: float, q: int) -> float:
         base = rss / config.sigma**2
     return base + penalty(config, q)
 
-
-def per_snp_penalty(config: CriterionConfig) -> float:
-    """Penalty added per selected SNP at q=1 (equals mBIC's constant rate)."""
-    return penalty(config, 1)

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import betainc
 
 from gwasel.genotype import Dataset
-from gwasel.regress import RANK_TOL
+from gwasel.regress import _gate
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -47,7 +47,7 @@ class ScanEngine:
     traits only cost one matrix-vector product each.
     """
 
-    def __init__(self, dataset: Dataset, tol: float = RANK_TOL):
+    def __init__(self, dataset: Dataset):
         if dataset.genotypes.missing_mask.any():
             raise ValueError("scan requires complete genotypes; impute first")
         self.dataset = dataset
@@ -80,7 +80,7 @@ class ScanEngine:
                 z = self.Q0 @ (self.Q0.T @ block)
                 np.subtract(block, z, out=z)  # one n x 4096 temporary, not two
                 self.s[start : start + 4096] = np.einsum("ij,ij->j", z, z)
-        self.degenerate = self.s <= (tol * tol) * np.maximum(xnorm2, 1e-300)
+        self.degenerate = self.s <= _gate(xnorm2)
         self.df2 = n - self.m0 - 1
         if self.df2 < 1:
             raise ValueError("too few observations for a single-marker scan")

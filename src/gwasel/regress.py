@@ -30,6 +30,13 @@ from gwasel.genotype import Dataset
 RANK_TOL = 1e-10  # column is collinear when its residual norm falls below tol * original
 
 
+def _gate(norm2: np.ndarray) -> np.ndarray:
+    """Collinearity gate on squared norms: a column whose squared residual
+    norm s is at or below this, for original squared norm ``norm2``, is
+    collinear with the columns it was projected off."""
+    return RANK_TOL * RANK_TOL * np.maximum(norm2, 1e-300)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Selected SNP columns plus always-included covariate columns."""
@@ -109,17 +116,22 @@ class FitWorkspace:
     from one triangular solve, from which the search scores every SNP;
     :meth:`rss_if_dropped` computes one drop by Givens rotations and serves
     as its reference.
+
+    A pushed column is refused as collinear (``CollinearityError``) when its
+    residual norm is at or below ``RANK_TOL`` times its own norm.  The scan,
+    the search stages and the subset kernel hold squared norms and test them
+    against :func:`_gate`, the squared form of the same rule; the workspace
+    keeps the unsquared test, since the two forms may round apart at the
+    boundary.
     """
 
-    def __init__(self, dataset: Dataset, forced_indices: tuple[int, ...] = (),
-                 trait: np.ndarray | None = None, tol: float = RANK_TOL):
-        y = dataset.trait if trait is None else np.asarray(trait, dtype=np.float64)
+    def __init__(self, dataset: Dataset, forced_indices: tuple[int, ...] = ()):
+        y = dataset.trait
         if y is None:
             raise ValueError("dataset has no trait")
         self.dataset = dataset
         self.X = dataset.float_values
         self.y = y
-        self.tol = tol
         self.forced_indices = tuple(int(j) for j in forced_indices)
         n = y.shape[0]
         cap = max(8, 2 + len(self.forced_indices))
@@ -196,7 +208,7 @@ class FitWorkspace:
                 v -= self._Q[:, :m] @ g
                 h += g
         nrm = float(np.sqrt(v @ v))
-        if nrm <= self.tol * max(orig, 1e-300):
+        if nrm <= RANK_TOL * max(orig, 1e-300):
             raise CollinearityError(label)
         u = v / nrm
         self._Q[:, m] = u
@@ -283,10 +295,7 @@ class FitWorkspace:
 
     def coefficients(self) -> np.ndarray:
         m = self._m
-        beta = np.zeros(m)
-        for i in range(m - 1, -1, -1):
-            beta[i] = (self._qty[i] - self._R[i, i + 1 : m] @ beta[i + 1 : m]) / self._R[i, i]
-        return beta
+        return solve_triangular(self._R[:m, :m], self._qty[:m])
 
     def result(self) -> FitResult:
         n = self.n

@@ -11,7 +11,8 @@ Every stage scores moves with the same two updates.  Adding a candidate x
 lowers the RSS by t^2/s, with s and t from projecting x off the model basis
 (``_project``) and downdated by each basis vector added later
 (``_downdate``); x is skipped as collinear while s is at or below
-``_gate``.  Dropping a model SNP raises the RSS by beta_j^2 / S_jj, with S
+``regress._gate``, the gate the scan and the subset kernel also use.
+Dropping a model SNP raises the RSS by beta_j^2 / S_jj, with S
 and beta from ``FitWorkspace.inverse_gram`` (``_drop_rss``).  Forward
 projects a block of ``FORWARD_BLOCK`` candidates at a time and an add
 downdates only the rest of its block; backward sweeps S from one inversion
@@ -43,10 +44,10 @@ from gwasel.errors import BudgetError, CollinearityError
 from gwasel.genotype import Dataset
 from gwasel.mtest import ScanResult, single_marker_scan
 from gwasel.regress import (
-    RANK_TOL,
     FitResult,
     FitWorkspace,
     ModelSpec,
+    _gate,
     fit,
     workspace_for,
 )
@@ -148,9 +149,6 @@ class _CriterionEval:
             self._pens.append(penalty(self.config, len(self._pens)))
         return self._pens[q]
 
-    def pens_array(self, q_max: int) -> np.ndarray:
-        return np.asarray([self.pen(q) for q in range(q_max + 1)], dtype=np.float64)
-
     def value(self, rss: float, q: int) -> float:
         if self.log_mode:
             return self.n * math.log(max(rss, self.floor)) + self.pen(q)
@@ -189,11 +187,6 @@ def _downdate(cols: np.ndarray, s: np.ndarray, t: np.ndarray, u: np.ndarray, d: 
     c = cols.T @ u
     np.maximum(s - c * c, 0.0, out=s)
     t -= c * d
-
-
-def _gate(norm2: np.ndarray) -> np.ndarray:
-    """Collinearity gate: a candidate is addable only while s exceeds this."""
-    return RANK_TOL * RANK_TOL * np.maximum(norm2, 1e-300)
 
 
 def _drop_rss(rss: float, S: np.ndarray, beta: np.ndarray, base: int) -> np.ndarray:
@@ -397,20 +390,8 @@ def _enumerate_best(ws: FitWorkspace, columns: list[int], max_size: int,
     z = sub - Q @ (Q.T @ sub)
     orig_norm2 = np.einsum("ij,ij->j", sub, sub)
     max_size = min(max_size, _max_snps(ws), cols.size)
-    pens = ev.pens_array(max(max_size, 0))
     val, local_idx, n_eval = _kernels.best_subset(
-        z,
-        ws.base_residual,
-        ws.rss_base,
-        orig_norm2,
-        pens,
-        max_size,
-        log_mode=ev.log_mode,
-        n_obs=ev.n,
-        sigma2=ev.sigma2,
-        floor=ev.floor,
-        tol=RANK_TOL,
-    )
+        z, ws.base_residual, ws.rss_base, _gate(orig_norm2), max_size, ev.value_array)
     subset = tuple(int(cols[i]) for i in local_idx)
     return float(val), subset, n_eval
 

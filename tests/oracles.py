@@ -3,8 +3,8 @@
 import numpy as np
 
 from gwasel.errors import CollinearityError
-from gwasel.regress import RANK_TOL
-from gwasel.search import SearchTrace, _best_drop, _downdate, _gate, _max_snps, _project
+from gwasel.regress import _gate
+from gwasel.search import SearchTrace, _best_drop, _downdate, _max_snps, _project
 
 
 def lstsq_design(dataset, snps, forced=()):
@@ -25,7 +25,7 @@ def lstsq_rss(dataset, snps, forced=()):
     return float(r @ r), beta
 
 
-def projected_residual_norms(dataset, Q0, tol=RANK_TOL):
+def projected_residual_norms(dataset, Q0):
     """(s, degenerate) of every column by explicit projection against the base.
 
     Each 4096-column block of the float panel is projected against the
@@ -41,7 +41,7 @@ def projected_residual_norms(dataset, Q0, tol=RANK_TOL):
         z = Q0 @ (Q0.T @ block)
         np.subtract(block, z, out=z)
         s[start : start + 4096] = np.einsum("ij,ij->j", z, z)
-    return s, s <= (tol * tol) * np.maximum(xnorm2, 1e-300)
+    return s, s <= _gate(xnorm2)
 
 
 def backward_by_drops(ws, ev, trace: SearchTrace, stage: str = "backward"):
@@ -191,16 +191,9 @@ def _leader_cluster_numpy(x, threshold, window):
 
 
 
-def _best_subset_numpy(z, y_resid, rss0, orig_norm2, pen, max_size,
-                       log_mode, n_obs, sigma2, floor, tol2):
+def _best_subset_numpy(z, y_resid, rss0, gate, max_size, values):
     n, s = z.shape
-
-    def value(rss, size):
-        if log_mode:
-            return n_obs * np.log(max(rss, floor)) + pen[size]
-        return rss / sigma2 + pen[size]
-
-    best = [value(rss0, 0), 0, np.empty(0, np.int64)]
+    best = [values(rss0, 0), 0, np.empty(0, np.int64)]
     n_eval = 1
     basis = np.empty((n, max_size))
     chosen = np.empty(max_size, np.int64)
@@ -225,14 +218,14 @@ def _best_subset_numpy(z, y_resid, rss0, orig_norm2, pen, max_size,
                 if depth:
                     work -= basis[:, :depth] @ (basis[:, :depth].T @ work)
             nrm2 = float(work @ work)
-            if nrm2 <= tol2 * orig_norm2[t]:
+            if nrm2 <= gate[t]:
                 continue
             u = work / np.sqrt(nrm2)
             ty = float(u @ y_resid)
             rss_new = max(rss - ty * ty, 0.0)
             basis[:, depth] = u
             chosen[depth] = t
-            consider(value(rss_new, depth + 1), depth + 1)
+            consider(values(rss_new, depth + 1), depth + 1)
             if depth + 1 < max_size:
                 descend(depth + 1, t + 1, rss_new)
 

@@ -1,6 +1,8 @@
-"""A toy pair through ``benchmarks/bench_pipeline.py`` writes every metric."""
+"""Toy runs of the `benchmarks/` scripts: `bench_pipeline.py` writes every
+metric and `desk_identity.py` prints stable digests."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +36,15 @@ def test_toy_pair_reports_every_layer(tmp_path, workload):
     assert set(report["summary"]["a"]) == KEYS[workload]
     assert set(report["pairs_won_vs_base"]["b"]) == KEYS[workload]
     assert set(report["blas_threads"].values()) == {"1"}
+
+
+def test_desk_identity_toy_prints_stable_digests():
+    cmd = [sys.executable, str(ROOT / "benchmarks" / "desk_identity.py"), "--toy"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, timeout=300) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    selects, detections = runs[0].stdout.splitlines()
+    # 2 replicates x the mBIC and mBIC2 searches
+    assert re.fullmatch(r"selects 4 [0-9a-f]{64}", selects)
+    assert re.fullmatch(r"detections [0-9a-f]{64}", detections)
+    assert runs[1].stdout == runs[0].stdout

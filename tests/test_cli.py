@@ -270,6 +270,28 @@ def test_impute_and_cluster_bad_flag_exits_2(tmp_path, capsys, command, flags, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("scan", ["--p-effective", "0"],
+     "argument --p-effective: must be a positive integer, got '0'"),
+    ("scan", ["--alpha", "0"], "argument --alpha: '0' is not a number in (0, 1)"),
+    ("select", ["--p-effective", "0"],
+     "argument --p-effective: must be a positive integer, got '0'"),
+    ("select", ["--d", "nan"], "argument --d: 'nan' is not a finite number"),
+    ("select", ["--screen", "0"], "argument --screen: '0' is not a number in (0, 1]"),
+    ("select", ["--max-forward", "0"],
+     "argument --max-forward: must be a positive integer, got '0'"),
+    ("select", ["--kappa", "2"], "argument --kappa: '2' is not a number in [0, 1]"),
+])
+def test_scan_and_select_bad_flag_exits_2(tmp_path, capsys, command, flags, message):
+    g, t = write_fixture(tmp_path, n=20, p=5)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--genotypes", str(g), "--trait", str(t), "--out", str(out)] + flags)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_temp_files_left_behind(tmp_path):
     g, t = write_fixture(tmp_path)
     out = tmp_path / "o"

@@ -3,7 +3,6 @@ replaced, which stay as their references in ``oracles.py``, and the subset
 kernel against a direct itertools + lstsq enumeration."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gwasel import _kernels
 from gwasel.cluster import cluster_snps
 from gwasel.genotype import impute_missing
+from gwasel.regress import _gate
 
 from conftest import dataset_from_values
 from oracles import _best_subset_numpy, _impute_fill_numpy, _leader_cluster_numpy
@@ -24,6 +24,16 @@ def subset_rss(z, y, subset):
     beta, *_ = np.linalg.lstsq(cols, y, rcond=None)
     r = y - cols @ beta
     return float(r @ r)
+
+
+def criterion(pen, log_mode, n_obs, sigma2=1.7, floor=1e-12):
+    """``values(rss, size)`` of the subset kernels: n*log(rss) or rss/sigma2, plus pen[size]."""
+    def values(rss, size):
+        if log_mode:
+            return n_obs * np.log(np.maximum(rss, floor)) + pen[size]
+        return rss / sigma2 + pen[size]
+
+    return values
 
 
 def subset_inputs(seed, s, cap, columns, log_mode):
@@ -41,8 +51,8 @@ def subset_inputs(seed, s, cap, columns, log_mode):
     y -= y.mean()
     orig_norm2 = np.einsum("ij,ij->j", z, z) * rng.uniform(1.0, 2.0)
     pen = np.arange(s + 1) * rng.uniform(0.5, 6.0)
-    return (z, y, float(y @ y), orig_norm2, pen, min(cap, s),
-            log_mode, float(n), 1.7, 1e-12, 1e-20)
+    return (z, y, float(y @ y), _gate(orig_norm2), min(cap, s),
+            criterion(pen, log_mode, float(n)))
 
 
 subset_problems = (
@@ -59,7 +69,7 @@ def test_best_subset_qr_matches_gram_schmidt(s, cap, seed, columns, log_mode):
     z, y = args[:2]
 
     val_gs, idx_gs, n_gs = _best_subset_numpy(*args)
-    val_qr, idx_qr, n_qr = _kernels._best_subset_qr(*args)
+    val_qr, idx_qr, n_qr = _kernels.best_subset(*args)
 
     assert n_qr == n_gs
     assert val_qr == pytest.approx(val_gs, rel=1e-9)
@@ -71,7 +81,7 @@ def test_best_subset_qr_matches_gram_schmidt(s, cap, seed, columns, log_mode):
         assert subset_rss(z, y, idx_qr) == pytest.approx(subset_rss(z, y, idx_gs), rel=1e-9)
 
 
-def enumerate_subsets(z, y, pen, cap, log_mode, n_obs, sigma2, floor):
+def enumerate_subsets(z, y, cap, values):
     """Every full-rank subset of up to ``cap`` columns, scored by lstsq.
 
     Returns the (value, size, subset) minimum and the number scored.
@@ -82,9 +92,7 @@ def enumerate_subsets(z, y, pen, cap, log_mode, n_obs, sigma2, floor):
             if size and np.linalg.matrix_rank(z[:, subset]) < size:
                 continue
             n_eval += 1
-            rss = subset_rss(z, y, subset)
-            base = n_obs * math.log(max(rss, floor)) if log_mode else rss / sigma2
-            key = (base + pen[size], size, subset)
+            key = (float(values(subset_rss(z, y, subset), size)), size, subset)
             if best is None or key < best:
                 best = key
     return best, n_eval
@@ -93,13 +101,10 @@ def enumerate_subsets(z, y, pen, cap, log_mode, n_obs, sigma2, floor):
 @given(st.integers(1, 7), st.integers(0, 4), *subset_problems)
 @settings(max_examples=200, deadline=None)
 def test_best_subset_matches_itertools_lstsq_enumeration(s, cap, seed, columns, log_mode):
-    z, y, rss0, orig_norm2, pen, cap, log_mode, n_obs, sigma2, floor, _ = subset_inputs(
-        seed, s, cap, columns, log_mode)
-    val, idx, n_eval = _kernels.best_subset(z, y, rss0, orig_norm2, pen, cap,
-                                            log_mode=log_mode, n_obs=n_obs, sigma2=sigma2,
-                                            floor=floor, tol=1e-10)
-    (want_val, want_size, want_subset), want_eval = enumerate_subsets(
-        z, y, pen, cap, log_mode, n_obs, sigma2, floor)
+    args = subset_inputs(seed, s, cap, columns, log_mode)
+    z, y, _, _, cap, values = args
+    val, idx, n_eval = _kernels.best_subset(*args)
+    (want_val, want_size, want_subset), want_eval = enumerate_subsets(z, y, cap, values)
 
     assert n_eval == want_eval
     assert val == pytest.approx(want_val, rel=1e-9)
@@ -113,9 +118,9 @@ def test_best_subset_qr_skips_exact_duplicate():
     z = rng.normal(size=(30, 4))
     z[:, 3] = z[:, 1]
     y = 2.0 * z[:, 1] + 0.1 * rng.normal(size=30)
-    args = (z, y, float(y @ y), np.einsum("ij,ij->j", z, z), np.arange(5.0),
-            4, True, 30.0, 1.0, 1e-12, 1e-20)
-    _, _, n_eval = _kernels._best_subset_qr(*args)
+    args = (z, y, float(y @ y), _gate(np.einsum("ij,ij->j", z, z)), 4,
+            criterion(np.arange(5.0), True, 30.0))
+    _, _, n_eval = _kernels.best_subset(*args)
     # 16 subsets of four columns; the 4 holding both copies are skipped
     assert n_eval == 16 - 4
     assert n_eval == _best_subset_numpy(*args)[2]
@@ -130,22 +135,9 @@ def test_best_subset_exact_ties_go_to_smallest_subset(cap, pen, expected):
     z = np.zeros((5, 3))
     z[0, 0] = z[1, 1] = z[2, 2] = 1.0
     y = np.array([1.0, 1.0, 1.0, 0.5, 0.0])
-    args = (z, y, float(y @ y), np.ones(3), np.asarray(pen), cap,
-            True, 5.0, 1.0, 1e-12, 1e-20)
-    for kernel in (_best_subset_numpy, _kernels._best_subset_qr):
+    args = (z, y, float(y @ y), _gate(np.ones(3)), cap, criterion(np.asarray(pen), True, 5.0))
+    for kernel in (_best_subset_numpy, _kernels.best_subset):
         assert list(kernel(*args)[1]) == expected
-
-
-def test_best_subset_uses_qr_kernel():
-    rng = np.random.default_rng(5)
-    z = rng.normal(size=(40, 6))
-    y = z[:, 2] + rng.normal(size=40)
-    out = _kernels.best_subset(z, y, float(y @ y), np.einsum("ij,ij->j", z, z),
-                               np.arange(7.0) * 3.0, 3, log_mode=True, n_obs=40,
-                               sigma2=1.0, floor=1e-12, tol=1e-10)
-    ref = _kernels._best_subset_qr(z, y, float(y @ y), np.einsum("ij,ij->j", z, z),
-                                   np.arange(7.0) * 3.0, 3, True, 40.0, 1.0, 1e-12, 1e-20)
-    assert out[0] == ref[0] and list(out[1]) == list(ref[1]) and out[2] == ref[2]
 
 
 def ld_codes(rng, n, p, codes=(-1, 0, 1), keep=0.8):
@@ -196,7 +188,7 @@ def test_impute_fill_grouped_matches_reference(seed, n, p, window, n_predictors,
     ref, ref_bad = _impute_fill_numpy(values, observed, window, n_predictors)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_IMPUTE_CHUNK", chunk)
-        out, bad = _kernels._impute_fill_grouped(values, observed, window, n_predictors)
+        out, bad = _kernels.impute_fill(values, observed, window, n_predictors)
 
     assert bad == ref_bad
     assert np.array_equal(out, ref)
@@ -204,7 +196,7 @@ def test_impute_fill_grouped_matches_reference(seed, n, p, window, n_predictors,
 
 def impute_both(values, observed, window, n_predictors):
     ref = _impute_fill_numpy(values, observed, window, n_predictors)
-    out = _kernels._impute_fill_grouped(values, observed, window, n_predictors)
+    out = _kernels.impute_fill(values, observed, window, n_predictors)
     assert out[1] == ref[1]
     assert np.array_equal(out[0], ref[0])
     return out
@@ -252,7 +244,7 @@ def test_impute_fill_grouped_keys_wide_predictor_sets():
     observed = np.ones_like(values, dtype=bool)
     observed[0, 40] = False
     ref = _impute_fill_numpy(values, observed, 1000, 40)
-    out = _kernels._impute_fill_grouped(values, observed, 1000, 40)
+    out = _kernels.impute_fill(values, observed, 1000, 40)
     assert out[1] == ref[1] == -1
     assert ref[0][0, 40] == -1
     assert np.array_equal(out[0], ref[0])
@@ -295,7 +287,7 @@ def test_leader_cluster_blocked_matches_reference(seed, n, p, window, block, thr
     ref = _leader_cluster_numpy(values.astype(np.float64), threshold, window)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_CLUSTER_BLOCK", block)
-        out = _kernels._leader_cluster_blocked(values, threshold, window)
+        out = _kernels.leader_cluster(values, threshold, window)
 
     for got, want in zip(out, ref):
         assert np.array_equal(got, want)
@@ -303,13 +295,13 @@ def test_leader_cluster_blocked_matches_reference(seed, n, p, window, block, thr
 
 def test_impute_fill_uses_grouped_kernel(monkeypatch):
     calls = []
-    kernel = _kernels._impute_fill_grouped
+    kernel = _kernels.impute_fill
 
     def spy(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(_kernels, "_impute_fill_grouped", spy)
+    monkeypatch.setattr(_kernels, "impute_fill", spy)
     rng = np.random.default_rng(14)
     values = ld_codes(rng, 30, 8)
     mask = rng.random(values.shape) < 0.1
@@ -317,17 +309,21 @@ def test_impute_fill_uses_grouped_kernel(monkeypatch):
     done = impute_missing(dataset_from_values(values, mask=mask), window=3)
     assert len(calls) == 1
     assert done.genotypes.complete
+    # the kernel converts nothing: it gets contiguous int8 codes and a bool mask
+    codes, observed = calls[0][:2]
+    assert codes.dtype == np.int8 and observed.dtype == np.bool_
+    assert codes.flags.c_contiguous and observed.flags.c_contiguous
 
 
 def test_leader_cluster_uses_blocked_kernel_on_int8_codes(monkeypatch):
     calls = []
-    kernel = _kernels._leader_cluster_blocked
+    kernel = _kernels.leader_cluster
 
     def spy(x, threshold, window):
         calls.append(x)
         return kernel(x, threshold, window)
 
-    monkeypatch.setattr(_kernels, "_leader_cluster_blocked", spy)
+    monkeypatch.setattr(_kernels, "leader_cluster", spy)
     ds = dataset_from_values(ld_codes(np.random.default_rng(15), 30, 12))
     cluster_snps(ds, 0.7, window=5)
     assert len(calls) == 1

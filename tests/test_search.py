@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gwasel.criteria import CriterionConfig, evaluate
 from gwasel.errors import BudgetError, CollinearityError
 from gwasel.mtest import ScanEngine, ScanResult, single_marker_scan
-from gwasel.regress import FitWorkspace, ModelSpec, fit, workspace_for
+from gwasel.regress import FitWorkspace, ModelSpec, _gate, fit, workspace_for
 import gwasel.search
 from gwasel.search import (
     SearchConfig,
@@ -22,7 +22,6 @@ from gwasel.search import (
     _downdate,
     _enumerate_best,
     _forward,
-    _gate,
     _project,
     _stepwise,
     _subset_bounds,
@@ -304,7 +303,7 @@ def test_blocked_forward_matches_per_push_oracle(seed, n_forced, neg_log_eps, ma
             _, ws = forward_allowance(ds, forced, got[:i])
             s = fresh_projection(ws, j)[0]
             norm2 = float(ws.X[:, j] @ ws.X[:, j])
-            gate = gwasel.search.RANK_TOL ** 2 * norm2
+            gate = float(_gate(norm2))
             assert abs(s - gate) <= DOWNDATE_TOL * norm2, (r, r_o)
             return
         if r_o.criterion_value is None:
@@ -570,13 +569,14 @@ def test_subset_bound_never_exceeds_the_best_subset_of_each_size(seed, n_forced,
     max_size = min(3, k - 1)
     bounds = _subset_bounds(ws, max_size, ev)
     assert bounds.shape == (max_size + 1,)
+    best_upto = np.inf
     for q in range(max_size + 1):
         best = min(ev.value(lstsq_rss(ds, sub, forced)[0], q)
                    for sub in itertools.combinations(ws.snps, q))
         assert best >= bounds[q] - 1e-9 * max(abs(bounds[q]), 1.0), q
-        # the enumeration kernel over sizes <= q agrees
-        assert _enumerate_best(ws, ws.snps, q, ev)[0] >= bounds[: q + 1].min() - 1e-9 * max(
-            abs(bounds[q]), 1.0)
+        # the enumeration kernel over sizes <= q finds the itertools + lstsq minimum
+        best_upto = min(best_upto, best)
+        assert _enumerate_best(ws, ws.snps, q, ev)[0] == pytest.approx(best_upto, rel=1e-9), q
 
 
 def never_ruled_out(ws, max_size, ev):
