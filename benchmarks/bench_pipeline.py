@@ -1,6 +1,7 @@
-"""Per-layer timings of the panel pipeline or of one desk-study replicate.
+"""Per-layer timings of the panel pipeline, one desk-study replicate or the
+paper-shape selects.
 
-    python3 benchmarks/bench_pipeline.py --out BENCH.json [--workload panel|desk] \
+    python3 benchmarks/bench_pipeline.py --out BENCH.json [--workload panel|desk|paper] \
         --src parent=/path/to/parent/src --src change=src --pairs 10 --seeds 1 2 3
 
 Each ``--src LABEL=DIR`` names a gwasel source tree; the first is the base
@@ -35,6 +36,20 @@ starts, so ``--seeds`` is not used.  A run times
 * ``select_s``   -- both ``select_model`` calls, from that forward stage
 * ``study_s``    -- ``run_study`` of the one replicate, end to end
 
+``paper``: a panel of the paper's shape, 649 x 309,788, held in memory:
+``synthetic_dataset`` (seed 3) with 30 causal SNPs spread evenly over the
+panel, effects ``effect_grid(30)`` and the trait of replicate 0 (seed 3);
+``--toy`` takes 200 x 1000.  ``--seeds`` is not used.  The panel, its trait
+and its float cache are built before any timer starts.  A run times
+
+* ``scan_s``         -- ``single_marker_scan`` of the trait
+* ``mbic_select_s``  -- ``select_model`` under mBIC with the default
+  ``SearchConfig``, from that scan
+* ``mbic2_select_s`` -- the same under mBIC2
+
+and records each select's model, the ``repr`` of its RSS and its search
+stats, so the sides can be checked for the same results.
+
 The output JSON holds every run, each label's median and quartiles per
 metric, and how many pairs each later label won.
 """
@@ -58,9 +73,12 @@ METRICS = {
     "panel": ("load_s", "impute_s", "cluster_s", "scan_s", "output_s", "end_to_end_s",
               "peak_rss_mb"),
     "desk": ("engine_build_s", "scan_s", "forward_s", "select_s", "study_s", "peak_rss_mb"),
+    "paper": ("scan_s", "mbic_select_s", "mbic2_select_s", "peak_rss_mb"),
 }
 WINDOW, PREDICTORS = 500, 4
 THRESHOLD, CLUSTER_WINDOW = 0.7, 1000
+PAPER_SHAPE, PAPER_TOY_SHAPE = (649, 309_788), (200, 1000)
+PAPER_K, PAPER_SEED = 30, 3
 
 
 def timer(out: dict):
@@ -151,6 +169,36 @@ def run_desk(sizes) -> dict:
     return out
 
 
+def run_paper(toy: bool) -> dict:
+    """The paper-shape scan and the mBIC and mBIC2 selects, in this process."""
+    import numpy as np
+
+    from gwasel.criteria import CriterionConfig
+    from gwasel.mtest import single_marker_scan
+    from gwasel.search import SearchConfig, select_model
+    from gwasel.simulate import SimulationConfig, effect_grid, simulate_trait, synthetic_dataset
+
+    n, p = PAPER_TOY_SHAPE if toy else PAPER_SHAPE
+    ds = synthetic_dataset(n, p, seed=PAPER_SEED)
+    causal = tuple(np.linspace(0, p - 1, PAPER_K).astype(int).tolist())
+    sim = SimulationConfig(causal, tuple(effect_grid(PAPER_K)), sigma=1.0, seed=PAPER_SEED)
+    ds = ds.with_trait(simulate_trait(ds, sim, 0))
+    ds.float_values  # the float cache, built untimed as in the perfbench set-up
+    out: dict = {}
+    timed = timer(out)
+
+    scan = timed("scan_s", lambda: single_marker_scan(ds))
+    results = {}
+    for kind in ("mbic", "mbic2"):
+        cfg = SearchConfig(criterion=CriterionConfig(kind, n=n, p_effective=p))
+        model, fit, trace = timed(f"{kind}_select_s", lambda: select_model(ds, cfg, scan=scan))
+        results[kind] = {"model": list(model.snp_indices), "rss": repr(fit.rss),
+                         "search_stats": trace.stats}
+    out["peak_rss_mb"] = peak_rss_mb()
+    out["results"] = results
+    return out
+
+
 def child(src: Path, workload: str, inputs: Path | None, toy: bool) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as work:
@@ -193,7 +241,12 @@ def main(argv=None) -> int:
 
     sizes = workloads.TOY if args.toy else workloads.FULL
     if args.child:
-        out = run_desk(sizes) if args.workload == "desk" else run_panel(args.inputs, args.work)
+        if args.workload == "desk":
+            out = run_desk(sizes)
+        elif args.workload == "paper":
+            out = run_paper(args.toy)
+        else:
+            out = run_panel(args.inputs, args.work)
         print(json.dumps(out))
         return 0
     if args.out is None or not args.src:
@@ -205,12 +258,12 @@ def main(argv=None) -> int:
             ap.error(f"--src {spec!r} is not LABEL=DIR with DIR holding gwasel/")
         sources[label] = Path(path).resolve()
 
-    desk = args.workload == "desk"
+    panel = args.workload == "panel"
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for pair in range(args.pairs):
-            seed = None if desk else args.seeds[pair % len(args.seeds)]
-            inputs = None if desk else Path(tmp) / f"seed{seed}"
+            seed = args.seeds[pair % len(args.seeds)] if panel else None
+            inputs = Path(tmp) / f"seed{seed}" if panel else None
             if inputs and not inputs.exists():
                 workloads.write_panel(sizes, seed, inputs / "genotypes.txt",
                                       inputs / "trait.txt")
@@ -229,7 +282,11 @@ def main(argv=None) -> int:
     for label in list(sources)[1:]:
         wins[label] = {m: sum(by_pair[(k, label)][m] < by_pair[(k, base)][m]
                               for k in range(args.pairs)) for m in metrics}
-    if desk:
+    if args.workload == "paper":
+        n, p = PAPER_TOY_SHAPE if args.toy else PAPER_SHAPE
+        study = {"n": n, "p": p, "k": PAPER_K, "replicate": 0, "data_seed": PAPER_SEED,
+                 "trait_seed": PAPER_SEED, "methods": ["mbic", "mbic2"]}
+    elif args.workload == "desk":
         study = {"n": sizes.desk_n, "p": sizes.desk_p, "k": sizes.desk_k, "replicate": 0,
                  "data_seed": workloads.DESK_DATA_SEED, "trait_seed": workloads.DESK_TRAIT_SEED,
                  "methods": list(workloads.METHODS),
@@ -250,7 +307,7 @@ def main(argv=None) -> int:
         "sources": {label: revision(src) for label, src in sources.items()},
         "base": base,
         "pairs": args.pairs,
-        "seeds": None if desk else args.seeds,
+        "seeds": args.seeds if panel else None,
         "summary": summary,
         "pairs_won_vs_base": wins,
         "runs": runs,

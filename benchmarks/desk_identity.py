@@ -17,7 +17,9 @@ same digests on the parent and on the change:
     python3 benchmarks/desk_identity.py
 
 The second line printed is the detections fingerprint of the study
-(``05b9aa01...`` in ROADMAP).  ``--toy`` takes the sizes of
+(``05b9aa01...`` in ROADMAP).  The third is the first digest with the
+search stats left out, so a change that moves only those counters can show
+that every result is still byte-identical.  ``--toy`` takes the sizes of
 ``perfbench/workloads.py::TOY`` instead (2 replicates of 200 x 400).
 """
 
@@ -35,18 +37,20 @@ ROOT = Path(__file__).resolve().parent.parent
 DESK_REPLICATES = 100
 
 
-def select_record(out) -> bytes:
-    """The bytes one ``select_model`` return value contributes to the digest."""
+def select_record(out, with_stats: bool = True) -> bytes:
+    """The bytes one ``select_model`` return value contributes to a digest."""
     model, result, trace = out
-    return json.dumps({
+    record = {
         "trace": trace.to_jsonl(),
         "rss": repr(result.rss),
         "intercept": repr(result.intercept),
         "coefficients": [repr(float(b)) for b in result.snp_coefficients],
         "forced_coefficients": [repr(float(b)) for b in result.forced_coefficients],
         "model": [list(model.snp_indices), list(model.forced_indices)],
-        "stats": trace.stats,
-    }, sort_keys=True).encode() + b"\n"
+    }
+    if with_stats:
+        record["stats"] = trace.stats
+    return json.dumps(record, sort_keys=True).encode() + b"\n"
 
 
 def main(argv=None) -> int:
@@ -65,7 +69,7 @@ def main(argv=None) -> int:
     sizes = workloads.TOY if args.toy else workloads.FULL
     ds, sim, methods = workloads.desk_study(sizes, sizes.desk_replicates if args.toy
                                             else DESK_REPLICATES)
-    digest = hashlib.sha256()
+    digest, results = hashlib.sha256(), hashlib.sha256()
     count = 0
     select_model = simulate.select_model
 
@@ -73,6 +77,7 @@ def main(argv=None) -> int:
         nonlocal count
         out = select_model(*a, **kw)
         digest.update(select_record(out))
+        results.update(select_record(out, with_stats=False))
         count += 1
         return out
 
@@ -83,6 +88,7 @@ def main(argv=None) -> int:
         simulate.select_model = select_model
     print(f"selects {count} {digest.hexdigest()}")
     print(f"detections {workloads.fingerprint(report.detections)}")
+    print(f"results {count} {results.hexdigest()}")
     return 0
 
 

@@ -4,7 +4,7 @@ Three kernels dominate runtime on large panels:
 
 * ``impute_fill``    -- nearest-predictor genotype imputation
 * ``leader_cluster`` -- greedy windowed correlation clustering
-* ``best_subset``    -- depth-first exhaustive subset scoring
+* ``best_subset``    -- depth-first subset scoring pruned by leaps and bounds
 
 The per-column and per-subset kernels these replaced,
 ``_impute_fill_numpy``, ``_leader_cluster_numpy`` and
@@ -14,15 +14,22 @@ against its reference.  ``impute_fill`` gives the same integers as its
 reference on every input.  ``leader_cluster`` does too, except where a
 correlation lies within rounding (~1e-12) of the threshold: a matrix
 product and a matrix-vector product may round it to opposite sides.
-``best_subset`` gives the same subset count as its reference, and the same
-subset unless two subsets span the same column space (duplicated or
-linearly dependent columns): their values then tie exactly and rounding
-picks one.  ``best_subset`` takes the collinearity gate and the criterion
-from its caller, so the search and the kernel share one of each.
+``best_subset`` scores each subset its reference scores, less those in
+subtrees its bound rules out, and, when the minimum lies at or below the
+value it is asked to beat, finds the same subset unless two subsets span
+the same column space (duplicated or linearly dependent columns):
+their values then tie exactly and rounding picks one.  ``best_subset``
+takes the collinearity gate and the criterion from its caller, so the
+search and the kernel share one of each; it owns the bound and the budget
+on subsets scored.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from gwasel.errors import BudgetError
 
 _IMPUTE_CHUNK = 64  # target columns whose window sums share one product
 _CLUSTER_BLOCK = 128  # columns correlated per product in leader clustering
@@ -200,41 +207,74 @@ def leader_cluster(x, threshold, window):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive subset scoring
+# pruned subset scoring
 # ---------------------------------------------------------------------------
 
+# a subtree is ruled out only when its bound clears the value to beat by this
+# relative margin, which absorbs the rounding of the values it would score
+BOUND_MARGIN = 1e-9
 
-def best_subset(z, y_resid, rss0, gate, max_size, values):
-    """Score every subset of the columns of ``z`` up to ``max_size``.
+
+def best_subset(z, y_resid, rss0, gate, max_size, values, to_beat, budget):
+    """Best subset of the columns of ``z`` up to ``max_size``, by leaps and bounds.
 
     ``z`` and ``y_resid`` must already be orthogonal to the forced part of
     the design (intercept and covariates), so a subset's RSS is
     ``rss0 - ||proj||^2``.  A branch is skipped as collinear where the
     squared residual norm of its last column is at or below ``gate`` of
     that column.  ``values(rss, size)`` is the criterion of an array of
-    RSS values at one subset size.  Returns ``(best_value,
-    best_column_indices, n_subsets_evaluated)`` with ties broken toward
-    smaller, then lexicographically smaller, subsets.  The empty subset is
-    always scored.
+    RSS values at one subset size.  A subtree of the depth-first walk is
+    skipped unscored when a lower bound on each of its subsets' values
+    exceeds the best value so far, or ``to_beat`` if lower, by
+    ``BOUND_MARGIN`` (Furnival & Wilson, Technometrics 1974).  Returns
+    ``(best_value, best_column_indices, n_scored, n_pruned)``, ties broken
+    toward smaller, then lexicographically smaller, subsets; ``n_pruned``
+    counts the subsets of the skipped subtrees.  When the minimum lies at or
+    below ``to_beat`` it is returned exactly, as a full enumeration finds
+    it; otherwise the value returned is no lower than the minimum.  The
+    empty subset is always scored.  Raises ``BudgetError`` once more than
+    ``budget`` subsets have been scored in the walk.
     """
-    # Same search, counts and tie order as _best_subset_numpy, on the
-    # coordinates of z in its own QR basis (s x s instead of n x s).  A node
-    # of the depth-first walk holds the residualised block of the columns
-    # start..s-1 and scores all of its children at once: the pivot of a
-    # column is its squared norm in the block, its y load block'c / sqrt(pivot).
-    # The children's blocks are made together, each as the parent block with
-    # the child's direction projected out twice; a node one level above the
-    # leaves scores all of its grandchildren in one step.
+    # Same scores and tie order as _best_subset_numpy, on the coordinates of
+    # z in its own QR basis (s x s instead of n x s).  A node of the walk
+    # holds the chosen set S and the residualised block of its open columns
+    # U = start..s-1, and scores all of its children at once: the pivot of
+    # a column is its squared norm in the block, its y load block'c /
+    # sqrt(pivot).  The children's blocks are made together, each as the
+    # parent block with the child's direction projected out twice; a node
+    # one level above the leaves scores all of its grandchildren in one step.
     s = z.shape[1]
     best_val = float(values(rss0, 0))
     best_idx: list[int] = []
-    n_eval = 1
-    if max_size == 0 or s == 0:
-        return best_val, np.empty(0, np.int64), n_eval
+    n_eval, n_pruned = 1, 0
+    if max_size <= 0 or s == 0:
+        return best_val, np.empty(0, np.int64), n_eval, n_pruned
 
     q, r = np.linalg.qr(z)
     c = q.T @ y_resid
     chosen: list[int] = []
+    eps = np.finfo(np.float64).eps
+
+    def ruled_out(block, rss, reach):
+        # Every subset below the node is S + V with V a subset of U.  With
+        # beta U's coefficients in the fit of S + U and lam the smallest
+        # eigenvalue of U's block once S is projected off,
+        # RSS(S + V) >= RSS(S + U) + lam * (sum of the |U| - |V| smallest
+        # beta^2).  lam is lowered by the backward error of the SVD and
+        # clamped at 0, so an ill-conditioned block is never ruled out on a
+        # rounded bound.
+        k = block.shape[1]
+        u, sig, vt = np.linalg.svd(block, full_matrices=False)
+        load = u.T @ c
+        rss_all = max(rss - float(load @ load), 0.0)
+        lam = max(sig[-1] ** 2 - 2 * k * eps * sig[0] ** 2, 0.0)
+        smallest = np.zeros(k + 1)  # smallest[j] = sum of the j smallest beta^2
+        if lam > 0.0:
+            np.cumsum(np.sort((vt.T @ (load / sig)) ** 2), out=smallest[1:])
+        ref = min(best_val, to_beat)
+        limit = ref + BOUND_MARGIN * abs(ref)
+        return all(values(rss_all + lam * smallest[k - j], len(chosen) + j) > limit
+                   for j in range(1, reach + 1))
 
     def score(blocks, start, first, rss, size, prefixes):
         # blocks[a] holds columns start.. of sibling node a, whose children
@@ -250,6 +290,9 @@ def best_subset(z, y_resid, rss0, gate, max_size, values):
         vals = np.where(ok, values(rss_new, size), np.inf)
         n_ok = int(np.count_nonzero(ok))
         n_eval += n_ok
+        if n_eval > budget:
+            raise BudgetError(f"subset refinement scored more than {budget} subsets; "
+                              "lower exhaustive_size_cap or refinement_trigger")
         if n_ok:
             a, j = np.unravel_index(np.argmin(vals), vals.shape)
             val = float(vals[a, j])
@@ -261,6 +304,11 @@ def best_subset(z, y_resid, rss0, gate, max_size, values):
         return ok[0], root[0], rss_new[0]
 
     def descend(block, start, rss):
+        nonlocal n_pruned
+        reach = min(block.shape[1], max_size - len(chosen))
+        if ruled_out(block, rss, reach):
+            n_pruned += sum(math.comb(block.shape[1], j) for j in range(1, reach + 1))
+            return
         size = len(chosen) + 1
         ok, root, rss_new = score(block[None], start, np.zeros(1, np.int64),
                                   np.array([rss]), size, [chosen])
@@ -282,5 +330,4 @@ def best_subset(z, y_resid, rss0, gate, max_size, values):
             chosen.pop()
 
     descend(r, 0, rss0)
-    return best_val, np.asarray(best_idx, dtype=np.int64), n_eval
-
+    return best_val, np.asarray(best_idx, dtype=np.int64), n_eval, n_pruned

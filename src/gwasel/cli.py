@@ -321,14 +321,22 @@ def cmd_cluster(args, parser) -> int:
 
 
 # argparse turns an ArgumentTypeError into a usage error (exit 2) naming the flag
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _integer(low: int, expected: str):
+    """argparse type of an integer no lower than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _integer(1, "a positive integer")
+_non_negative_int = _integer(0, "a non-negative integer")
 
 
 def _method_kinds(text: str) -> list[str]:
@@ -402,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="power/FDR study over simulated traits")
     simulate.add_argument("--config", required=True, help="study definition JSON")
     simulate.add_argument("--replicates", type=_positive_int, default=100)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_non_negative_int, default=0)
     simulate.add_argument("--methods", type=_method_kinds, default="bonferroni,bh,mbic,mbic2")
     simulate.add_argument("--thresholds", type=_thresholds, default="0.7,0.9")
     simulate.add_argument("--out", required=True)

@@ -34,4 +34,4 @@ class PerfectFitError(GwaselError):
 
 
 class BudgetError(GwaselError):
-    """A combinatorial enumeration would exceed its evaluation budget."""
+    """A combinatorial enumeration scored more candidates than its budget allows."""

@@ -175,11 +175,6 @@ class FitWorkspace:
         return float(self._r @ self._r)
 
     @property
-    def r_factor(self) -> np.ndarray:
-        """Upper-triangular R of the design X = QR in workspace column order (a view)."""
-        return self._R[: self._m, : self._m]
-
-    @property
     def base_residual(self) -> np.ndarray:
         """Trait residual after the intercept and forced columns alone."""
         return self._r_base

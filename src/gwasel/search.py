@@ -19,15 +19,11 @@ downdates only the rest of its block; backward sweeps S from one inversion
 per stage; stepwise downdates all its candidates on each add, projects
 them afresh after each drop and scores drops from a fresh inverse.
 
-The refinement fallback enumerates small subsets of the backward-reduced
-model M only when an exact bound leaves room for one to win (the global
-bound of leaps and bounds: Furnival & Wilson, Technometrics 1974).  With Z
-the SNP block of M projected off the forced base and beta its coefficients,
-every subset T of M has RSS(T) >= RSS(M) + lambda_min(Z'Z) * ||beta_D||^2
-for D = M minus T, hence at least RSS(M) plus lambda_min times the sum of
-the |M| - |T| smallest beta_j^2.  When the criterion at that bound exceeds
-M's own value for every admissible size, the enumeration cannot change the
-result and is skipped.
+Refinement scores subsets of the selected model with ``_kernels.best_subset``,
+which walks them depth first and skips each subtree whose exact lower bound
+cannot beat the best value so far or the value refinement must beat (leaps
+and bounds: Furnival & Wilson, Technometrics 1974).  ``SUBSET_BUDGET``
+caps the subsets one walk scores, not the subsets it could reach.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import numpy as np
 
 from gwasel import _kernels
 from gwasel.criteria import CriterionConfig, penalty
-from gwasel.errors import BudgetError, CollinearityError
+from gwasel.errors import CollinearityError
 from gwasel.genotype import Dataset
 from gwasel.mtest import ScanResult, single_marker_scan
 from gwasel.regress import (
@@ -52,11 +48,8 @@ from gwasel.regress import (
     workspace_for,
 )
 
-SUBSET_BUDGET = 10**7
+SUBSET_BUDGET = 10**7  # subsets one refinement walk may score
 FORWARD_BLOCK = 128  # screened candidates projected per matrix product in forward
-# the bound must clear the reduced model's value by this relative margin,
-# which absorbs the rounding of the values the enumeration would compute
-BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -374,45 +367,23 @@ def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.nda
     return ws.model()
 
 
-def _subset_counts(n_cols: int, max_size: int) -> int:
-    total = 0
-    for q in range(min(max_size, n_cols) + 1):
-        total += math.comb(n_cols, q)
-    return total
-
-
 def _enumerate_best(ws: FitWorkspace, columns: list[int], max_size: int,
-                    ev: _CriterionEval):
-    """Best subset of ``columns`` (sizes 0..max_size) behind the forced base of ``ws``."""
+                    ev: _CriterionEval, to_beat: float, stats: dict[str, int]):
+    """Best subset of ``columns`` (sizes 0..max_size) behind the forced base of
+    ``ws``, exact when its value is at or below ``to_beat``; the subsets scored
+    and ruled out by the bound are added to ``stats``."""
     cols = np.asarray(columns, dtype=np.int64)
     sub = ws.X[:, cols]
     Q = ws.basis[:, : ws.m - len(ws.snps)]
     z = sub - Q @ (Q.T @ sub)
     orig_norm2 = np.einsum("ij,ij->j", sub, sub)
     max_size = min(max_size, _max_snps(ws), cols.size)
-    val, local_idx, n_eval = _kernels.best_subset(
-        z, ws.base_residual, ws.rss_base, _gate(orig_norm2), max_size, ev.value_array)
-    subset = tuple(int(cols[i]) for i in local_idx)
-    return float(val), subset, n_eval
-
-
-def _subset_bounds(ws: FitWorkspace, max_size: int, ev: _CriterionEval) -> np.ndarray:
-    """Lower bounds on the criterion value of any q-SNP subset of the SNPs
-    of ``ws``, for q = 0..max_size (see the module docstring).
-
-    R of the workspace restricted to the SNP block satisfies Z'Z = R22'R22,
-    so lambda_min(Z'Z) is the smallest singular value of R22 squared; it is
-    lowered by the backward error of the SVD and clamped at 0, so an
-    ill-conditioned model is never ruled out on a rounded bound.
-    """
-    k = len(ws.snps)
-    b = ws.m - k
-    sig = np.linalg.svd(ws.r_factor[b:, b:], compute_uv=False)
-    lam = max(sig[-1] ** 2 - 2 * k * np.finfo(np.float64).eps * sig[0] ** 2, 0.0)
-    # smallest[j] = sum of the j smallest beta^2
-    smallest = np.concatenate(([0.0], np.cumsum(np.sort(ws.inverse_gram()[1][b:] ** 2))))
-    rss = ws.rss
-    return np.array([ev.value(rss + lam * smallest[k - q], q) for q in range(max_size + 1)])
+    val, local_idx, n_scored, n_pruned = _kernels.best_subset(
+        z, ws.base_residual, ws.rss_base, _gate(orig_norm2), max_size, ev.value_array,
+        to_beat, SUBSET_BUDGET)
+    stats["subsets_scored"] += n_scored
+    stats["subsets_skipped_by_bound"] += n_pruned
+    return float(val), tuple(int(cols[i]) for i in local_idx)
 
 
 def _checked_extras(dataset: Dataset, extra_candidates) -> set[int]:
@@ -432,9 +403,11 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
     ``exhaustive_size_cap`` and every subset of the incumbent are scored and
     the minimizer returned, ties going to the incumbent.  Larger combined
     sets fall back to backward elimination followed by enumeration of
-    subsets strictly below the cap, skipped when the bound in the module
-    docstring rules every such subset out.  Forced covariates are always
-    retained.  An extra candidate outside [0, p) raises ``ValueError``.
+    subsets strictly below the cap.  Each walk skips the subtrees that
+    cannot beat the incumbent (see the module docstring) and raises
+    ``BudgetError`` once it has scored more than ``SUBSET_BUDGET`` subsets.
+    Forced covariates are always retained.  An extra candidate outside
+    [0, p) raises ``ValueError``.
     ``_ws`` is a workspace holding exactly ``model`` to work from instead of
     building one; it is left unchanged.
     """
@@ -450,19 +423,12 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
     cap = config.exhaustive_size_cap
     candidates: list[tuple[float, int, tuple[int, ...]]] = []
     if n_combined <= config.refinement_trigger:
-        predicted = _subset_counts(n_combined, cap) + 2 ** model.size
-        if predicted > SUBSET_BUDGET:
-            raise BudgetError(
-                f"refinement would score ~{predicted} subsets (> {SUBSET_BUDGET}); "
-                "lower exhaustive_size_cap or refinement_trigger"
-            )
         combined = sorted([*model.snp_indices, *extras])
-        val, subset, n_eval = _enumerate_best(ws, combined, cap, ev)
-        stats["subsets_scored"] += n_eval
+        val, subset = _enumerate_best(ws, combined, cap, ev, inc_val, stats)
         candidates.append((val, len(subset), subset))
         if model.size:
-            val_i, subset_i, n_eval = _enumerate_best(ws, list(model.snp_indices), model.size, ev)
-            stats["subsets_scored"] += n_eval
+            val_i, subset_i = _enumerate_best(ws, list(model.snp_indices), model.size, ev,
+                                              min(inc_val, val), stats)
             candidates.append((val_i, len(subset_i), subset_i))
     else:
         trace.append("refine", "fallback_backward", None, None, n_combined)
@@ -476,21 +442,9 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
         reduced = _backward(red_ws, ev, trace, stage="refine_backward")
         red_val = ev.value(red_ws.rss, reduced.size)
         candidates.append((red_val, reduced.size, reduced.snp_indices))
-        predicted = _subset_counts(reduced.size, cap - 1)
-        if predicted > SUBSET_BUDGET:
-            raise BudgetError(
-                f"refinement would score ~{predicted} subsets (> {SUBSET_BUDGET}); "
-                "lower exhaustive_size_cap"
-            )
-        max_size = min(cap - 1, _max_snps(red_ws), reduced.size)
-        # at max_size == |M| the model itself is a candidate, so nothing is
-        # ruled out; below 0 (a cap of 0) there is no size to score
-        if 0 <= max_size < reduced.size and (_subset_bounds(red_ws, max_size, ev).min()
-                                        > red_val + BOUND_MARGIN * abs(red_val)):
-            stats["subsets_skipped_by_bound"] += _subset_counts(reduced.size, max_size)
-        elif max_size >= 0:
-            val, subset, n_eval = _enumerate_best(red_ws, list(reduced.snp_indices), cap - 1, ev)
-            stats["subsets_scored"] += n_eval
+        if cap > 0:  # no size lies strictly below a cap of 0
+            val, subset = _enumerate_best(red_ws, list(reduced.snp_indices), cap - 1, ev,
+                                          min(inc_val, red_val), stats)
             candidates.append((val, len(subset), subset))
 
     best_val, _, best_subset_idx = min(candidates)

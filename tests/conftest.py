@@ -1,6 +1,10 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from gwasel import _kernels
 from gwasel.genotype import Dataset, GenotypeMatrix, default_meta
 
 
@@ -28,3 +32,8 @@ def tiny_dataset():
 
 def random_genotypes(rng, n, p):
     return rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(n, p))
+
+
+def unpruned():
+    """The subset kernel with its bound switched off: the same arithmetic, no skipped subtree."""
+    return mock.patch.object(_kernels, "BOUND_MARGIN", math.inf)

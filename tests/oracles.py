@@ -191,7 +191,9 @@ def _leader_cluster_numpy(x, threshold, window):
 
 
 
-def _best_subset_numpy(z, y_resid, rss0, gate, max_size, values):
+def _best_subset_numpy(z, y_resid, rss0, gate, max_size, values, to_beat, budget):
+    """Every subset up to ``max_size``, unpruned: ``to_beat`` and ``budget``
+    are accepted for the kernel's signature and ignored, so ``n_pruned`` is 0."""
     n, s = z.shape
     best = [values(rss0, 0), 0, np.empty(0, np.int64)]
     n_eval = 1
@@ -231,4 +233,4 @@ def _best_subset_numpy(z, y_resid, rss0, gate, max_size, values):
 
     if max_size > 0 and s > 0:
         descend(0, 0, rss0)
-    return best[0], best[2], n_eval
+    return best[0], best[2], n_eval, 0

@@ -15,7 +15,9 @@ KEYS = {
     "panel": {"load_s", "impute_s", "cluster_s", "scan_s", "output_s", "end_to_end_s",
               "peak_rss_mb"},
     "desk": {"engine_build_s", "scan_s", "forward_s", "select_s", "study_s", "peak_rss_mb"},
+    "paper": {"scan_s", "mbic_select_s", "mbic2_select_s", "peak_rss_mb"},
 }
+RECORDS = {"panel": set(), "desk": set(), "paper": {"results"}}  # run fields beside the metrics
 
 
 @pytest.mark.parametrize("workload", sorted(KEYS))
@@ -31,11 +33,15 @@ def test_toy_pair_reports_every_layer(tmp_path, workload):
     assert report["workload"] == workload
     assert [(r["label"], r["pair"]) for r in report["runs"]] == [("a", 0), ("b", 0)]
     for run in report["runs"]:
-        assert set(run) == KEYS[workload] | {"label", "pair", "seed"}
+        assert set(run) == KEYS[workload] | RECORDS[workload] | {"label", "pair", "seed"}
         assert all(np.isfinite(run[k]) and run[k] > 0 for k in KEYS[workload])
     assert set(report["summary"]["a"]) == KEYS[workload]
     assert set(report["pairs_won_vs_base"]["b"]) == KEYS[workload]
     assert set(report["blas_threads"].values()) == {"1"}
+    if workload == "paper":
+        # both sides import the same tree, so they select the same models
+        a, b = (run["results"] for run in report["runs"])
+        assert a == b and set(a) == {"mbic", "mbic2"}
 
 
 def test_desk_identity_toy_prints_stable_digests():
@@ -43,8 +49,10 @@ def test_desk_identity_toy_prints_stable_digests():
     runs = [subprocess.run(cmd, capture_output=True, text=True, timeout=300) for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr[-2000:]
-    selects, detections = runs[0].stdout.splitlines()
+    selects, detections, results = runs[0].stdout.splitlines()
     # 2 replicates x the mBIC and mBIC2 searches
     assert re.fullmatch(r"selects 4 [0-9a-f]{64}", selects)
     assert re.fullmatch(r"detections [0-9a-f]{64}", detections)
+    assert re.fullmatch(r"results 4 [0-9a-f]{64}", results)
+    assert results.split()[2] != selects.split()[2]  # the stats are left out
     assert runs[1].stdout == runs[0].stdout

@@ -60,9 +60,11 @@ def test_select_finds_planted_snp(tmp_path):
     assert selection["selected_indices"] == [11]
     stats = selection["search_stats"]
     assert set(stats) == {"subsets_scored", "subsets_skipped_by_bound", "refine_fallbacks"}
-    # one SNP is under the refinement trigger: exhaustive scoring, no fallback
+    # one SNP is under the refinement trigger: no fallback, and the two walks
+    # reach the 2 subsets of the one SNP each, scored or ruled out by the bound
     assert stats["subsets_scored"] > 0
-    assert stats["subsets_skipped_by_bound"] == stats["refine_fallbacks"] == 0
+    assert stats["subsets_scored"] + stats["subsets_skipped_by_bound"] == 4
+    assert stats["refine_fallbacks"] == 0
     trace_lines = (out / "trace.jsonl").read_text().strip().splitlines()
     assert all("stage" in json.loads(line) for line in trace_lines)
 
@@ -237,6 +239,8 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys, cfg, key):
     (["--methods", "foo"], "argument --methods: unknown method 'foo'"),
     (["--methods", "bh,mbic3"], "argument --methods: unknown method 'mbic3'"),
     (["--methods", "mbic,bh,mbic"], "argument --methods: method 'mbic' named twice"),
+    (["--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+    (["--seed", "1.5"], "argument --seed: must be a non-negative integer, got '1.5'"),
 ])
 def test_simulate_bad_flag_exits_2(tmp_path, capsys, flags, message):
     cfg_path = tmp_path / "study.json"

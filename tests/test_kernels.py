@@ -3,6 +3,7 @@ replaced, which stay as their references in ``oracles.py``, and the subset
 kernel against a direct itertools + lstsq enumeration."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gwasel import _kernels
 from gwasel.cluster import cluster_snps
+from gwasel.errors import BudgetError
 from gwasel.genotype import impute_missing
 from gwasel.regress import _gate
 
-from conftest import dataset_from_values
+from conftest import dataset_from_values, unpruned
 from oracles import _best_subset_numpy, _impute_fill_numpy, _leader_cluster_numpy
 
 
@@ -36,8 +38,12 @@ def criterion(pen, log_mode, n_obs, sigma2=1.7, floor=1e-12):
     return values
 
 
+NO_BUDGET = 10**9
+
+
 def subset_inputs(seed, s, cap, columns, log_mode):
-    """Positional arguments of the subset kernels for a random problem."""
+    """Positional arguments of the subset kernels for a random problem, with
+    nothing to beat and no budget."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(s + 5, 50))
     z = rng.normal(size=(n, s))
@@ -52,7 +58,7 @@ def subset_inputs(seed, s, cap, columns, log_mode):
     orig_norm2 = np.einsum("ij,ij->j", z, z) * rng.uniform(1.0, 2.0)
     pen = np.arange(s + 1) * rng.uniform(0.5, 6.0)
     return (z, y, float(y @ y), _gate(orig_norm2), min(cap, s),
-            criterion(pen, log_mode, float(n)))
+            criterion(pen, log_mode, float(n)), math.inf, NO_BUDGET)
 
 
 subset_problems = (
@@ -68,10 +74,11 @@ def test_best_subset_qr_matches_gram_schmidt(s, cap, seed, columns, log_mode):
     args = subset_inputs(seed, s, cap, columns, log_mode)
     z, y = args[:2]
 
-    val_gs, idx_gs, n_gs = _best_subset_numpy(*args)
-    val_qr, idx_qr, n_qr = _kernels.best_subset(*args)
+    val_gs, idx_gs, n_gs, _ = _best_subset_numpy(*args)
+    with unpruned():
+        val_qr, idx_qr, n_qr, n_pruned = _kernels.best_subset(*args)
 
-    assert n_qr == n_gs
+    assert (n_qr, n_pruned) == (n_gs, 0)
     assert val_qr == pytest.approx(val_gs, rel=1e-9)
     if list(idx_qr) != list(idx_gs):
         # only subsets spanning the same space tie exactly, and rounding
@@ -102,15 +109,51 @@ def enumerate_subsets(z, y, cap, values):
 @settings(max_examples=200, deadline=None)
 def test_best_subset_matches_itertools_lstsq_enumeration(s, cap, seed, columns, log_mode):
     args = subset_inputs(seed, s, cap, columns, log_mode)
-    z, y, _, _, cap, values = args
-    val, idx, n_eval = _kernels.best_subset(*args)
+    z, y, _, _, cap, values, _, _ = args
+    val, idx, n_scored, n_pruned = _kernels.best_subset(*args)
     (want_val, want_size, want_subset), want_eval = enumerate_subsets(z, y, cap, values)
 
-    assert n_eval == want_eval
+    # the bound counts every subset of a skipped subtree, collinear or not
+    assert n_scored + n_pruned >= want_eval
     assert val == pytest.approx(want_val, rel=1e-9)
     assert len(idx) == want_size
     if columns == "independent":
         assert tuple(idx) == want_subset
+        assert n_scored + n_pruned == want_eval
+
+
+@given(st.integers(1, 9), st.integers(0, 5), *subset_problems,
+       st.sampled_from(["inf", "above", "below"]))
+@settings(max_examples=300, deadline=None)
+def test_pruned_best_subset_matches_the_oracle(s, cap, seed, columns, log_mode, beat):
+    args = subset_inputs(seed, s, cap, columns, log_mode)
+    z, y = args[:2]
+    want_val, want_idx, n_all, _ = _best_subset_numpy(*args)
+    delta = 1e-7 * max(abs(want_val), 1.0)
+    to_beat = {"inf": math.inf, "above": want_val + delta, "below": want_val - delta}[beat]
+    val, idx, n_scored, n_pruned = _kernels.best_subset(*args[:6], to_beat, NO_BUDGET)
+
+    # the budget counts the subsets the pruned walk scores beyond the empty one
+    if n_scored > 1:
+        with pytest.raises(BudgetError, match=f"scored more than {n_scored - 1} subsets"):
+            _kernels.best_subset(*args[:6], to_beat, n_scored - 1)
+    assert _kernels.best_subset(*args[:6], to_beat, n_scored)[2] == n_scored
+    if beat == "below":
+        # nothing beats to_beat, so the walk may stop short of the minimum,
+        # but never returns a value below it
+        assert val >= want_val - 1e-9 * abs(want_val)
+        return
+    with unpruned():
+        full = _kernels.best_subset(*args)
+    assert (val, list(idx)) == (full[0], list(full[1]))
+    assert n_scored <= full[2]
+    assert val == pytest.approx(want_val, rel=1e-9)
+    if columns == "independent":
+        assert list(idx) == list(want_idx)
+        assert n_scored + n_pruned == n_all
+    elif list(idx) != list(want_idx):
+        assert len(idx) == len(want_idx)
+        assert subset_rss(z, y, idx) == pytest.approx(subset_rss(z, y, want_idx), rel=1e-9)
 
 
 def test_best_subset_qr_skips_exact_duplicate():
@@ -119,8 +162,9 @@ def test_best_subset_qr_skips_exact_duplicate():
     z[:, 3] = z[:, 1]
     y = 2.0 * z[:, 1] + 0.1 * rng.normal(size=30)
     args = (z, y, float(y @ y), _gate(np.einsum("ij,ij->j", z, z)), 4,
-            criterion(np.arange(5.0), True, 30.0))
-    _, _, n_eval = _kernels.best_subset(*args)
+            criterion(np.arange(5.0), True, 30.0), math.inf, NO_BUDGET)
+    with unpruned():
+        _, _, n_eval, _ = _kernels.best_subset(*args)
     # 16 subsets of four columns; the 4 holding both copies are skipped
     assert n_eval == 16 - 4
     assert n_eval == _best_subset_numpy(*args)[2]
@@ -135,7 +179,8 @@ def test_best_subset_exact_ties_go_to_smallest_subset(cap, pen, expected):
     z = np.zeros((5, 3))
     z[0, 0] = z[1, 1] = z[2, 2] = 1.0
     y = np.array([1.0, 1.0, 1.0, 0.5, 0.0])
-    args = (z, y, float(y @ y), _gate(np.ones(3)), cap, criterion(np.asarray(pen), True, 5.0))
+    args = (z, y, float(y @ y), _gate(np.ones(3)), cap, criterion(np.asarray(pen), True, 5.0),
+            math.inf, NO_BUDGET)
     for kernel in (_best_subset_numpy, _kernels.best_subset):
         assert list(kernel(*args)[1]) == expected
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 from unittest import mock
 
@@ -24,8 +25,6 @@ from gwasel.search import (
     _forward,
     _project,
     _stepwise,
-    _subset_bounds,
-    _subset_counts,
     forward_stage,
     refine_subsets,
     screen,
@@ -40,7 +39,7 @@ from gwasel.simulate import (
     synthetic_dataset,
 )
 
-from conftest import dataset_from_values, random_genotypes
+from conftest import dataset_from_values, random_genotypes, unpruned
 from oracles import backward_by_drops, forward_by_pushes, lstsq_rss
 
 
@@ -537,15 +536,26 @@ def test_select_refuses_extras_outside_the_panel_before_any_stage(extra, monkeyp
         select_model(dsy, make_config("mbic2", dsy), extra_candidates=(17, extra))
 
 
-def test_refine_budget_error():
+def test_refine_budget_error(monkeypatch):
+    # a noise incumbent of 24 SNPs: the pruned walks finish after scoring a
+    # few hundred of its 2^24 subsets, so only a small budget is exceeded
     rng = np.random.default_rng(18)
     values = random_genotypes(rng, 60, 30)
     y = rng.normal(size=60)
     ds = dataset_from_values(values, trait=y)
     cfg = make_config("mbic2", ds)
     incumbent = ModelSpec(tuple(range(24)))
-    with pytest.raises(BudgetError):
+    trace = SearchTrace()
+    refine_subsets(ds, incumbent, (), cfg, _trace=trace)
+    assert 0 < trace.stats["subsets_scored"] < 10**4
+    monkeypatch.setattr(gwasel.search, "SUBSET_BUDGET", 10)
+    with pytest.raises(BudgetError, match="scored more than 10 subsets"):
         refine_subsets(ds, incumbent, (), cfg)
+
+
+def full_count(k, max_size):
+    """Subsets of k columns with at most ``max_size`` of them, the empty one included."""
+    return sum(math.comb(k, q) for q in range(min(k, max_size) + 1))
 
 
 criterion_kinds = st.sampled_from(["bic", "mbic", "mbic2", "ebic"])
@@ -561,27 +571,26 @@ def criterion_for(kind, ds, known_sigma):
 @settings(max_examples=60, deadline=None)
 def test_subset_bound_never_exceeds_the_best_subset_of_each_size(seed, n_forced, neg_log_eps,
                                                                  effect, kind, known_sigma):
+    # a subtree the bound rules out never holds the itertools + lstsq minimum
     ds, forced, order = strong_design(seed, n_forced, 10.0**-neg_log_eps, effect)
     ws = filled_workspace(ds, forced, order[:9])
     k = len(ws.snps)
     crit = criterion_for(kind, ds, known_sigma)
     ev = _CriterionEval(crit, ws.rss_base)
-    max_size = min(3, k - 1)
-    bounds = _subset_bounds(ws, max_size, ev)
-    assert bounds.shape == (max_size + 1,)
+    inc_val = ev.value(ws.rss, k)
     best_upto = np.inf
-    for q in range(max_size + 1):
+    for q in range(min(3, k - 1) + 1):
         best = min(ev.value(lstsq_rss(ds, sub, forced)[0], q)
                    for sub in itertools.combinations(ws.snps, q))
-        assert best >= bounds[q] - 1e-9 * max(abs(bounds[q]), 1.0), q
-        # the enumeration kernel over sizes <= q finds the itertools + lstsq minimum
         best_upto = min(best_upto, best)
-        assert _enumerate_best(ws, ws.snps, q, ev)[0] == pytest.approx(best_upto, rel=1e-9), q
-
-
-def never_ruled_out(ws, max_size, ev):
-    """A vacuous bound: the fallback always enumerates."""
-    return np.full(max_size + 1, -np.inf)
+        for to_beat in (math.inf, inc_val):  # nothing to beat, the incumbent as refinement has it
+            stats = dict.fromkeys(("subsets_scored", "subsets_skipped_by_bound"), 0)
+            val, _ = _enumerate_best(ws, ws.snps, q, ev, to_beat, stats)
+            assert stats["subsets_scored"] + stats["subsets_skipped_by_bound"] == full_count(k, q)
+            if best_upto <= to_beat:
+                assert val == pytest.approx(best_upto, rel=1e-9), q
+            else:
+                assert val >= best_upto - 1e-9 * abs(best_upto), q
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0),
@@ -604,7 +613,7 @@ def test_bounded_refine_matches_always_enumerate(seed, n_forced, neg_log_eps, ef
         if bounded:
             refined = refine_subsets(ds, model, extras, cfg, _trace=trace, _ws=work)
         else:
-            with mock.patch.object(gwasel.search, "_subset_bounds", never_ruled_out):
+            with unpruned():
                 refined = refine_subsets(ds, model, extras, cfg, _trace=trace, _ws=work)
         assert work.snps == ws.snps and work.rss == ws.rss  # the workspace is left as it was
         runs.append((refined, trace))
@@ -612,9 +621,10 @@ def test_bounded_refine_matches_always_enumerate(seed, n_forced, neg_log_eps, ef
     assert got == want
     assert trace.to_jsonl() == trace_o.to_jsonl()
     assert trace.stats["refine_fallbacks"] == trace_o.stats["refine_fallbacks"]
-    if trace.stats["subsets_skipped_by_bound"]:
-        assert trace.stats["subsets_scored"] == 0
-        assert trace_o.stats["subsets_scored"] > 0
+    scored, skipped = trace.stats["subsets_scored"], trace.stats["subsets_skipped_by_bound"]
+    assert trace_o.stats["subsets_skipped_by_bound"] == 0
+    # the bound also counts the collinear subsets of a skipped subtree
+    assert scored <= trace_o.stats["subsets_scored"] <= scored + skipped
 
 
 def test_bound_skips_the_enumeration_of_a_strong_model():
@@ -627,12 +637,13 @@ def test_bound_skips_the_enumeration_of_a_strong_model():
     trace = SearchTrace()
     refined = refine_subsets(dsy, ModelSpec(causal), (), cfg, _trace=trace)
     assert refined.snp_indices == causal
-    assert trace.stats == {"subsets_scored": 0, "refine_fallbacks": 1,
-                           "subsets_skipped_by_bound": _subset_counts(8, 4)}
-    with mock.patch.object(gwasel.search, "_subset_bounds", never_ruled_out):
+    # the bound rules out the whole walk: only the empty subset is scored
+    assert trace.stats == {"subsets_scored": 1, "refine_fallbacks": 1,
+                           "subsets_skipped_by_bound": full_count(8, 4) - 1}
+    with unpruned():
         oracle = SearchTrace()
         assert refine_subsets(dsy, ModelSpec(causal), (), cfg, _trace=oracle) == refined
-    assert oracle.stats["subsets_scored"] == _subset_counts(8, 4)
+    assert oracle.stats["subsets_scored"] == full_count(8, 4)
     assert oracle.to_jsonl() == trace.to_jsonl()
 
 
@@ -920,6 +931,20 @@ def test_desk_trace_structure_is_pinned(desk):
             stepwise.update(r.action for r in trace.records if r.stage == "stepwise")
     assert stepwise["add"] and stepwise["drop"]
     assert digest.hexdigest() == DESK_TRACE_DIGEST
+
+
+@pytest.mark.parametrize("rep", [0, 4])
+def test_default_mbic_refines_a_25_snp_incumbent(desk, rep):
+    # with the default trigger and cap, mBIC ends these replicates at 25 SNPs,
+    # whose ~33.6M reachable subsets a predicted-count budget refused
+    dsy, scan = desk_replicate(desk, rep)
+    cfg = SearchConfig(criterion=desk[3]["mbic"].criterion)
+    model, _, trace = select_model(dsy, cfg, scan=scan)
+    stats = trace.stats
+    assert model.size == 25 and stats["refine_fallbacks"] == 0
+    assert stats["subsets_scored"] < 10**4
+    assert stats["subsets_scored"] + stats["subsets_skipped_by_bound"] == (
+        full_count(25, 5) + 2**25)
 
 
 @pytest.mark.parametrize("limit", [1, 2])  # the cap reached on an add, on a drop
