@@ -292,7 +292,7 @@ def best_subset(z, y_resid, rss0, gate, max_size, values, to_beat, budget):
         n_eval += n_ok
         if n_eval > budget:
             raise BudgetError(f"subset refinement scored more than {budget} subsets; "
-                              "lower exhaustive_size_cap or refinement_trigger")
+                              "lower refinement_trigger")
         if n_ok:
             a, j = np.unravel_index(np.argmin(vals), vals.shape)
             val = float(vals[a, j])

@@ -138,6 +138,12 @@ class Dataset:
     def n_snps(self) -> int:
         return self.genotypes.n_snps
 
+    def check_snps(self, indices, what: str = "SNP") -> None:
+        """Raise ``ValueError`` naming the first of ``indices`` outside [0, n_snps)."""
+        for j in indices:
+            if not 0 <= j < self.n_snps:
+                raise ValueError(f"{what} {j} is outside [0, {self.n_snps})")
+
     @property
     def n_covariates(self) -> int:
         return 0 if self.covariates is None else self.covariates.shape[1]

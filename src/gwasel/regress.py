@@ -148,6 +148,8 @@ class FitWorkspace:
             if cov is None:
                 raise ValueError("model names forced covariate columns but dataset has none")
             for j in self.forced_indices:
+                if not 0 <= j < cov.shape[1]:
+                    raise ValueError(f"forced covariate {j} is outside [0, {cov.shape[1]})")
                 self._push(cov[:, j], label=j)
         self.rss_base = self.rss
         self._r_base = self._r
@@ -217,8 +219,7 @@ class FitWorkspace:
 
     def add_snp(self, j: int):
         """Append genotype column j; returns (new basis vector, its y load)."""
-        if not 0 <= j < self.X.shape[1]:
-            raise ValueError(f"SNP {j} is outside [0, {self.X.shape[1]})")
+        self.dataset.check_snps((j,))
         if j in self.snps:
             raise ValueError(f"SNP {j} already in model")
         u, d = self._push(self.X[:, j], label=j)
@@ -400,6 +401,8 @@ def noncentrality_single_marker(
         raise ValueError("causal_indices and effects must have equal length")
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    dataset.check_snps((j,))
+    dataset.check_snps(causal, "causal index")
     cj = _centered(dataset, j)
     sjj = float(cj @ cj)
     if sjj <= 0.0:

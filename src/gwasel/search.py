@@ -22,8 +22,11 @@ them afresh after each drop and scores drops from a fresh inverse.
 Refinement scores subsets of the selected model with ``_kernels.best_subset``,
 which walks them depth first and skips each subtree whose exact lower bound
 cannot beat the best value so far or the value refinement must beat (leaps
-and bounds: Furnival & Wilson, Technometrics 1974).  ``SUBSET_BUDGET``
-caps the subsets one walk scores, not the subsets it could reach.
+and bounds: Furnival & Wilson, Technometrics 1974).  Its walks share one
+running best, which starts at the incumbent.  ``SUBSET_BUDGET`` caps the
+subsets one walk scores, not the subsets it could reach;
+``EXHAUSTIVE_SIZE_CAP`` and ``MAX_STEPWISE_ITERATIONS`` are the other fixed
+limits of the search.
 """
 
 from __future__ import annotations
@@ -49,31 +52,32 @@ from gwasel.regress import (
 )
 
 SUBSET_BUDGET = 10**7  # subsets one refinement walk may score
+EXHAUSTIVE_SIZE_CAP = 5  # largest subset of the model plus extras that refinement scores
+MAX_STEPWISE_ITERATIONS = 1000  # moves stepwise makes before it stops
 FORWARD_BLOCK = 128  # screened candidates projected per matrix product in forward
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Tuning knobs of the staged search."""
+    """Tuning knobs of the staged search.
+
+    ``refinement_trigger`` is the largest model plus extras that refinement
+    enumerates rather than reducing it by backward elimination first; it may
+    not lie below ``EXHAUSTIVE_SIZE_CAP``.
+    """
 
     criterion: CriterionConfig
     screen_threshold: float = 0.15
     max_forward_size: int = 140
     refinement_trigger: int = 25
-    exhaustive_size_cap: int = 5
-    max_stepwise_iterations: int = 1000
 
     def __post_init__(self):
         if not 0.0 < self.screen_threshold <= 1.0:
             raise ValueError("screen_threshold must lie in (0, 1]")
         if self.max_forward_size < 1:
             raise ValueError("max_forward_size must be >= 1")
-        if self.exhaustive_size_cap < 0:
-            raise ValueError("exhaustive_size_cap must be >= 0")
-        if self.exhaustive_size_cap > self.refinement_trigger:
-            raise ValueError("exhaustive_size_cap must not exceed refinement_trigger")
-        if self.max_stepwise_iterations < 1:
-            raise ValueError("max_stepwise_iterations must be >= 1")
+        if self.refinement_trigger < EXHAUSTIVE_SIZE_CAP:
+            raise ValueError(f"refinement_trigger must be >= {EXHAUSTIVE_SIZE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -302,10 +306,10 @@ def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
 
 
 def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndarray,
-              config: SearchConfig, ev: _CriterionEval, trace: SearchTrace) -> ModelSpec:
+              ev: _CriterionEval, trace: SearchTrace) -> ModelSpec:
     """Alternate the best add among the candidates ``idx`` (columns ``cols``,
     squared norms ``norm2``) and the best drop while either lowers the
-    criterion, for at most ``max_stepwise_iterations`` moves.
+    criterion, for at most ``MAX_STEPWISE_ITERATIONS`` moves.
 
     s and t of the candidates are downdated on each add and projected
     afresh after each drop.
@@ -360,7 +364,7 @@ def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.nda
             trace.append("stepwise", action, j, cur_val, len(ws.snps))
             moves += 1
             made_move = True
-            if moves >= config.max_stepwise_iterations:
+            if moves >= MAX_STEPWISE_ITERATIONS:
                 trace.truncated = True
                 trace.append("stepwise", "truncated", None, cur_val, len(ws.snps))
                 return ws.model()
@@ -388,9 +392,7 @@ def _enumerate_best(ws: FitWorkspace, columns: list[int], max_size: int,
 
 def _checked_extras(dataset: Dataset, extra_candidates) -> set[int]:
     extras = {int(e) for e in extra_candidates}
-    for e in sorted(extras):
-        if not 0 <= e < dataset.n_snps:
-            raise ValueError(f"extra candidate {e} is outside [0, {dataset.n_snps})")
+    dataset.check_snps(sorted(extras), "extra candidate")
     return extras
 
 
@@ -399,37 +401,34 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
                    _ws: FitWorkspace | None = None) -> ModelSpec:
     """Final enumeration step over the model plus externally suggested SNPs.
 
-    When the combined set is small enough, subsets of it up to
-    ``exhaustive_size_cap`` and every subset of the incumbent are scored and
-    the minimizer returned, ties going to the incumbent.  Larger combined
-    sets fall back to backward elimination followed by enumeration of
-    subsets strictly below the cap.  Each walk skips the subtrees that
-    cannot beat the incumbent (see the module docstring) and raises
-    ``BudgetError`` once it has scored more than ``SUBSET_BUDGET`` subsets.
-    Forced covariates are always retained.  An extra candidate outside
-    [0, p) raises ``ValueError``.
+    One running best, keyed (value, size, lexicographic order), starts at
+    the incumbent and is handed to each walk as the value to beat.  When the
+    combined set is at most ``refinement_trigger``, every subset of the
+    incumbent is walked and, when there are extras, every subset of the
+    combined set up to ``EXHAUSTIVE_SIZE_CAP``.  Larger combined sets fall
+    back to backward elimination: the reduced model enters the running best
+    and its subsets strictly below the cap are walked.  The minimizer is
+    returned when it beats the incumbent, which wins every tie.  Each walk
+    skips the subtrees that cannot beat the running best (see the module
+    docstring) and raises ``BudgetError`` once it has scored more than
+    ``SUBSET_BUDGET`` subsets.  Forced covariates are always retained.  An
+    extra candidate outside [0, p) raises ``ValueError``.
     ``_ws`` is a workspace holding exactly ``model`` to work from instead of
     building one; it is left unchanged.
     """
     trace = _trace if _trace is not None else SearchTrace()
     stats = trace.stats
-    forced = model.forced_indices
     extras = sorted(_checked_extras(dataset, extra_candidates) - set(model.snp_indices))
     n_combined = model.size + len(extras)
     ws = _ws if _ws is not None else workspace_for(dataset, model)
     ev = _CriterionEval(config.criterion, ws.rss_base)
     inc_val = ev.value(ws.rss, model.size)
+    best = (inc_val, model.size, model.snp_indices)
 
-    cap = config.exhaustive_size_cap
-    candidates: list[tuple[float, int, tuple[int, ...]]] = []
     if n_combined <= config.refinement_trigger:
-        combined = sorted([*model.snp_indices, *extras])
-        val, subset = _enumerate_best(ws, combined, cap, ev, inc_val, stats)
-        candidates.append((val, len(subset), subset))
-        if model.size:
-            val_i, subset_i = _enumerate_best(ws, list(model.snp_indices), model.size, ev,
-                                              min(inc_val, val), stats)
-            candidates.append((val_i, len(subset_i), subset_i))
+        walks = [(ws, list(model.snp_indices), model.size)]
+        if extras:
+            walks.append((ws, sorted([*model.snp_indices, *extras]), EXHAUSTIVE_SIZE_CAP))
     else:
         trace.append("refine", "fallback_backward", None, None, n_combined)
         stats["refine_fallbacks"] += 1
@@ -440,20 +439,18 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
             except CollinearityError:
                 trace.append("refine", "skip_collinear", j, None, len(red_ws.snps))
         reduced = _backward(red_ws, ev, trace, stage="refine_backward")
-        red_val = ev.value(red_ws.rss, reduced.size)
-        candidates.append((red_val, reduced.size, reduced.snp_indices))
-        if cap > 0:  # no size lies strictly below a cap of 0
-            val, subset = _enumerate_best(red_ws, list(reduced.snp_indices), cap - 1, ev,
-                                          min(inc_val, red_val), stats)
-            candidates.append((val, len(subset), subset))
+        best = min(best, (ev.value(red_ws.rss, reduced.size), reduced.size, reduced.snp_indices))
+        walks = [(red_ws, list(reduced.snp_indices), EXHAUSTIVE_SIZE_CAP - 1)]
+    for walk_ws, columns, max_size in walks:
+        val, subset = _enumerate_best(walk_ws, columns, max_size, ev, best[0], stats)
+        best = min(best, (val, len(subset), subset))
 
-    best_val, _, best_subset_idx = min(candidates)
-    if best_val < inc_val:
-        result = ModelSpec(tuple(sorted(best_subset_idx)), forced)
-        if set(result.snp_indices) != set(model.snp_indices):
-            trace.append("refine", "replace", None, best_val, result.size)
-        return result
-    return model
+    best_val, _, subset = best
+    if best_val >= inc_val:
+        return model
+    if subset != model.snp_indices:
+        trace.append("refine", "replace", None, best_val, len(subset))
+    return ModelSpec(subset, model.forced_indices)
 
 
 @dataclass(frozen=True)
@@ -532,7 +529,7 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
 
     ev = _CriterionEval(config.criterion, ws.rss_base)
     _backward(ws, ev, trace)
-    _stepwise(ws, state.candidates, state.cols, state.norm2, config, ev, trace)
+    _stepwise(ws, state.candidates, state.cols, state.norm2, ev, trace)
 
     found = ws.model()
     model = refine_subsets(dataset, found, extras, config, _trace=trace, _ws=ws)

@@ -103,18 +103,16 @@ def synthetic_dataset(n_individuals: int, n_snps: int,
 def simulate_trait(dataset: Dataset, config: SimulationConfig,
                    replicate_index: int) -> np.ndarray:
     """One trait draw y = X beta + noise (zero intercept)."""
-    p = dataset.n_snps
-    for j in config.causal_indices:
-        if not 0 <= j < p:
-            raise ValueError(f"causal index {j} outside [0, {p})")
+    g = genetic_component(dataset, config)
     if dataset.genotypes.missing_mask[:, list(config.causal_indices)].any():
         raise ValueError("causal columns contain missing genotypes")
-    g = genetic_component(dataset, config)
     rng = rng_stream(config.seed, replicate_index, "trait")
     return g + rng.normal(0.0, config.sigma, size=dataset.n_individuals)
 
 
 def genetic_component(dataset: Dataset, config: SimulationConfig) -> np.ndarray:
+    """X beta over the causal columns; a causal index outside [0, p) raises ``ValueError``."""
+    dataset.check_snps(config.causal_indices, "causal index")
     if not config.causal_indices:
         return np.zeros(dataset.n_individuals)
     X = dataset.float_values[:, list(config.causal_indices)]
@@ -309,15 +307,9 @@ def run_study(dataset: Dataset, config: SimulationConfig,
     if len(set(names)) != len(names):
         raise ValueError("duplicate method kinds in one study")
     engine = ScanEngine(dataset)
-    k = config.k
-    hits = {m: {t: np.zeros(k) for t in config.tp_thresholds} for m in names}
-    fdr = {m: {t: np.zeros(config.n_replicates) for t in config.tp_thresholds} for m in names}
-    fp_counts: dict[str, dict[float, dict[int, int]]] = {
-        m: {t: {} for t in config.tp_thresholds} for m in names
-    }
-    fp_max_r: dict[str, dict[float, dict[int, float]]] = {
-        m: {t: {} for t in config.tp_thresholds} for m in names
-    }
+    # power holds hit counts until the replicates are done
+    stats = {m: {t: MethodStats(power=np.zeros(config.k), fdr=np.zeros(config.n_replicates))
+                 for t in config.tp_thresholds} for m in names}
     detections: dict[str, list[list[int]]] = {m: [] for m in names}
     causal_pos = {j: i for i, j in enumerate(config.causal_indices)}
     searches = {m.kind: m.search_config(dataset) for m in methods if m.kind in ("mbic", "mbic2")}
@@ -343,29 +335,19 @@ def run_study(dataset: Dataset, config: SimulationConfig,
             detected_list = [int(j) for j in detected]
             detections[spec.kind].append(detected_list)
             for thr in config.tp_thresholds:
+                s = stats[spec.kind][thr]
                 cls = classify_detections(detected_list, dataset, config, thr)
                 for j in cls.tp_causal:
-                    hits[spec.kind][thr][causal_pos[j]] += 1.0
+                    s.power[causal_pos[j]] += 1.0
                 n_det = cls.tp_count + len(cls.fp_list)
-                fdr[spec.kind][thr][rep] = len(cls.fp_list) / n_det if n_det else 0.0
+                s.fdr[rep] = len(cls.fp_list) / n_det if n_det else 0.0
                 for j, r in cls.fp_list:
-                    fp_counts[spec.kind][thr][j] = fp_counts[spec.kind][thr].get(j, 0) + 1
-                    fp_max_r[spec.kind][thr][j] = max(
-                        fp_max_r[spec.kind][thr].get(j, 0.0), r
-                    )
+                    s.fp_counts[j] = s.fp_counts.get(j, 0) + 1
+                    s.fp_max_r[j] = max(s.fp_max_r.get(j, 0.0), r)
 
-    stats = {
-        m: {
-            t: MethodStats(
-                power=hits[m][t] / max(config.n_replicates, 1),
-                fdr=fdr[m][t],
-                fp_counts=fp_counts[m][t],
-                fp_max_r=fp_max_r[m][t],
-            )
-            for t in config.tp_thresholds
-        }
-        for m in names
-    }
+    for per_threshold in stats.values():
+        for s in per_threshold.values():
+            s.power /= max(config.n_replicates, 1)
     return DetectionReport(
         causal_indices=config.causal_indices,
         thresholds=config.tp_thresholds,

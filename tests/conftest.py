@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gwasel import _kernels
+from gwasel import _kernels, search
 from gwasel.genotype import Dataset, GenotypeMatrix, default_meta
 
 
@@ -37,3 +37,13 @@ def random_genotypes(rng, n, p):
 def unpruned():
     """The subset kernel with its bound switched off: the same arithmetic, no skipped subtree."""
     return mock.patch.object(_kernels, "BOUND_MARGIN", math.inf)
+
+
+def search_constants(**values):
+    """``gwasel.search`` module constants (``EXHAUSTIVE_SIZE_CAP``,
+    ``MAX_STEPWISE_ITERATIONS``) set to ``values`` inside a ``with`` block.
+
+    ``SearchConfig`` checks ``refinement_trigger`` against the cap when it is
+    built, so build configs inside the block.
+    """
+    return mock.patch.multiple(search, **values)

@@ -1,5 +1,6 @@
 """Toy runs of the `benchmarks/` scripts: `bench_pipeline.py` writes every
-metric and `desk_identity.py` prints stable digests."""
+metric, `desk_identity.py` prints stable digests and `code_lines.py` counts
+code lines."""
 
 import json
 import re
@@ -56,3 +57,36 @@ def test_desk_identity_toy_prints_stable_digests():
     assert re.fullmatch(r"results 4 [0-9a-f]{64}", results)
     assert results.split()[2] != selects.split()[2]  # the stats are left out
     assert runs[1].stdout == runs[0].stdout
+
+
+TOY_MODULE = '''"""Module docstring: not code."""
+# a comment line
+
+import math  # a trailing comment keeps the line
+
+
+def area(r):
+    """Function docstring,
+    over two lines."""
+    label = """a multi-line string
+    that is code"""
+    return (math.pi *
+            r * r), label
+
+
+class Shape:
+    "class docstring"
+    sides = 0
+'''
+
+
+def test_code_lines_counts_a_toy_package(tmp_path):
+    # code lines: import, def, label = (2 lines), return (2 lines), class, sides
+    package = tmp_path / "gwasel"
+    package.mkdir()
+    (package / "toy.py").write_text(TOY_MODULE)
+    (package / "empty.py").write_text("# only a comment\n\n")
+    cmd = [sys.executable, str(ROOT / "benchmarks" / "code_lines.py"), "--src", str(tmp_path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == ["empty.py 0", "toy.py 8", "total 8"]

@@ -60,10 +60,10 @@ def test_select_finds_planted_snp(tmp_path):
     assert selection["selected_indices"] == [11]
     stats = selection["search_stats"]
     assert set(stats) == {"subsets_scored", "subsets_skipped_by_bound", "refine_fallbacks"}
-    # one SNP is under the refinement trigger: no fallback, and the two walks
-    # reach the 2 subsets of the one SNP each, scored or ruled out by the bound
+    # one SNP is under the refinement trigger: no fallback, and the one walk
+    # reaches the 2 subsets of the one SNP, scored or ruled out by the bound
     assert stats["subsets_scored"] > 0
-    assert stats["subsets_scored"] + stats["subsets_skipped_by_bound"] == 4
+    assert stats["subsets_scored"] + stats["subsets_skipped_by_bound"] == 2
     assert stats["refine_fallbacks"] == 0
     trace_lines = (out / "trace.jsonl").read_text().strip().splitlines()
     assert all("stage" in json.loads(line) for line in trace_lines)

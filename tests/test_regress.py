@@ -65,6 +65,19 @@ def test_fit_refuses_snps_outside_the_panel(j):
         fit(ds, ModelSpec((j,)))
 
 
+@pytest.mark.parametrize("forced, bad", [((-1,), -1), ((2,), 2), ((0, -2), -2)])
+def test_workspace_refuses_forced_covariates_outside_the_design(forced, bad):
+    # with 2 covariates, -1 would otherwise fit covariate 1, 2 end in a bare
+    # IndexError and (0, -2) be refused as collinear
+    rng = np.random.default_rng(2)
+    ds = dataset_from_values(random_genotypes(rng, 30, 4), trait=rng.normal(size=30),
+                             covariates=rng.normal(size=(30, 2)))
+    with pytest.raises(ValueError, match=rf"forced covariate {bad} is outside \[0, 2\)"):
+        fit(ds, ModelSpec((3,), forced))
+    with pytest.raises(ValueError, match=rf"forced covariate {bad} is outside \[0, 2\)"):
+        FitWorkspace(ds, forced)
+
+
 def test_fit_perfect_flag():
     values = np.array([[-1], [0], [1], [0]], dtype=np.int8)
     y = 2.0 * values[:, 0] + 1.0
@@ -420,6 +433,18 @@ def test_noncentrality_dense_projection_oracle():
     nu_r = float(g @ (np.eye(n) - P) @ g) / sigma**2
     assert pair.nu_m == pytest.approx(nu_m, rel=1e-9)
     assert pair.nu_r == pytest.approx(nu_r, rel=1e-9)
+
+
+@pytest.mark.parametrize("j, causal, message", [
+    (-1, (5,), "SNP -1"), (10, (5,), "SNP 10"),
+    (5, (-1,), "causal index -1"), (5, (-1, 5), "causal index -1"), (5, (10,), "causal index 10"),
+])
+def test_noncentrality_refuses_indices_outside_the_panel(j, causal, message):
+    # -1 would otherwise alias column 9 and 10 end in a bare IndexError
+    rng = np.random.default_rng(3)
+    ds = dataset_from_values(random_genotypes(rng, 40, 10))
+    with pytest.raises(ValueError, match=rf"{message} is outside \[0, 10\)"):
+        noncentrality_single_marker(ds, causal, np.ones(len(causal)), 1.0, j)
 
 
 def test_noncentrality_degenerate_column():

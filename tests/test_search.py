@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gwasel.criteria import CriterionConfig, evaluate
 from gwasel.errors import BudgetError, CollinearityError
@@ -39,7 +39,7 @@ from gwasel.simulate import (
     synthetic_dataset,
 )
 
-from conftest import dataset_from_values, random_genotypes, unpruned
+from conftest import dataset_from_values, random_genotypes, search_constants, unpruned
 from oracles import backward_by_drops, forward_by_pushes, lstsq_rss
 
 
@@ -168,8 +168,9 @@ def test_forward_stops_at_cap_with_141_strong_effects():
     scan = single_marker_scan(dsy)
     assert len(screen(scan, 0.9999)) == 141
     # a size-1 cap keeps the refinement after the forward stage within budget
-    cfg = make_config("mbic", dsy, screen_threshold=0.9999, exhaustive_size_cap=1)
-    added, _ = forward_adds(dsy, scan.p_values, cfg)
+    with search_constants(EXHAUSTIVE_SIZE_CAP=1):
+        cfg = make_config("mbic", dsy, screen_threshold=0.9999)
+        added, _ = forward_adds(dsy, scan.p_values, cfg)
     assert len(added) == 140
 
 
@@ -339,7 +340,7 @@ def test_backward_fixed_point():
     trace = SearchTrace()
     model = _backward(ws, ev, trace)
     assert model.snp_indices == (0, 1, 2)
-    assert _stepwise(ws, *gathered(dsy, [0, 1, 2]), cfg, ev, trace).snp_indices == (0, 1, 2)
+    assert _stepwise(ws, *gathered(dsy, [0, 1, 2]), ev, trace).snp_indices == (0, 1, 2)
     assert trace.records == []
 
 
@@ -515,10 +516,10 @@ def test_refine_refuses_extras_outside_the_panel(extra, trigger):
     ds = synthetic_dataset(200, 30, seed=52)
     sim = SimulationConfig((3, 17), (1.0, 0.8), sigma=1.0, seed=53)
     dsy = ds.with_trait(simulate_trait(ds, sim, 0))
-    cfg = make_config("mbic2", dsy, refinement_trigger=trigger,
-                      exhaustive_size_cap=min(trigger, 5))
-    with pytest.raises(ValueError, match=rf"extra candidate {extra} is outside \[0, 30\)"):
-        refine_subsets(dsy, ModelSpec((3,)), (extra, 17), cfg)
+    with search_constants(EXHAUSTIVE_SIZE_CAP=min(trigger, 5)):
+        cfg = make_config("mbic2", dsy, refinement_trigger=trigger)
+        with pytest.raises(ValueError, match=rf"extra candidate {extra} is outside \[0, 30\)"):
+            refine_subsets(dsy, ModelSpec((3,)), (extra, 17), cfg)
 
 
 @pytest.mark.parametrize("extra", [-1, 30])
@@ -604,17 +605,18 @@ def test_bounded_refine_matches_always_enumerate(seed, n_forced, neg_log_eps, ef
     model = ws.model()
     rest = [j for j in range(ds.n_snps) if j not in ws.snps]
     extras = rest[:n_extra]
-    cfg = SearchConfig(criterion=criterion_for(kind, ds, known_sigma),
-                       refinement_trigger=trigger, exhaustive_size_cap=max(trigger - cap_below, 1))
     runs = []
     for bounded in (True, False):
         trace = SearchTrace()
         work = ws.copy()
-        if bounded:
-            refined = refine_subsets(ds, model, extras, cfg, _trace=trace, _ws=work)
-        else:
-            with unpruned():
+        with search_constants(EXHAUSTIVE_SIZE_CAP=max(trigger - cap_below, 1)):
+            cfg = SearchConfig(criterion=criterion_for(kind, ds, known_sigma),
+                               refinement_trigger=trigger)
+            if bounded:
                 refined = refine_subsets(ds, model, extras, cfg, _trace=trace, _ws=work)
+            else:
+                with unpruned():
+                    refined = refine_subsets(ds, model, extras, cfg, _trace=trace, _ws=work)
         assert work.snps == ws.snps and work.rss == ws.rss  # the workspace is left as it was
         runs.append((refined, trace))
     (got, trace), (want, trace_o) = runs
@@ -627,13 +629,54 @@ def test_bounded_refine_matches_always_enumerate(seed, n_forced, neg_log_eps, ef
     assert scored <= trace_o.stats["subsets_scored"] <= scored + skipped
 
 
+@given(st.integers(0, 2**32 - 1), criterion_kinds, st.booleans(), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_exhaustive_refine_matches_the_union_oracle(seed, kind, known_sigma, cap, above_cap,
+                                                    n_extra):
+    # an incumbent M larger than the cap plus extras E, on the exhaustive path:
+    # the result is the (value, size, lexicographic) minimum over every subset
+    # of M and the subsets of M + E up to the cap, by itertools + lstsq
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(40, 80)), 10
+    values = random_genotypes(rng, n, p)
+    assume(len({values[:, j].tobytes() for j in range(p)}) == p)
+    assume(all(np.ptp(values[:, j]) > 0 for j in range(p)))
+    order = [int(j) for j in rng.permutation(p)]
+    incumbent = tuple(sorted(order[: cap + above_cap]))
+    extras = tuple(sorted(order[cap + above_cap: cap + above_cap + n_extra]))
+    # effects on a random share of the columns, so the best subset may be larger
+    # than the cap or the incumbent itself
+    effects = rng.uniform(0.3, 1.2, size=p) * (rng.random(p) < rng.uniform(0.3, 1.0))
+    ds = dataset_from_values(values, trait=values @ effects + rng.normal(size=n))
+    crit = criterion_for(kind, ds, known_sigma)
+    with search_constants(EXHAUSTIVE_SIZE_CAP=cap):
+        cfg = SearchConfig(criterion=crit, refinement_trigger=len(incumbent) + len(extras))
+        trace = SearchTrace()
+        got = refine_subsets(ds, ModelSpec(incumbent), extras, cfg, _trace=trace)
+    assert trace.stats["refine_fallbacks"] == 0
+
+    def value(sub):
+        return evaluate(crit, lstsq_rss(ds, sub)[0], len(sub))
+
+    union = set(powerset(incumbent)) | {
+        sub for q in range(cap + 1)
+        for sub in itertools.combinations(sorted(incumbent + extras), q)}
+    keys = sorted((value(sub), len(sub), sub) for sub in union)
+    want = keys[0]
+    tol = 1e-9 * max(abs(want[0]), 1.0)
+    assert value(got.snp_indices) == pytest.approx(want[0], abs=tol)
+    if keys[1][0] - want[0] > tol:  # no near tie that rounding could swap
+        assert got.snp_indices == want[2]
+
+
 def test_bound_skips_the_enumeration_of_a_strong_model():
     ds = synthetic_dataset(300, 12, seed=50)
     causal = tuple(range(8))
     sim = SimulationConfig(causal, (1.0,) * 8, sigma=1.0, seed=51)
     dsy = ds.with_trait(simulate_trait(ds, sim, 0))
     cfg = SearchConfig(criterion=CriterionConfig("mbic2", n=300, p_effective=12),
-                       refinement_trigger=6, exhaustive_size_cap=5)
+                       refinement_trigger=6)
     trace = SearchTrace()
     refined = refine_subsets(dsy, ModelSpec(causal), (), cfg, _trace=trace)
     assert refined.snp_indices == causal
@@ -645,28 +688,6 @@ def test_bound_skips_the_enumeration_of_a_strong_model():
         assert refine_subsets(dsy, ModelSpec(causal), (), cfg, _trace=oracle) == refined
     assert oracle.stats["subsets_scored"] == full_count(8, 4)
     assert oracle.to_jsonl() == trace.to_jsonl()
-
-
-def test_fallback_with_a_zero_cap_scores_no_subsets():
-    # no size lies strictly below a cap of 0, so the fallback keeps the
-    # backward-reduced model without asking the subset kernel for size -1
-    ds = synthetic_dataset(300, 12, seed=50)
-    causal = tuple(range(8))
-    sim = SimulationConfig(causal, (1.0,) * 8, sigma=1.0, seed=51)
-    dsy = ds.with_trait(simulate_trait(ds, sim, 0))
-    cfg = SearchConfig(criterion=CriterionConfig("mbic2", n=300, p_effective=12),
-                       refinement_trigger=6, exhaustive_size_cap=0)
-    trace = SearchTrace()
-    refined = refine_subsets(dsy, ModelSpec(tuple(range(10))), (), cfg, _trace=trace)
-    assert refined.snp_indices == causal
-    assert trace.stats == {"subsets_scored": 0, "refine_fallbacks": 1,
-                           "subsets_skipped_by_bound": 0}
-
-
-def test_negative_subset_cap_is_refused():
-    with pytest.raises(ValueError, match="exhaustive_size_cap must be >= 0"):
-        SearchConfig(criterion=CriterionConfig("mbic2", n=300, p_effective=12),
-                     exhaustive_size_cap=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +710,9 @@ def test_select_fit_matches_a_fresh_fit(kind, trigger):
     ds = synthetic_dataset(200, 60, seed=32)
     sim = SimulationConfig((4, 30, 51), (0.9, 1.1, 0.8), sigma=1.0, seed=33)
     dsy = ds.with_trait(simulate_trait(ds, sim, 0))
-    model, result, trace = select_model(dsy, make_config(kind, dsy, refinement_trigger=trigger,
-                                                         exhaustive_size_cap=min(trigger, 5)))
+    with search_constants(EXHAUSTIVE_SIZE_CAP=min(trigger, 5)):
+        model, result, trace = select_model(dsy, make_config(kind, dsy,
+                                                             refinement_trigger=trigger))
     assert model.size >= 2
     assert trace.stats["refine_fallbacks"] == int(trigger == 2)
     want = fit(dsy, model)
@@ -772,7 +794,7 @@ def test_select_matches_exhaustive_on_small_p():
 
 
 def test_select_with_fewer_snps_than_subset_cap():
-    # p = 3 < exhaustive_size_cap = 5: the subset step scores sizes 0..3 only
+    # p = 3 < EXHAUSTIVE_SIZE_CAP = 5: the subset step scores sizes 0..3 only
     ds = synthetic_dataset(120, 3, seed=30)
     sim = SimulationConfig((1,), (1.5,), sigma=1.0, seed=31)
     dsy = ds.with_trait(simulate_trait(ds, sim, 0))
@@ -933,18 +955,42 @@ def test_desk_trace_structure_is_pinned(desk):
     assert digest.hexdigest() == DESK_TRACE_DIGEST
 
 
+# sha256 of (stage, action, snp, model_size) of every record and the model of
+# the mBIC and mBIC2 selects of desk replicates 0-4 at refinement_trigger 32,
+# where every select refines on the exhaustive path (at trigger 12 every desk
+# select takes the backward fallback).
+DESK_EXHAUSTIVE_DIGEST = "8b12b7d81fe5628078073c4e37a1d658b60d6f314654b52703e5b280a58d6d17"
+
+
+def test_desk_exhaustive_refinement_is_pinned(desk):
+    cfgs = {kind: dataclasses.replace(cfg, refinement_trigger=32)
+            for kind, cfg in desk[3].items()}
+    digest = hashlib.sha256()
+    fallbacks = 0
+    for rep in range(5):
+        dsy, scan = desk_replicate(desk, rep)
+        state = forward_stage(dsy, cfgs["mbic"], scan)
+        for cfg in cfgs.values():
+            model, _, trace = select_model(dsy, cfg, scan=scan, _state=state)
+            rows = [[r.stage, r.action, r.snp, r.model_size] for r in trace.records]
+            digest.update(json.dumps([rows, list(model.snp_indices)]).encode() + b"\n")
+            fallbacks += trace.stats["refine_fallbacks"]
+    assert fallbacks == 0
+    assert digest.hexdigest() == DESK_EXHAUSTIVE_DIGEST
+
+
 @pytest.mark.parametrize("rep", [0, 4])
 def test_default_mbic_refines_a_25_snp_incumbent(desk, rep):
-    # with the default trigger and cap, mBIC ends these replicates at 25 SNPs,
-    # whose ~33.6M reachable subsets a predicted-count budget refused
+    # with the default trigger, mBIC ends these replicates at 25 SNPs, whose
+    # 2^25 subsets a predicted-count budget refused
     dsy, scan = desk_replicate(desk, rep)
     cfg = SearchConfig(criterion=desk[3]["mbic"].criterion)
     model, _, trace = select_model(dsy, cfg, scan=scan)
     stats = trace.stats
     assert model.size == 25 and stats["refine_fallbacks"] == 0
     assert stats["subsets_scored"] < 10**4
-    assert stats["subsets_scored"] + stats["subsets_skipped_by_bound"] == (
-        full_count(25, 5) + 2**25)
+    # no extras: one walk over every subset of the incumbent
+    assert stats["subsets_scored"] + stats["subsets_skipped_by_bound"] == 2**25
 
 
 @pytest.mark.parametrize("limit", [1, 2])  # the cap reached on an add, on a drop
@@ -955,8 +1001,8 @@ def test_stepwise_truncates_at_the_iteration_cap(desk, limit):
     moves = [(r.action, r.snp, r.criterion_value) for r in full.accepted("stepwise")]
     assert [m[0] for m in moves] == ["add", "drop", "drop"] and not full.truncated
 
-    _, _, trace = select_model(dsy, dataclasses.replace(cfg, max_stepwise_iterations=limit),
-                               scan=scan)
+    with search_constants(MAX_STEPWISE_ITERATIONS=limit):
+        _, _, trace = select_model(dsy, cfg, scan=scan)
     steps = [(r.action, r.snp, r.criterion_value) for r in trace.records
              if r.stage == "stepwise"]
     assert steps == moves[:limit] + [("truncated", None, moves[limit - 1][2])]

@@ -10,6 +10,7 @@ from gwasel.simulate import (
     SimulationConfig,
     classify_detections,
     effect_grid,
+    genetic_component,
     individual_heritability,
     ncp_diagnostics,
     overall_heritability,
@@ -125,6 +126,20 @@ def test_heritability_matches_reported_study_design():
     shares = [individual_heritability(ds, cfg, l) for l in range(40)]
     assert min(shares) == pytest.approx(0.006, abs=0.003)
     assert max(shares) == pytest.approx(0.037, abs=0.008)
+
+
+@pytest.mark.parametrize("causal", [(-1,), (10,), (-1, 5)])
+def test_variance_helpers_refuse_causal_indices_outside_the_panel(causal):
+    # -1 would otherwise alias column 9 and 10 end in a bare IndexError
+    ds = synthetic_dataset(40, 10, seed=8)
+    cfg = SimulationConfig(causal, (0.5,) * len(causal), seed=0)
+    message = rf"causal index {causal[0]} is outside \[0, 10\)"
+    for call in (lambda: overall_heritability(ds, cfg),
+                 lambda: individual_heritability(ds, cfg, 0),
+                 lambda: genetic_component(ds, cfg),
+                 lambda: simulate_trait(ds, cfg, 0)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_heritability_increases_with_effect_magnitude_orthogonal():
