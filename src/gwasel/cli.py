@@ -371,7 +371,13 @@ _open_unit = _number("a number in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
-    return tuple(_unit_threshold(token) for token in text.split(","))
+    values = []
+    for token in text.split(","):
+        value = _unit_threshold(token)
+        if value in values:
+            raise argparse.ArgumentTypeError(f"threshold {token!r} named twice")
+        values.append(value)
+    return tuple(values)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,19 +4,20 @@ Genotype codes are -1/0/1 (minor-allele count minus one).  Text inputs use
 whitespace-separated rows, one per individual; ``NA`` or ``.`` marks a
 missing call and any other unrecognized token is treated as missing too.
 
-A genotype file whose rows hold only the tokens ``-1 0 1 NA .``, separated
-by spaces and tabs, ended by ``\n`` and all of one width, after an optional
-ASCII header line of SNP ids, is parsed in a few whole-file passes over its
-bytes.  Every other file (other tokens, other whitespace or line endings,
-non-ASCII bytes, ragged rows, no rows) goes through the token parser, which
-raises every parse error; on the files the byte path takes, both give the
-same codes, mask and header.
+A regular genotype file whose rows hold only the tokens ``-1 0 1 NA .``,
+separated by spaces and tabs, ended by ``\n`` and all of one width, after an
+optional ASCII header line of SNP ids, is parsed from its bytes in blocks of
+whole rows, about 256 KiB each, written straight into the code and mask
+arrays; no copy of the whole text is made.  Every other file (other tokens,
+other whitespace or line endings, non-ASCII bytes, ragged rows, no rows, a
+pipe) goes through the token parser, which raises every parse error; on the
+files the byte path takes, both give the same codes, mask and header.
 """
 
 from __future__ import annotations
 
 import math
-import re
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -34,16 +35,12 @@ from gwasel.errors import (
 _MISSING_TOKENS = frozenset({"NA", "na", "Na", "nA", "."})
 _CODE_TOKENS = {"-1": -1, "0": 0, "1": 1}
 
-# The byte path rewrites ``-1`` as ``2`` and ``NA`` as ``3``, so that every
-# call of a conforming file is one byte, then maps bytes to codes and mask.
-_BYTE_ALPHABET = b" \t\n-01NA."
-_ONE_BYTE_CALLS = b" \t\n0123."
-_MULTI_BYTE_PROBE = bytes.maketrans(b"0123.", b"xxxxx")  # a token of 2+ bytes shows as b"xx"
-_NON_BLANK = re.compile(rb"[^ \t\n]")
-_BYTE_CODES = np.zeros(256, dtype=np.int8)
-_BYTE_CODES[[ord("1"), ord("2")]] = (1, -1)
-_BYTE_MISSING = np.zeros(256, dtype=np.bool_)
-_BYTE_MISSING[[ord("3"), ord(".")]] = True
+# The byte path reads whole rows in blocks of about ``_BLOCK`` bytes.  In each
+# block ``-1`` becomes NUL ``2`` and ``NA`` becomes NUL ``3``, so that every call
+# is one byte other than NUL, space, tab and newline.
+_BLOCK = 1 << 18
+_NUL = 0
+_NEWLINE, _SPACE, _DASH, _DOT, _ONE, _TWO, _THREE, _A, _N = b"\n -.123AN"
 
 
 @dataclass(frozen=True)
@@ -185,44 +182,87 @@ def _parse_genotype_bytes(path: Path) -> tuple[np.ndarray, np.ndarray, list[str]
     A file it declines (see the module docstring) is left to that parser,
     which also raises every error.
     """
-    raw = path.read_bytes()
-    first = _NON_BLANK.search(raw)
-    if first is None:
+    if not path.is_file():  # a pipe can be read once only, by the token parser
         return None
-    start = raw.rfind(b"\n", 0, first.start()) + 1
-    del first  # the match holds raw alive, past the header slice below
-    end = raw.find(b"\n", start)
-    end = len(raw) if end < 0 else end
-    try:
-        line = raw[start:end].decode("ascii")
-    except UnicodeDecodeError:
+    with path.open("rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        line = f.readline()
+        while line and not line.translate(None, b" \t\n"):  # blank lines hold no calls
+            line = f.readline()
+        try:
+            first = line.rstrip(b"\n").decode("ascii")
+        except UnicodeDecodeError:
+            return None
+        if first.splitlines() != [first]:  # no line, or \r, \v, \f, \x1c-\x1e inside it
+            return None
+        header = first.split()
+        if not header:  # only bytes that split() drops, such as \x1f
+            return None
+        width = len(header)  # a first row holds only genotype tokens, so splits the same
+        if _is_header(header):
+            line = b""
+        else:
+            header = None
+        # a row of w calls takes at least 2w - 1 bytes and a line break; the
+        # rows past the last one read are never written, so take no memory
+        bound = (size + 1) // (2 * width)
+        codes = np.empty((bound, width), dtype=np.int8)
+        mask = np.empty((bound, width), dtype=np.bool_)
+        rows = 0
+        block = bytearray(max(_BLOCK, len(line)))
+        block[:len(line)] = line  # a first line of calls is the first row
+        have = len(line)
+        while True:
+            if have == len(block):  # a row longer than the block
+                block.extend(bytes(len(block)))
+            got = f.readinto(memoryview(block)[have:])
+            have += got
+            end = block.rfind(b"\n", 0, have) + 1 if got else have
+            if end:
+                rows = _parse_rows(block[:end], width, codes, mask, rows)
+                if rows is None:
+                    return None
+                block[:have - end] = block[end:have]
+                have -= end
+            if not got:
+                break
+    if rows == 0:
         return None
-    if line.splitlines() != [line]:  # \r, \v, \f, \x1c-\x1e end a line of the text parser
+    return codes[:rows], mask[:rows], header
+
+
+def _parse_rows(text: bytearray, width: int, codes: np.ndarray, mask: np.ndarray,
+                row: int) -> int | None:
+    """Write the rows of ``text``, whole lines, into ``codes`` and ``mask`` from ``row``.
+
+    Returns the next free row, or None when ``text`` does not conform.
+    """
+    if b"\0" in text or b"2" in text or b"3" in text:  # bytes the rewrites produce
         return None
-    header = line.split()
-    if _is_header(header):
-        raw = raw[end + 1:]
-    else:
-        header = None
-    if raw.translate(None, _BYTE_ALPHABET):
-        return None
-    body = raw.replace(b"-1", b"2")
-    del raw  # at most two copies of the file live at once
-    body = body.replace(b"NA", b"3")
-    if body.translate(None, _ONE_BYTE_CALLS) or b"xx" in body.translate(_MULTI_BYTE_PROBE):
-        return None  # a token such as -10, NNA, -, 1NA or 00
-    rows = body.translate(None, b" \t")  # one byte per call, rows ended by \n
-    del body
-    breaks = np.flatnonzero(np.frombuffer(rows, dtype=np.uint8) == ord("\n"))
-    widths = np.diff(breaks, prepend=-1, append=len(rows)) - 1
+    u = np.frombuffer(text, dtype=np.uint8)  # rewritten in place
+    head, tail = u[:-1], u[1:]
+    minus = (head == _DASH) & (tail == _ONE)
+    na = (head == _N) & (tail == _A)
+    # neither pattern can overlap itself or the other, so the rewrites are exact
+    tail += minus  # 1 -> 2
+    tail -= na.view(np.uint8) * np.uint8(_A - _THREE)  # A -> 3
+    head *= ~(minus | na)  # the opener -> NUL
+    call = u > _SPACE  # a call, or a byte the translate below refuses
+    if (call[:-1] & (call[1:] | (tail == _NUL))).any():
+        return None  # two calls run together, such as 00, -10 or 1NA
+    lines = text.translate(None, b"\0 \t")  # one byte per call, rows ended by \n
+    if lines.translate(None, b"\n0123."):
+        return None  # a -, N or A left over, or a foreign byte
+    breaks = np.flatnonzero(np.frombuffer(lines, dtype=np.uint8) == _NEWLINE)
+    widths = np.diff(breaks, prepend=-1, append=len(lines)) - 1
     widths = widths[widths > 0]  # blank lines hold no calls
-    if widths.size == 0 or (widths != widths[0]).any():
+    stop = row + widths.size
+    if (widths != width).any() or stop > codes.shape[0]:  # ragged, or the file grew
         return None
-    width = int(widths[0])
-    if header is not None and len(header) != width:
-        return None
-    calls = np.frombuffer(rows.translate(None, b"\n"), dtype=np.uint8).reshape(-1, width)
-    return _BYTE_CODES[calls], _BYTE_MISSING[calls], header
+    calls = np.frombuffer(lines.translate(None, b"\n"), dtype=np.uint8)
+    np.subtract(calls == _ONE, calls == _TWO, dtype=np.int8, out=codes[row:stop].reshape(-1))
+    np.logical_or(calls == _THREE, calls == _DOT, out=mask[row:stop].reshape(-1))
+    return stop
 
 
 def _parse_genotype_text(text: str, path: str) -> tuple[np.ndarray, np.ndarray, list[str] | None]:

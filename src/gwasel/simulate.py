@@ -55,6 +55,8 @@ class SimulationConfig:
             raise ValueError("sigma must be positive")
         if not all(0.0 < t <= 1.0 for t in self.tp_thresholds):
             raise ValueError("thresholds must lie in (0, 1]")
+        if len(set(self.tp_thresholds)) != len(self.tp_thresholds):
+            raise ValueError("thresholds must not repeat")  # each would count its hits again
         object.__setattr__(self, "causal_indices", causal)
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "tp_thresholds", tuple(self.tp_thresholds))

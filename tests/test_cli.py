@@ -241,6 +241,7 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys, cfg, key):
     (["--methods", "mbic,bh,mbic"], "argument --methods: method 'mbic' named twice"),
     (["--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
     (["--seed", "1.5"], "argument --seed: must be a non-negative integer, got '1.5'"),
+    (["--thresholds", "0.7,0.9,0.70"], "argument --thresholds: threshold '0.70' named twice"),
 ])
 def test_simulate_bad_flag_exits_2(tmp_path, capsys, flags, message):
     cfg_path = tmp_path / "study.json"

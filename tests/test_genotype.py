@@ -1,3 +1,5 @@
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -139,7 +141,7 @@ _OTHER = ["na", "2", "-10", "00", "1NA", "N", "-", "rs7"]
 def genotype_files(draw):
     """Genotype text of the byte path's shape, or bent out of it in one way."""
     bend = draw(st.sampled_from([None, None, None, "token", "merge", "sep", "eol", "ragged",
-                                 "header"]))
+                                 "header", "byte"]))
     width = draw(st.integers(1, 5))
     odd = [draw(st.sampled_from(_OTHER))] * 3 if bend == "token" else []
     token = st.sampled_from(_CONFORMING + odd)
@@ -166,10 +168,15 @@ def genotype_files(draw):
         lines.append("\t".join(["rs0"] + ["1"] * (width - 1)))
     elif header == "non-ascii":
         lines.append(" ".join(f"rs\u00e9{j}" for j in range(width)))
-    for i in range(draw(st.integers(0, 6))):
+    n_rows = draw(st.integers(0, 6))
+    for i in range(n_rows):
         ragged = bend == "ragged" and draw(st.booleans())
         lines.append(row(draw(st.integers(1, 6)) if ragged else width,
                          merge=bend == "merge" and i > 0))
+    if bend == "byte" and n_rows:  # a byte the byte path's rewrites make, or a \r, in a row
+        i = draw(st.integers(len(lines) - n_rows, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(["\0", "3", "\r"])) + lines[i][at:]
     for _ in range(draw(st.integers(0, 2))):  # blank lines anywhere, the first included
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t "])))
     eol = draw(st.sampled_from(["\r\n", "\r"] if bend == "eol" else ["\n"]))
@@ -186,24 +193,43 @@ def _outcome(load):
     return gm.values.tolist(), gm.missing_mask.tolist(), [m.snp_id for m in ds.meta]
 
 
+_BLOCKS = (1, 2, 7, genotype._BLOCK)  # rows straddle the edges of all but the default
+
+
 @settings(max_examples=500, deadline=None)
 @given(data=genotype_files())
 def test_byte_path_matches_token_parser(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("diff") / "g.txt"
     path.write_bytes(data)
-    fast = genotype._parse_genotype_bytes(path)
-    event("token parser" if fast is None else "byte path")
-    if fast is not None:
-        values, mask, header = genotype._parse_genotype_text(path.read_text(), str(path))
-        assert fast[0].dtype == np.int8 and fast[1].dtype == np.bool_
-        assert np.array_equal(fast[0], values) and np.array_equal(fast[1], mask)
-        assert fast[2] == header
     with mock.patch.object(genotype, "_parse_genotype_bytes", return_value=None):
         expected = _outcome(lambda: load_dataset(path))
-    assert _outcome(lambda: load_dataset(path)) == expected
+    declined = set()
+    for block in _BLOCKS:
+        with mock.patch.object(genotype, "_BLOCK", block):
+            fast = genotype._parse_genotype_bytes(path)
+            declined.add(fast is None)
+            if fast is not None:
+                values, mask, header = genotype._parse_genotype_text(path.read_text(), str(path))
+                assert fast[0].dtype == np.int8 and fast[1].dtype == np.bool_
+                assert np.array_equal(fast[0], values) and np.array_equal(fast[1], mask)
+                assert fast[2] == header
+            assert _outcome(lambda: load_dataset(path)) == expected
+    assert len(declined) == 1  # the block size never decides whether a file conforms
+    event("token parser" if declined.pop() else "byte path")
+
+
+@pytest.mark.parametrize("token", ["1-1", "-1-1", "NANA", "0NA", "N-1A"])
+def test_calls_run_together_decline(tmp_path, token):
+    g = tmp_path / "g.txt"
+    g.write_text(f"0 1\n{token} 1\n")
+    assert genotype._parse_genotype_bytes(g) is None
+    ds = load_dataset(g)  # the token parser reads the token as one unknown call
+    assert ds.genotypes.missing_mask.tolist() == [[False, False], [True, False]]
 
 
 def test_conforming_file_takes_byte_path(tmp_path, monkeypatch):
+    text_parse = genotype._parse_genotype_text
+
     def no_text_parse(text, path):
         raise AssertionError("the token parser ran on a conforming file")
 
@@ -215,6 +241,34 @@ def test_conforming_file_takes_byte_path(tmp_path, monkeypatch):
     assert ds.genotypes.values.tolist() == [[-1, 0, 1], [0, 0, -1], [1, 1, 0]]
     assert ds.genotypes.missing_mask.tolist() == [
         [False, True, False], [False, True, False], [False, False, True]]
+
+    rng = np.random.default_rng(5)
+    for n, p in ((500, 600), (3, 150_000)):  # many rows per block, then rows longer than one
+        calls = rng.choice(["-1", "0", "1", "NA", "."], size=(n, p), p=[0.3, 0.3, 0.3, 0.05, 0.05])
+        lines = [("\t" if i % 2 else " ").join(row) for i, row in enumerate(calls)]
+        for i in range(n, 0, -50):
+            lines.insert(i, " \t" if i % 100 else "")
+        text = "\n".join(lines) + "\n"
+        assert len(text) > 2 * genotype._BLOCK
+        g.write_text(text)
+        ds = load_dataset(g)
+        values, mask, header = text_parse(text, str(g))
+        assert header is None and ds.genotypes.values.shape == (n, p)
+        assert np.array_equal(ds.genotypes.values, values)
+        assert np.array_equal(ds.genotypes.missing_mask, mask)
+
+
+def test_pipe_is_read_once_by_the_token_parser(tmp_path):
+    fifo = tmp_path / "g.fifo"
+    os.mkfifo(fifo)
+    loaded = []
+    reader = threading.Thread(target=lambda: loaded.append(load_dataset(fifo)), daemon=True)
+    reader.start()
+    fifo.write_text("-1 0\n1 NA\n")  # returns once the reader has opened the pipe
+    reader.join(timeout=30)
+    assert not reader.is_alive() and len(loaded) == 1
+    assert loaded[0].genotypes.values.tolist() == [[-1, 0], [1, 0]]
+    assert loaded[0].genotypes.missing_mask.tolist() == [[False, False], [False, True]]
 
 
 # ---------------------------------------------------------------------------

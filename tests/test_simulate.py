@@ -142,6 +142,12 @@ def test_variance_helpers_refuse_causal_indices_outside_the_panel(causal):
             call()
 
 
+def test_repeated_thresholds_are_refused():
+    # a repeated |R| threshold would count each hit once per repeat: power 2.0
+    with pytest.raises(ValueError, match="thresholds must not repeat"):
+        SimulationConfig((3, 20), (1.0, 1.0), n_replicates=3, tp_thresholds=(0.7, 0.7))
+
+
 def test_heritability_increases_with_effect_magnitude_orthogonal():
     rng = np.random.default_rng(30)
     n, k = 50, 3
