@@ -118,7 +118,7 @@ def run_panel(inputs: Path, work: Path) -> dict:
             benjamini_hochberg(result, 0.05)
 
     result, _, _ = timed("scan_s", scan)
-    ids = [m.snp_id for m in done.meta]
+    ids = done.snp_ids
 
     def write():
         cli._write_atomic(work / "layers" / "imputed.txt",

@@ -8,7 +8,7 @@ Runs ``run_study`` on the desk study that
 replicates, the ROADMAP fingerprint's study) with BLAS on one thread,
 importing gwasel from ``--src`` (default: the ``src`` of this tree).
 Every ``select_model`` call the study makes is recorded, and one sha256
-is taken, in call order, over each select's trace (``to_jsonl()``), the
+is taken, in call order, over each select's trace (``to_jsonl``), the
 ``repr`` of its final RSS, intercept and coefficients, its model and its
 search stats.  A change meant to leave every result as it was prints the
 same digests on the parent and on the change:
@@ -37,11 +37,11 @@ ROOT = Path(__file__).resolve().parent.parent
 DESK_REPLICATES = 100
 
 
-def select_record(out, with_stats: bool = True) -> bytes:
+def select_record(out, snp_ids, with_stats: bool = True) -> bytes:
     """The bytes one ``select_model`` return value contributes to a digest."""
     model, result, trace = out
     record = {
-        "trace": trace.to_jsonl(),
+        "trace": trace.to_jsonl(snp_ids),
         "rss": repr(result.rss),
         "intercept": repr(result.intercept),
         "coefficients": [repr(float(b)) for b in result.snp_coefficients],
@@ -76,8 +76,8 @@ def main(argv=None) -> int:
     def recorded(*a, **kw):
         nonlocal count
         out = select_model(*a, **kw)
-        digest.update(select_record(out))
-        results.update(select_record(out, with_stats=False))
+        digest.update(select_record(out, ds.snp_ids))
+        results.update(select_record(out, ds.snp_ids, with_stats=False))
         count += 1
         return out
 

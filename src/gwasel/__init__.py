@@ -5,7 +5,6 @@ from gwasel.criteria import DEFAULT_D, CriterionConfig, evaluate, penalty
 from gwasel.genotype import (
     Dataset,
     GenotypeMatrix,
-    SnpMeta,
     impute_missing,
     load_dataset,
     minor_allele_frequency,

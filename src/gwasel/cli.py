@@ -94,17 +94,13 @@ def _load(args) -> Dataset:
     )
 
 
-def _snp_ids(dataset: Dataset) -> list[str]:
-    return [m.snp_id for m in dataset.meta]
-
-
 def cmd_scan(args, parser) -> int:
     dataset = _load(args)
     scan = single_marker_scan(dataset)
     p_eff = args.p_effective or dataset.n_snps
     rej_bonf = bonferroni(scan, args.alpha, p_eff)
     rej_bh = benjamini_hochberg(scan, args.alpha)
-    ids = _snp_ids(dataset)
+    ids = dataset.snp_ids
     out = Path(args.out)
     _write_atomic(out / "scan.tsv", scan_to_tsv(scan, ids))
     rejections = {
@@ -123,7 +119,7 @@ def cmd_scan(args, parser) -> int:
 
 def cmd_select(args, parser) -> int:
     dataset = _load(args)
-    ids = _snp_ids(dataset)
+    ids = dataset.snp_ids
     crit = CriterionConfig(
         args.criterion,
         n=dataset.n_individuals,
@@ -142,7 +138,7 @@ def cmd_select(args, parser) -> int:
         for token in Path(args.refine_extras).read_text().split():
             if token in id_to_idx:
                 extras.append(id_to_idx[token])
-            elif token.isdigit() and int(token) < dataset.n_snps:
+            elif token.isascii() and token.isdigit() and int(token) < dataset.n_snps:
                 extras.append(int(token))
             else:
                 raise GwaselError(f"unknown SNP in --refine-extras: {token}")
@@ -259,7 +255,7 @@ def cmd_simulate(args, parser) -> int:
     dataset, sim = _study_from_config(cfg, args, parser)
     methods = [MethodSpec(kind=kind, alpha=alpha, d=d, p_effective=p_eff) for kind in args.methods]
     report = run_study(dataset, sim, methods)
-    ids = _snp_ids(dataset)
+    ids = dataset.snp_ids
     out = Path(args.out)
     _write_atomic(out / "report.json", report.to_json(ids))
     for spec in methods:
@@ -293,7 +289,7 @@ def cmd_impute(args, parser) -> int:
     dataset = _load(args)
     completed = impute_missing(dataset, window=args.window, n_predictors=args.predictors)
     out = Path(args.out)
-    _write_atomic(out, "\t".join(_snp_ids(dataset)) + "\n"
+    _write_atomic(out, "\t".join(dataset.snp_ids) + "\n"
                   + _genotype_rows(completed.genotypes.values))
     _write_atomic(out.with_suffix(out.suffix + ".manifest.json"), _manifest(
         "impute", args, {"genotypes": args.genotypes},
@@ -304,7 +300,7 @@ def cmd_impute(args, parser) -> int:
 def cmd_cluster(args, parser) -> int:
     dataset = _load(args)
     assignment = cluster_snps(dataset, c_threshold=args.threshold, window=args.window)
-    ids = _snp_ids(dataset)
+    ids = dataset.snp_ids
     out = Path(args.out)
     _write_atomic(out / "clusters.tsv", assignment.to_tsv(ids))
     summary = {

@@ -6,6 +6,7 @@ penalties, is the number of greedy leader clusters at an |R| threshold.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,14 +25,11 @@ class ClusterAssignment:
     def effective_count(self) -> int:
         return int(self.representatives.shape[0])
 
-    def to_tsv(self, snp_ids: list[str] | None = None) -> str:
-        def name(j: int) -> str:
-            return snp_ids[j] if snp_ids is not None else f"snp{j}"
-
+    def to_tsv(self, snp_ids: Sequence[str]) -> str:
         lines = ["snp_id\tcluster_id\trepresentative_id"]
         for j in range(self.cluster_id.shape[0]):
             cid = int(self.cluster_id[j])
-            lines.append(f"{name(j)}\t{cid}\t{name(int(self.representatives[cid]))}")
+            lines.append(f"{snp_ids[j]}\t{cid}\t{snp_ids[int(self.representatives[cid])]}")
         return "\n".join(lines) + "\n"
 
 
@@ -78,6 +76,5 @@ def deduplicate(dataset: Dataset) -> tuple[Dataset, dict[int, int]]:
     if not mapping:
         return dataset, {}
     gm = GenotypeMatrix(values[:, keep], dataset.genotypes.missing_mask[:, keep])
-    meta = tuple(dataset.meta[j] for j in keep)
-    reduced = replace(dataset, genotypes=gm, meta=meta)
+    reduced = replace(dataset, genotypes=gm, snp_ids=tuple(dataset.snp_ids[j] for j in keep))
     return reduced, mapping

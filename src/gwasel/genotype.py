@@ -4,6 +4,12 @@ Genotype codes are -1/0/1 (minor-allele count minus one).  Text inputs use
 whitespace-separated rows, one per individual; ``NA`` or ``.`` marks a
 missing call and any other unrecognized token is treated as missing too.
 
+A dataset names its columns by one tuple of distinct SNP ids: the header
+row of the genotype file, or the first field of each row of a
+``snp_id chromosome position`` sidecar, whose chromosomes and positions are
+checked but not kept.  Without either, column j is named ``snp{j}``; this
+module is the only place that default is decided.  Repeated ids are refused.
+
 A regular genotype file whose rows hold only the tokens ``-1 0 1 NA .``,
 separated by spaces and tabs, ended by ``\n`` and all of one width, after an
 optional ASCII header line of SNP ids, is parsed from its bytes in blocks of
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -41,22 +48,6 @@ _CODE_TOKENS = {"-1": -1, "0": 0, "1": 1}
 _BLOCK = 1 << 18
 _NUL = 0
 _NEWLINE, _SPACE, _DASH, _DOT, _ONE, _TWO, _THREE, _A, _N = b"\n -.123AN"
-
-
-@dataclass(frozen=True)
-class SnpMeta:
-    """Identity and map position of one marker."""
-
-    snp_id: str
-    chromosome: str
-    position: int
-    file_order_index: int
-
-    def __post_init__(self):
-        if not self.snp_id:
-            raise ValueError("snp_id must be non-empty")
-        if self.position < 0:
-            raise ValueError("position must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -95,24 +86,31 @@ class GenotypeMatrix:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable bundle of genotypes, marker metadata, trait and covariates.
+    """Immutable bundle of genotypes, SNP ids, trait and covariates.
 
-    All read operations are safe to run concurrently; derived datasets
-    (imputation, trait swaps) are new objects sharing the genotype arrays.
+    ``snp_ids`` names each column, ``snp0`` to ``snp{p-1}`` when not given;
+    the ids must be distinct.  All read operations are safe to run
+    concurrently; derived datasets (imputation, trait swaps) are new objects
+    sharing the genotype arrays.
     """
 
     genotypes: GenotypeMatrix
-    meta: tuple[SnpMeta, ...]
+    snp_ids: tuple[str, ...] | None = None  # a tuple once constructed
     trait: np.ndarray | None = None
     covariates: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.meta) != self.genotypes.n_snps:
-            raise DimensionError(
-                f"metadata for {len(self.meta)} SNPs against {self.genotypes.n_snps} columns"
-            )
-        if len({m.file_order_index for m in self.meta}) != len(self.meta):
-            raise ValueError("file_order_index values must be unique")
+        p = self.genotypes.n_snps
+        if self.snp_ids is None:
+            ids = tuple(f"snp{j}" for j in range(p))
+        else:
+            ids = tuple(self.snp_ids)
+            if len(ids) != p:
+                raise DimensionError(f"{len(ids)} SNP ids against {p} columns")
+            repeated = _repeated_id(ids)
+            if repeated is not None:
+                raise ValueError(f"SNP id {repeated!r} appears more than once")
+        object.__setattr__(self, "snp_ids", ids)
         if self.trait is not None:
             trait = np.ascontiguousarray(self.trait, dtype=np.float64)
             if trait.ndim != 1 or trait.shape[0] != self.genotypes.n_individuals:
@@ -157,17 +155,16 @@ class Dataset:
             new.__dict__["float_values"] = self.__dict__["float_values"]
         return new
 
-    def snp_id(self, index: int) -> str:
-        return self.meta[index].snp_id
 
-
-def default_meta(n_snps: int, snp_ids: list[str] | None = None) -> tuple[SnpMeta, ...]:
-    if snp_ids is None:
-        snp_ids = [f"snp{i}" for i in range(n_snps)]
-    return tuple(
-        SnpMeta(snp_id=snp_ids[i], chromosome="0", position=i, file_order_index=i)
-        for i in range(n_snps)
-    )
+def _repeated_id(ids: Sequence[str]) -> str | None:
+    """The first id of ``ids`` seen a second time, or None when all differ."""
+    if len(set(ids)) < len(ids):  # the walk runs only when some id repeats
+        seen: set[str] = set()
+        for snp_id in ids:
+            if snp_id in seen:
+                return snp_id
+            seen.add(snp_id)
+    return None
 
 
 def _is_header(tokens: list[str]) -> bool:
@@ -309,8 +306,9 @@ def _parse_genotype_text(text: str, path: str) -> tuple[np.ndarray, np.ndarray, 
     )
 
 
-def _parse_meta_text(text: str, path: str) -> list[SnpMeta]:
-    out = []
+def _parse_sidecar_ids(text: str, path: str) -> list[str]:
+    """The SNP ids of a sidecar; its chromosomes and positions are checked, not kept."""
+    ids = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -318,11 +316,13 @@ def _parse_meta_text(text: str, path: str) -> list[SnpMeta]:
         if len(tokens) != 3:
             raise ParseError(f"{path}: row {lineno} needs snp_id, chromosome, position")
         try:
-            pos = int(tokens[2])
+            position = int(tokens[2])
         except ValueError as exc:
             raise ParseError(f"{path}: row {lineno} has non-integer position") from exc
-        out.append(SnpMeta(tokens[0], tokens[1], pos, len(out)))
-    return out
+        if position < 0:
+            raise ParseError(f"{path}: row {lineno} has a negative position")
+        ids.append(tokens[0])
+    return ids
 
 
 def _parse_reals(line: str, path: str | Path, lineno: int, what: str) -> list[float]:
@@ -345,7 +345,9 @@ def load_dataset(
     """Load a dataset from whitespace-separated text files.
 
     The genotype file may start with a header row of SNP ids; a metadata
-    sidecar (snp_id, chromosome, position per line) overrides it.  Trait is
+    sidecar (snp_id, chromosome, position per line) overrides it, and its
+    chromosomes and positions are checked but not kept.  Repeated ids are
+    refused.  Without either, column j is named ``snp{j}``.  Trait is
     one real per line, covariates one whitespace-separated row per
     individual.
     """
@@ -358,15 +360,18 @@ def load_dataset(
     if header is not None and len(header) != p:
         raise ParseError(f"{genotype_path}: header width {len(header)} against {p} columns")
 
+    snp_ids, source = header, genotype_path
     if meta_path is not None:
-        meta = _parse_meta_text(Path(meta_path).read_text(), str(meta_path))
-        if len(meta) != p:
+        snp_ids = _parse_sidecar_ids(Path(meta_path).read_text(), str(meta_path))
+        source = meta_path
+        if len(snp_ids) != p:
             raise DimensionError(
-                f"{meta_path}: {len(meta)} metadata rows against {p} SNP columns"
+                f"{meta_path}: {len(snp_ids)} metadata rows against {p} SNP columns"
             )
-        meta = tuple(meta)
-    else:
-        meta = default_meta(p, header)
+    if snp_ids is not None:
+        repeated = _repeated_id(snp_ids)
+        if repeated is not None:
+            raise ParseError(f"{source}: SNP id {repeated!r} appears more than once")
 
     trait = None
     if trait_path is not None:
@@ -394,7 +399,8 @@ def load_dataset(
             )
 
     return Dataset(
-        genotypes=GenotypeMatrix(values, mask), meta=meta, trait=trait, covariates=covariates
+        genotypes=GenotypeMatrix(values, mask), snp_ids=snp_ids, trait=trait,
+        covariates=covariates,
     )
 
 
@@ -420,7 +426,7 @@ def impute_missing(dataset: Dataset, window: int = 500, n_predictors: int = 4) -
     )
     if bad >= 0:
         raise ImputationError(
-            f"SNP {dataset.snp_id(int(bad))} (column {int(bad)}) has no observed genotypes"
+            f"SNP {dataset.snp_ids[bad]} (column {int(bad)}) has no observed genotypes"
         )
     new_gm = GenotypeMatrix(filled, np.zeros_like(gm.missing_mask))
     return replace(dataset, genotypes=new_gm)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,10 +142,8 @@ def benjamini_hochberg(scan: ScanResult, alpha: float) -> np.ndarray:
     return np.nonzero(scan.p_values <= cutoff)[0]
 
 
-def scan_to_tsv(scan: ScanResult, snp_ids: list[str] | None = None) -> str:
+def scan_to_tsv(scan: ScanResult, snp_ids: Sequence[str]) -> str:
     """Render the scan as TSV with columns snp_id, f, p, rank."""
-    if snp_ids is None:
-        snp_ids = [f"snp{i}" for i in range(scan.n_snps)]
     ranks = scan.ranks()
     lines = ["snp_id\tf\tp\trank"]
     for i in range(scan.n_snps):

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,16 +111,13 @@ class SearchTrace:
             out = [r for r in out if r.stage == stage]
         return out
 
-    def to_jsonl(self, snp_ids: list[str] | None = None) -> str:
+    def to_jsonl(self, snp_ids: Sequence[str]) -> str:
         lines = []
         for r in self.records:
-            snp_id = None
-            if r.snp is not None:
-                snp_id = snp_ids[r.snp] if snp_ids is not None else f"snp{r.snp}"
             lines.append(json.dumps({
                 "stage": r.stage,
                 "action": r.action,
-                "snp_id": snp_id,
+                "snp_id": None if r.snp is None else snp_ids[r.snp],
                 "criterion_value": r.criterion_value,
                 "model_size": r.model_size,
             }))

@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import f as f_dist
 
 from gwasel.criteria import DEFAULT_D, CriterionConfig
-from gwasel.genotype import Dataset, GenotypeMatrix, default_meta
+from gwasel.genotype import Dataset, GenotypeMatrix
 from gwasel.mtest import ScanEngine, benjamini_hochberg, bonferroni
 from gwasel.regress import noncentrality_single_marker
 from gwasel.search import SearchConfig, forward_stage, select_model
@@ -99,7 +100,7 @@ def synthetic_dataset(n_individuals: int, n_snps: int,
         np.add(u >= p_low, u >= p_mid, out=block, dtype=np.int8)
         block -= 1
     gm = GenotypeMatrix(values, np.zeros_like(values, dtype=np.bool_))
-    return Dataset(genotypes=gm, meta=default_meta(n_snps))
+    return Dataset(genotypes=gm)
 
 
 def simulate_trait(dataset: Dataset, config: SimulationConfig,
@@ -255,23 +256,18 @@ class DetectionReport:
     def mean_fdr(self, method: str, threshold: float) -> float:
         return float(self.stats[method][threshold].fdr.mean())
 
-    def fp_table(self, method: str, threshold: float,
-                 snp_ids: list[str] | None = None) -> str:
+    def fp_table(self, method: str, threshold: float, snp_ids: Sequence[str]) -> str:
         """TSV of false-positive frequencies: snp_id, frequency, max |R|."""
         s = self.stats[method][threshold]
         rows = sorted(s.fp_counts.items(), key=lambda kv: (-kv[1], kv[0]))
         lines = ["snp_id\tfrequency\tmax_abs_r"]
         for j, count in rows:
-            name = snp_ids[j] if snp_ids is not None else f"snp{j}"
-            lines.append(f"{name}\t{count}\t{s.fp_max_r[j]:.4f}")
+            lines.append(f"{snp_ids[j]}\t{count}\t{s.fp_max_r[j]:.4f}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self, snp_ids: list[str] | None = None) -> str:
-        def name(j: int) -> str:
-            return snp_ids[j] if snp_ids is not None else f"snp{j}"
-
+    def to_json(self, snp_ids: Sequence[str]) -> str:
         payload = {
-            "causal": [name(j) for j in self.causal_indices],
+            "causal": [snp_ids[j] for j in self.causal_indices],
             "thresholds": list(self.thresholds),
             "n_replicates": self.n_replicates,
             "methods": {},
@@ -281,13 +277,13 @@ class DetectionReport:
             for thr in self.thresholds:
                 s = self.stats[method][thr]
                 per_thr[str(thr)] = {
-                    "power": {name(j): float(s.power[i])
+                    "power": {snp_ids[j]: float(s.power[i])
                               for i, j in enumerate(self.causal_indices)},
                     "mean_power": self.mean_power(method, thr),
                     "fdr_per_replicate": [float(x) for x in s.fdr],
                     "mean_fdr": self.mean_fdr(method, thr),
                     "false_positives": [
-                        {"snp": name(j), "frequency": c, "max_abs_r": s.fp_max_r[j]}
+                        {"snp": snp_ids[j], "frequency": c, "max_abs_r": s.fp_max_r[j]}
                         for j, c in sorted(s.fp_counts.items(), key=lambda kv: (-kv[1], kv[0]))
                     ],
                 }

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gwasel import _kernels, search
-from gwasel.genotype import Dataset, GenotypeMatrix, default_meta
+from gwasel.genotype import Dataset, GenotypeMatrix
 
 
 def dataset_from_values(values, trait=None, covariates=None, mask=None):
@@ -15,7 +15,6 @@ def dataset_from_values(values, trait=None, covariates=None, mask=None):
     gm = GenotypeMatrix(values, np.asarray(mask, dtype=bool))
     return Dataset(
         genotypes=gm,
-        meta=default_meta(values.shape[1]),
         trait=None if trait is None else np.asarray(trait, dtype=np.float64),
         covariates=None if covariates is None else np.asarray(covariates, dtype=np.float64),
     )

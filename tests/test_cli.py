@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
+from gwasel import cli
 from gwasel.cli import main
 from gwasel.genotype import impute_missing, load_dataset
 from gwasel.mtest import scan_to_tsv, single_marker_scan
@@ -37,7 +38,7 @@ def test_scan_reproduces_library_tsv_byte_for_byte(tmp_path, monkeypatch):
     code = main(["scan", "--genotypes", str(g), "--trait", str(t), "--out", str(out)])
     assert code == 0
     ds = load_dataset(g, trait_path=t)
-    expected = scan_to_tsv(single_marker_scan(ds), [m.snp_id for m in ds.meta])
+    expected = scan_to_tsv(single_marker_scan(ds), ds.snp_ids)
     assert (out / "scan.tsv").read_text() == expected
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "scan"
@@ -124,6 +125,58 @@ def test_non_finite_trait_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def write_named_fixture(tmp_path, ids, n=40, seed=5):
+    """A genotype file with a header of ``ids`` and a trait file."""
+    g, t = write_fixture(tmp_path, n=n, p=len(ids), seed=seed)
+    g.write_text(" ".join(ids) + "\n" + g.read_text())
+    return g, t
+
+
+@pytest.mark.parametrize("header, sidecar, message", [
+    ("rsA rsA rsB rsC", None, "{g}: SNP id 'rsA' appears more than once"),
+    ("rsA rsB rsC rsD", "rsA 1 10\nrsB 1 20\nrsA 1 30\nrsD 1 40\n",
+     "{m}: SNP id 'rsA' appears more than once"),
+    ("rsA rsB rsC rsD", "rsA 1 10\nb 1 -5\nrsC 1 30\nrsD 1 40\n",
+     "{m}: row 2 has a negative position"),
+])
+def test_bad_snp_ids_exit_2(tmp_path, capsys, header, sidecar, message):
+    g, t = write_named_fixture(tmp_path, header.split())
+    m = tmp_path / "meta.txt"
+    flags = []
+    if sidecar is not None:
+        m.write_text(sidecar)
+        flags = ["--meta", str(m)]
+    out = tmp_path / "sel"
+    code = main(["select", "--genotypes", str(g), "--trait", str(t), "--criterion", "bic",
+                 "--out", str(out)] + flags)
+    assert code == 2
+    assert message.format(g=g, m=m) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_refine_extras_resolve_ids_and_indices(tmp_path, capsys, monkeypatch):
+    g, t = write_named_fixture(tmp_path, [f"rs{j}" for j in range(12)], n=80)
+    seen = []
+    real_select = cli.select_model
+
+    def recording_select(dataset, config, extra_candidates=()):
+        seen.append(list(extra_candidates))
+        return real_select(dataset, config, extra_candidates=extra_candidates)
+
+    monkeypatch.setattr(cli, "select_model", recording_select)
+    extras = tmp_path / "extras.txt"
+    extras.write_text("rs7 3\n")
+    argv = ["select", "--genotypes", str(g), "--trait", str(t),
+            "--refine-extras", str(extras), "--out", str(tmp_path / "sel")]
+    assert main(argv) == 0
+    assert seen == [[7, 3]]
+    for token in ("²", "12", "rs99"):
+        extras.write_text(f"rs7 {token}\n")
+        assert main(argv) == 1
+        assert f"unknown SNP in --refine-extras: {token}" in capsys.readouterr().err
+    assert len(seen) == 1  # an unknown token stops the run before the search
+
+
 def test_runtime_error_exits_1(tmp_path):
     # a trait file with a non-finite computation path: all-missing column
     g = tmp_path / "g.txt"
@@ -152,7 +205,7 @@ def test_impute_output_matches_str_encoding_byte_for_byte(tmp_path):
     out = tmp_path / "imputed.txt"
     assert main(["impute", "--genotypes", str(g), "--window", "3", "--out", str(out)]) == 0
     completed = impute_missing(load_dataset(g), window=3)
-    ids = [m.snp_id for m in completed.meta]
+    ids = completed.snp_ids
     lines = ["\t".join(ids)]
     lines += ["\t".join(str(int(v)) for v in row) for row in completed.genotypes.values]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()

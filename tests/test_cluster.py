@@ -77,7 +77,7 @@ def test_window_limits_merging():
 
 def test_tsv_export():
     ds = synthetic_dataset(40, 3, seed=7)
-    text = cluster_snps(ds, 0.7, window=3).to_tsv([m.snp_id for m in ds.meta])
+    text = cluster_snps(ds, 0.7, window=3).to_tsv(ds.snp_ids)
     lines = text.strip().splitlines()
     assert lines[0] == "snp_id\tcluster_id\trepresentative_id"
     assert len(lines) == 4
@@ -98,7 +98,7 @@ def test_deduplicate_removes_second_copy():
     out, mapping = deduplicate(ds)
     assert out.n_snps == 3
     assert mapping == {2: 0}
-    assert [m.snp_id for m in out.meta] == ["snp0", "snp1", "snp3"]
+    assert out.snp_ids == ("snp0", "snp1", "snp3")
 
 
 def test_deduplicate_idempotent():

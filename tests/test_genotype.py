@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 from unittest import mock
 
@@ -14,6 +15,7 @@ from gwasel.errors import (
     ParseError,
 )
 from gwasel.genotype import (
+    Dataset,
     GenotypeMatrix,
     impute_missing,
     load_dataset,
@@ -51,7 +53,7 @@ def test_load_header_row(tmp_path):
     g = tmp_path / "g.txt"
     g.write_text("rs1 rs2\n-1 0\n1 0\n")
     ds = load_dataset(g)
-    assert [m.snp_id for m in ds.meta] == ["rs1", "rs2"]
+    assert ds.snp_ids == ("rs1", "rs2")
 
 
 def test_trait_length_mismatch(tmp_path):
@@ -93,13 +95,43 @@ def test_ragged_row_reports_line(tmp_path):
 
 def test_meta_sidecar(tmp_path):
     g = tmp_path / "g.txt"
-    g.write_text("-1 0\n1 0\n")
+    g.write_text("rs1 rs2\n-1 0\n1 0\n")
     m = tmp_path / "m.txt"
     m.write_text("rsA 1 100\nrsB 2 250\n")
     ds = load_dataset(g, meta_path=m)
-    assert ds.meta[1].snp_id == "rsB"
-    assert ds.meta[1].chromosome == "2"
-    assert ds.meta[1].position == 250
+    assert ds.snp_ids == ("rsA", "rsB")  # the sidecar overrides the header
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("rsA 1 100\nrsB 2\n", "row 2 needs snp_id, chromosome, position"),
+    ("rsA 1 100\nrsB 2 x\n", "row 2 has non-integer position"),
+    ("rsA 1 100\nrsB 1 -5\n", "row 2 has a negative position"),
+    ("rsA 1 100\nrsA 2 250\n", "SNP id 'rsA' appears more than once"),
+])
+def test_bad_sidecar_row_names_file_and_row(tmp_path, rows, message):
+    g = tmp_path / "g.txt"
+    g.write_text("-1 0\n1 0\n")
+    m = tmp_path / "m.txt"
+    m.write_text(rows)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{m}: {message}')}$"):
+        load_dataset(g, meta_path=m)
+
+
+def test_repeated_header_id_is_refused(tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text("rsA rsA rsB rsC\n-1 0 1 0\n1 0 0 1\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(g))}: SNP id 'rsA' appears"):
+        load_dataset(g)
+
+
+def test_dataset_snp_ids():
+    gm = GenotypeMatrix(np.zeros((2, 3), dtype=np.int8), np.zeros((2, 3), dtype=bool))
+    assert Dataset(gm).snp_ids == ("snp0", "snp1", "snp2")
+    assert Dataset(gm, snp_ids=["a", "b", "c"]).snp_ids == ("a", "b", "c")
+    with pytest.raises(ValueError, match="SNP id 'b' appears more than once"):
+        Dataset(gm, snp_ids=("a", "b", "b"))
+    with pytest.raises(DimensionError):
+        Dataset(gm, snp_ids=("a", "b"))
 
 
 def test_covariates_loaded(tmp_path):
@@ -190,7 +222,7 @@ def _outcome(load):
     except Exception as exc:  # the error itself is the outcome compared
         return type(exc), str(exc)
     gm = ds.genotypes
-    return gm.values.tolist(), gm.missing_mask.tolist(), [m.snp_id for m in ds.meta]
+    return gm.values.tolist(), gm.missing_mask.tolist(), ds.snp_ids
 
 
 _BLOCKS = (1, 2, 7, genotype._BLOCK)  # rows straddle the edges of all but the default
@@ -237,7 +269,7 @@ def test_conforming_file_takes_byte_path(tmp_path, monkeypatch):
     g = tmp_path / "g.txt"
     g.write_text("\n  \n rs1\trs2  rs3\n-1 NA 1\n\n0\t.   -1\n\t1 1 NA \n")
     ds = load_dataset(g)
-    assert [m.snp_id for m in ds.meta] == ["rs1", "rs2", "rs3"]
+    assert ds.snp_ids == ("rs1", "rs2", "rs3")
     assert ds.genotypes.values.tolist() == [[-1, 0, 1], [0, 0, -1], [1, 1, 0]]
     assert ds.genotypes.missing_mask.tolist() == [
         [False, True, False], [False, True, False], [False, False, True]]

@@ -621,7 +621,7 @@ def test_bounded_refine_matches_always_enumerate(seed, n_forced, neg_log_eps, ef
         runs.append((refined, trace))
     (got, trace), (want, trace_o) = runs
     assert got == want
-    assert trace.to_jsonl() == trace_o.to_jsonl()
+    assert trace.to_jsonl(ds.snp_ids) == trace_o.to_jsonl(ds.snp_ids)
     assert trace.stats["refine_fallbacks"] == trace_o.stats["refine_fallbacks"]
     scored, skipped = trace.stats["subsets_scored"], trace.stats["subsets_skipped_by_bound"]
     assert trace_o.stats["subsets_skipped_by_bound"] == 0
@@ -687,7 +687,7 @@ def test_bound_skips_the_enumeration_of_a_strong_model():
         oracle = SearchTrace()
         assert refine_subsets(dsy, ModelSpec(causal), (), cfg, _trace=oracle) == refined
     assert oracle.stats["subsets_scored"] == full_count(8, 4)
-    assert oracle.to_jsonl() == trace.to_jsonl()
+    assert oracle.to_jsonl(dsy.snp_ids) == trace.to_jsonl(dsy.snp_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +808,7 @@ def test_trace_jsonl_export():
     sim = SimulationConfig((2,), (1.5,), sigma=1.0, seed=29)
     dsy = ds.with_trait(simulate_trait(ds, sim, 0))
     _, _, trace = select_model(dsy, make_config("mbic", dsy))
-    text = trace.to_jsonl([m.snp_id for m in dsy.meta])
+    text = trace.to_jsonl(dsy.snp_ids)
     for line in text.strip().splitlines():
         rec = json.loads(line)
         assert set(rec) == {"stage", "action", "snp_id", "criterion_value", "model_size"}
@@ -865,7 +865,7 @@ def test_run_study_matches_standalone_selects(monkeypatch, thresholds, forwards_
             model, _, trace = select_model(dsy, spec.search, scan=engine.scan(y))
             assert report.detections[spec.kind][rep] == list(model.snp_indices)
             shared = traces[rep * len(searches) + pos]
-            assert shared.to_jsonl() == trace.to_jsonl()
+            assert shared.to_jsonl(ds.snp_ids) == trace.to_jsonl(ds.snp_ids)
             assert shared.truncated == trace.truncated
 
 

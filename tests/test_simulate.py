@@ -281,10 +281,10 @@ def test_report_json_and_fp_table():
     cfg = SimulationConfig((5,), (1.0,), sigma=1.0, n_replicates=3, seed=19,
                            tp_thresholds=(0.7, 0.9))
     report = run_study(ds, cfg, [MethodSpec("bh", alpha=0.2)])
-    payload = json.loads(report.to_json([m.snp_id for m in ds.meta]))
+    payload = json.loads(report.to_json(ds.snp_ids))
     assert payload["n_replicates"] == 3
     assert "bh" in payload["methods"]
-    table = report.fp_table("bh", 0.7)
+    table = report.fp_table("bh", 0.7, ds.snp_ids)
     assert table.splitlines()[0] == "snp_id\tfrequency\tmax_abs_r"
 
 
