@@ -1,9 +1,16 @@
 """Command-line front end: scan, select, simulate, impute, cluster.
 
-Every run writes its outputs atomically (temp file + rename) together with a
-manifest recording the tool, numpy and scipy versions, the BLAS thread
-settings, resolved configuration, input digests and seed.  Usage problems
-exit 2, runtime failures exit 1.
+Every subcommand runs through one skeleton in :func:`main`.  The flags of
+``_INPUT_FLAGS`` name input files; each of them that a subcommand has must
+be an existing file (exit 2 otherwise).  A ``cmd_*`` function only
+computes: it returns its outputs as file name -> text, and the input files
+its configuration names beyond its flags (a study's genotype panel and
+sidecar).  ``main`` then writes every output atomically (temp file +
+rename), followed by a manifest recording the tool, numpy and scipy
+versions, the BLAS thread settings, the resolved flags, the SHA-256 of
+every input file, the seed, the wall seconds and the peak RSS.  Usage and
+input-schema problems exit 2; runtime failures, an output path that cannot
+be written included, exit 1.
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -59,30 +68,25 @@ def _digest(path: str | None) -> str | None:
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_INPUT_FLAGS = ("genotypes", "trait", "covariates", "meta", "config", "refine_extras")
 
 
-def _manifest(command: str, args: argparse.Namespace, inputs: dict[str, str | None],
-              seed: int | None = None) -> str:
-    resolved = {k: v for k, v in vars(args).items() if k != "func"}
+def _manifest(args: argparse.Namespace, inputs: dict[str, str | None], start: float) -> str:
     payload = {
         "tool": "gwasel",
         "version": gwasel.__version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
-        "command": command,
-        "config": resolved,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": {k: _digest(v) for k, v in inputs.items()},
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
+        "wall_s": time.perf_counter() - start,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     return json.dumps(payload, indent=2, default=str)
-
-
-def _require_files(parser: argparse.ArgumentParser, *paths: str | None) -> None:
-    for p in paths:
-        if p is not None and not Path(p).is_file():
-            parser.error(f"input file not found: {p}")
 
 
 def _load(args) -> Dataset:
@@ -94,30 +98,22 @@ def _load(args) -> Dataset:
     )
 
 
-def cmd_scan(args, parser) -> int:
+def cmd_scan(args, parser):
     dataset = _load(args)
     scan = single_marker_scan(dataset)
     p_eff = args.p_effective or dataset.n_snps
-    rej_bonf = bonferroni(scan, args.alpha, p_eff)
-    rej_bh = benjamini_hochberg(scan, args.alpha)
     ids = dataset.snp_ids
-    out = Path(args.out)
-    _write_atomic(out / "scan.tsv", scan_to_tsv(scan, ids))
     rejections = {
         "alpha": args.alpha,
         "p_effective": p_eff,
-        "bonferroni": [ids[j] for j in rej_bonf],
-        "benjamini_hochberg": [ids[j] for j in rej_bh],
+        "bonferroni": [ids[j] for j in bonferroni(scan, args.alpha, p_eff)],
+        "benjamini_hochberg": [ids[j] for j in benjamini_hochberg(scan, args.alpha)],
     }
-    _write_atomic(out / "rejections.json", json.dumps(rejections, indent=2))
-    _write_atomic(out / "manifest.json", _manifest(
-        "scan", args,
-        {"genotypes": args.genotypes, "trait": args.trait, "covariates": args.covariates},
-    ))
-    return 0
+    return {"scan.tsv": scan_to_tsv(scan, ids),
+            "rejections.json": json.dumps(rejections, indent=2)}, {}
 
 
-def cmd_select(args, parser) -> int:
+def cmd_select(args, parser):
     dataset = _load(args)
     ids = dataset.snp_ids
     crit = CriterionConfig(
@@ -143,7 +139,6 @@ def cmd_select(args, parser) -> int:
             else:
                 raise GwaselError(f"unknown SNP in --refine-extras: {token}")
     model, result, trace = select_model(dataset, config, extra_candidates=extras)
-    out = Path(args.out)
     selection = {
         "criterion": args.criterion,
         "selected": [ids[j] for j in model.snp_indices],
@@ -157,14 +152,8 @@ def cmd_select(args, parser) -> int:
                          for j, b in zip(model.snp_indices, result.snp_coefficients)},
         "search_stats": trace.stats,
     }
-    _write_atomic(out / "selection.json", json.dumps(selection, indent=2))
-    _write_atomic(out / "trace.jsonl", trace.to_jsonl(ids))
-    _write_atomic(out / "manifest.json", _manifest(
-        "select", args,
-        {"genotypes": args.genotypes, "trait": args.trait,
-         "covariates": args.covariates, "refine_extras": args.refine_extras},
-    ))
-    return 0
+    return {"selection.json": json.dumps(selection, indent=2),
+            "trace.jsonl": trace.to_jsonl(ids)}, {}
 
 
 def _is_int(value) -> bool:
@@ -192,12 +181,15 @@ def _config_value(parser, table: dict, key: str, default, check, expected: str,
     return value
 
 
-def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConfig]:
+def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConfig, dict]:
+    """The study's dataset and design, and the files it was loaded from."""
+    panel = {}
     if "genotypes" in cfg:
         path = _config_value(parser, cfg, "genotypes", None, _is_file, "an existing file")
         meta = _config_value(parser, cfg, "meta", None, lambda v: v is None or _is_file(v),
                              "an existing file")
         dataset = load_dataset(path, meta_path=meta)
+        panel = {"genotypes": path, "meta": meta}
     elif "synthetic" in cfg:
         syn = _config_value(parser, cfg, "synthetic", None, lambda v: isinstance(v, dict),
                             "an object with keys 'n' and 'p'")
@@ -240,10 +232,10 @@ def _study_from_config(cfg: dict, args, parser) -> tuple[Dataset, SimulationConf
         seed=args.seed,
         tp_thresholds=args.thresholds,
     )
-    return dataset, sim
+    return dataset, sim, panel
 
 
-def cmd_simulate(args, parser) -> int:
+def cmd_simulate(args, parser):
     cfg = json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
         parser.error(f"simulation config must be a JSON object, got {cfg!r}")
@@ -252,16 +244,14 @@ def cmd_simulate(args, parser) -> int:
     p_eff = _config_value(parser, cfg, "p_effective", None,
                           lambda v: v is None or (_is_int(v) and v >= 1),
                           "a positive integer or null")
-    dataset, sim = _study_from_config(cfg, args, parser)
+    dataset, sim, panel = _study_from_config(cfg, args, parser)
     methods = [MethodSpec(kind=kind, alpha=alpha, d=d, p_effective=p_eff) for kind in args.methods]
     report = run_study(dataset, sim, methods)
     ids = dataset.snp_ids
-    out = Path(args.out)
-    _write_atomic(out / "report.json", report.to_json(ids))
+    outputs = {"report.json": report.to_json(ids)}
     for spec in methods:
         for thr in sim.tp_thresholds:
-            fname = f"fp_{spec.kind}_{thr}.tsv"
-            _write_atomic(out / fname, report.fp_table(spec.kind, thr, ids))
+            outputs[f"fp_{spec.kind}_{thr}.tsv"] = report.fp_table(spec.kind, thr, ids)
     summary = {
         "heritability": overall_heritability(dataset, sim),
         "mean_power": {m.kind: {str(t): report.mean_power(m.kind, t)
@@ -269,11 +259,8 @@ def cmd_simulate(args, parser) -> int:
         "mean_fdr": {m.kind: {str(t): report.mean_fdr(m.kind, t)
                               for t in sim.tp_thresholds} for m in methods},
     }
-    _write_atomic(out / "summary.json", json.dumps(summary, indent=2))
-    _write_atomic(out / "manifest.json", _manifest(
-        "simulate", args, {"config": args.config}, seed=args.seed,
-    ))
-    return 0
+    outputs["summary.json"] = json.dumps(summary, indent=2)
+    return outputs, panel
 
 
 def _genotype_rows(values: np.ndarray) -> str:
@@ -285,35 +272,24 @@ def _genotype_rows(values: np.ndarray) -> str:
     return cells.tobytes().replace(b"/", b"-1").decode("ascii")
 
 
-def cmd_impute(args, parser) -> int:
+def cmd_impute(args, parser):
     dataset = _load(args)
     completed = impute_missing(dataset, window=args.window, n_predictors=args.predictors)
-    out = Path(args.out)
-    _write_atomic(out, "\t".join(dataset.snp_ids) + "\n"
-                  + _genotype_rows(completed.genotypes.values))
-    _write_atomic(out.with_suffix(out.suffix + ".manifest.json"), _manifest(
-        "impute", args, {"genotypes": args.genotypes},
-    ))
-    return 0
+    text = "\t".join(dataset.snp_ids) + "\n" + _genotype_rows(completed.genotypes.values)
+    return {Path(args.out).name: text}, {}
 
 
-def cmd_cluster(args, parser) -> int:
+def cmd_cluster(args, parser):
     dataset = _load(args)
     assignment = cluster_snps(dataset, c_threshold=args.threshold, window=args.window)
-    ids = dataset.snp_ids
-    out = Path(args.out)
-    _write_atomic(out / "clusters.tsv", assignment.to_tsv(ids))
     summary = {
         "n_snps": dataset.n_snps,
         "effective_count": assignment.effective_count,
         "threshold": args.threshold,
         "window": args.window,
     }
-    _write_atomic(out / "summary.json", json.dumps(summary, indent=2))
-    _write_atomic(out / "manifest.json", _manifest(
-        "cluster", args, {"genotypes": args.genotypes},
-    ))
-    return 0
+    return {"clusters.tsv": assignment.to_tsv(dataset.snp_ids),
+            "summary.json": json.dumps(summary, indent=2)}, {}
 
 
 # argparse turns an ArgumentTypeError into a usage error (exit 2) naming the flag
@@ -382,27 +358,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Marker scans, sparse model selection and power studies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    panel = argparse.ArgumentParser(add_help=False)
+    panel.add_argument("--genotypes", required=True)
+    panel.add_argument("--meta")
+    trait = argparse.ArgumentParser(add_help=False)
+    trait.add_argument("--trait", required=True)
+    trait.add_argument("--covariates")
+    trait.add_argument("--p-effective", type=_positive_int, default=None, dest="p_effective")
 
-    scan = sub.add_parser("scan", help="single-marker scan with Bonferroni/BH reports")
-    scan.add_argument("--genotypes", required=True)
-    scan.add_argument("--trait", required=True)
-    scan.add_argument("--covariates")
-    scan.add_argument("--meta")
+    scan = sub.add_parser("scan", parents=[panel, trait],
+                          help="single-marker scan with Bonferroni/BH reports")
     scan.add_argument("--alpha", type=_open_unit, default=0.05)
-    scan.add_argument("--p-effective", type=_positive_int, default=None, dest="p_effective")
     scan.add_argument("--out", required=True)
     scan.set_defaults(func=cmd_scan)
 
-    select = sub.add_parser("select", help="full model-selection pipeline")
-    select.add_argument("--genotypes", required=True)
-    select.add_argument("--trait", required=True)
-    select.add_argument("--covariates")
-    select.add_argument("--meta")
+    select = sub.add_parser("select", parents=[panel, trait],
+                            help="full model-selection pipeline")
     select.add_argument("--criterion", choices=("bic", "mbic", "mbic2", "ebic"),
                         default="mbic2")
     select.add_argument("--d", type=_finite, default=DEFAULT_D)
     select.add_argument("--kappa", type=_unit_interval, default=0.0)
-    select.add_argument("--p-effective", type=_positive_int, default=None, dest="p_effective")
     select.add_argument("--screen", type=_unit_threshold, default=0.15)
     select.add_argument("--max-forward", type=_positive_int, default=140, dest="max_forward")
     select.add_argument("--refine-extras", dest="refine_extras")
@@ -418,46 +393,47 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", required=True)
     simulate.set_defaults(func=cmd_simulate)
 
-    impute = sub.add_parser("impute", help="fill missing genotypes")
-    impute.add_argument("--genotypes", required=True)
-    impute.add_argument("--meta")
+    impute = sub.add_parser("impute", parents=[panel], help="fill missing genotypes")
     impute.add_argument("--window", type=_positive_int, default=500)
     impute.add_argument("--predictors", type=_positive_int, default=4)
     impute.add_argument("--out", required=True, help="completed genotype file")
     impute.set_defaults(func=cmd_impute)
 
-    cluster = sub.add_parser("cluster", help="effective-marker clustering report")
-    cluster.add_argument("--genotypes", required=True)
-    cluster.add_argument("--meta")
+    cluster = sub.add_parser("cluster", parents=[panel],
+                             help="effective-marker clustering report")
     cluster.add_argument("--threshold", type=_unit_threshold, default=0.7)
     cluster.add_argument("--window", type=_positive_int, default=1000)
-    cluster.set_defaults(func=cmd_cluster)
     cluster.add_argument("--out", required=True)
+    cluster.set_defaults(func=cmd_cluster)
 
     return parser
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
-    _require_files(
-        parser,
-        getattr(args, "genotypes", None),
-        getattr(args, "trait", None),
-        getattr(args, "covariates", None),
-        getattr(args, "meta", None),
-        getattr(args, "config", None),
-        getattr(args, "refine_extras", None),
-    )
+    inputs = {flag: getattr(args, flag) for flag in _INPUT_FLAGS if hasattr(args, flag)}
+    for path in inputs.values():
+        if path is not None and not Path(path).is_file():
+            parser.error(f"input file not found: {path}")
     try:
-        return args.func(args, parser)
+        outputs, named = args.func(args, parser)
+        inputs.update(named)
+        out, manifest = Path(args.out), "manifest.json"
+        if args.command == "impute":  # --out names the completed file, not a directory
+            out, manifest = out.parent, f"{out.name}.manifest.json"
+        for name, text in outputs.items():
+            _write_atomic(out / name, text)
+        _write_atomic(out / manifest, _manifest(args, inputs, start))
     except (ParseError, DimensionError, json.JSONDecodeError) as exc:
         # input files that exist but violate their schema are usage errors
         print(f"gwasel: error: {exc}", file=sys.stderr)
         return 2
-    except (GwaselError, ValueError) as exc:
+    except (GwaselError, ValueError, OSError) as exc:
         print(f"gwasel: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -101,15 +101,17 @@ class Dataset:
 
     def __post_init__(self):
         p = self.genotypes.n_snps
-        if self.snp_ids is None:
-            ids = tuple(f"snp{j}" for j in range(p))
-        else:
-            ids = tuple(self.snp_ids)
-            if len(ids) != p:
-                raise DimensionError(f"{len(ids)} SNP ids against {p} columns")
+        ids = self.snp_ids
+        if ids is None:
+            ids = _CheckedIds(f"snp{j}" for j in range(p))
+        elif not isinstance(ids, _CheckedIds):  # ids a derived dataset keeps are checked
+            ids = tuple(ids)
             repeated = _repeated_id(ids)
             if repeated is not None:
                 raise ValueError(f"SNP id {repeated!r} appears more than once")
+            ids = _CheckedIds(ids)
+        if len(ids) != p:
+            raise DimensionError(f"{len(ids)} SNP ids against {p} columns")
         object.__setattr__(self, "snp_ids", ids)
         if self.trait is not None:
             trait = np.ascontiguousarray(self.trait, dtype=np.float64)
@@ -154,6 +156,10 @@ class Dataset:
         if "float_values" in self.__dict__:  # share the cached float copy
             new.__dict__["float_values"] = self.__dict__["float_values"]
         return new
+
+
+class _CheckedIds(tuple):
+    """SNP ids already found distinct, so a derived dataset skips the check."""
 
 
 def _repeated_id(ids: Sequence[str]) -> str | None:
@@ -372,6 +378,7 @@ def load_dataset(
         repeated = _repeated_id(snp_ids)
         if repeated is not None:
             raise ParseError(f"{source}: SNP id {repeated!r} appears more than once")
+        snp_ids = _CheckedIds(snp_ids)
 
     trait = None
     if trait_path is not None:

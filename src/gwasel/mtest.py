@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
+from gwasel.errors import CollinearityError
 from gwasel.genotype import Dataset
 from gwasel.regress import _gate
 
@@ -57,7 +58,13 @@ class ScanEngine:
         if dataset.covariates is not None:
             base.extend(dataset.covariates[:, j] for j in range(dataset.n_covariates))
         B = np.column_stack(base)
-        self.Q0, _ = np.linalg.qr(B)
+        self.Q0, R0 = np.linalg.qr(B)
+        # |R0[k, k]| is column k's residual norm after the columns before it
+        bad = np.flatnonzero(np.diag(R0) ** 2 <= _gate(np.einsum("ij,ij->j", B, B)))
+        if bad.size:
+            j = int(bad[0]) - 1  # column 0 is the intercept
+            raise CollinearityError(
+                j, f"covariate {j} is collinear with the intercept and the covariates before it")
         self.m0 = self.Q0.shape[1]
         # s = squared norm of each column's residual after base projection
         if dataset.covariates is None:

@@ -163,6 +163,7 @@ def classify_detections(detected, dataset: Dataset, config: SimulationConfig,
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
     detected = sorted(int(j) for j in detected)
+    dataset.check_snps(detected, "detection")
     if not detected:
         return ClassificationResult(0, (), ())
     if not config.causal_indices:
@@ -211,6 +212,10 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method {self.kind!r}")
+        # a scan method has no search, and a search must use the method's criterion
+        if self.search is not None and self.search.criterion.kind != self.kind:
+            raise ValueError(f"method {self.kind!r} cannot take a "
+                             f"{self.search.criterion.kind!r} search config")
 
     def search_config(self, dataset: Dataset) -> SearchConfig:
         if self.search is not None:

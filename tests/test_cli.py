@@ -356,3 +356,67 @@ def test_no_temp_files_left_behind(tmp_path):
     main(["scan", "--genotypes", str(g), "--trait", str(t), "--out", str(out)])
     leftovers = [p for p in out.iterdir() if p.name.startswith(".")]
     assert leftovers == []
+
+
+def write_sidecar(tmp_path, ids):
+    m = tmp_path / "meta.txt"
+    m.write_text("".join(f"{s} 1 {10 * j}\n" for j, s in enumerate(ids)))
+    return m
+
+
+def test_select_manifest_digests_meta_sidecar(tmp_path):
+    ids = [f"rs{j}" for j in range(6)]
+    g, t = write_named_fixture(tmp_path, ids)
+    m = write_sidecar(tmp_path, ids)
+    out = tmp_path / "sel"
+    assert main(["select", "--genotypes", str(g), "--trait", str(t), "--meta", str(m),
+                 "--criterion", "bic", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {"genotypes": sha(g), "trait": sha(t), "covariates": None,
+                                  "meta": sha(m), "refine_extras": None}
+    assert manifest["wall_s"] > 0
+    assert manifest["peak_rss_mb"] > 0
+
+
+def test_simulate_manifest_digests_the_config_panel(tmp_path):
+    ids = [f"rs{j}" for j in range(8)]
+    g, _ = write_named_fixture(tmp_path, ids)
+    m = write_sidecar(tmp_path, ids)
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"genotypes": str(g), "meta": str(m), "k": 1}))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--replicates", "2",
+                 "--methods", "bh", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {"config": sha(cfg), "genotypes": sha(g), "meta": sha(m)}
+    assert manifest["seed"] == 0
+
+
+def test_scan_refuses_covariate_collinear_with_the_intercept(tmp_path, capsys):
+    g, t = write_fixture(tmp_path, n=60, p=8)
+    c = tmp_path / "cov.txt"
+    c.write_text("1\n" * 60)
+    for command in ("scan", "select"):
+        out = tmp_path / command
+        assert main([command, "--genotypes", str(g), "--trait", str(t), "--covariates", str(c),
+                     "--out", str(out)]) == 1
+        assert "collinear" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "impute"])
+def test_unwritable_out_exits_1(tmp_path, capsys, command):
+    g, t = write_fixture(tmp_path, n=30, p=6)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    if command == "scan":
+        argv = ["scan", "--genotypes", str(g), "--trait", str(t), "--out", str(blocker)]
+    else:
+        argv = ["impute", "--genotypes", str(g), "--out", str(blocker / "x.txt")]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gwasel: error: ")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == "keep"

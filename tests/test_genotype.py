@@ -1,6 +1,7 @@
 import os
 import re
 import threading
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,25 @@ def test_dataset_snp_ids():
         Dataset(gm, snp_ids=("a", "b", "b"))
     with pytest.raises(DimensionError):
         Dataset(gm, snp_ids=("a", "b"))
+
+
+def test_derived_datasets_keep_checked_ids(monkeypatch):
+    calls = []
+    real = genotype._repeated_id
+    monkeypatch.setattr(genotype, "_repeated_id", lambda ids: calls.append(1) or real(ids))
+    values = np.array([[0, 1, -1], [1, 0, 0], [-1, 1, 1]], dtype=np.int8)
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[0, 0] = True
+    ds = Dataset(GenotypeMatrix(values, mask), snp_ids=["a", "b", "c"])
+    assert len(calls) == 1
+    derived = ds.with_trait(np.ones(3)).with_trait(np.zeros(3))
+    completed = impute_missing(derived, window=2, n_predictors=1)
+    assert len(calls) == 1
+    assert derived.snp_ids == completed.snp_ids == ("a", "b", "c")
+    with pytest.raises(ValueError, match="SNP id 'a' appears more than once"):
+        replace(ds, snp_ids=("a", "b", "a"))
+    with pytest.raises(DimensionError):
+        replace(ds, genotypes=GenotypeMatrix(values[:, :2], mask[:, :2]))
 
 
 def test_covariates_loaded(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, linregress
 
+from gwasel.errors import CollinearityError
 from gwasel.mtest import (
     ScanEngine,
     ScanResult,
@@ -14,6 +15,7 @@ from gwasel.mtest import (
     single_marker_scan,
 )
 from gwasel.regress import ModelSpec, fit
+from gwasel.simulate import synthetic_dataset
 
 from conftest import dataset_from_values, random_genotypes
 from oracles import projected_residual_norms
@@ -63,6 +65,18 @@ def test_scan_matches_per_snp_fits():
         res = fit(ds, ModelSpec((j,), forced_indices=(0,)))
         assert scan.f_statistics[j] == pytest.approx(res.f_statistic, rel=1e-9)
         assert scan.p_values[j] == pytest.approx(res.p_value, rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("column", [np.full(200, 3.0), np.zeros(200)])
+def test_scan_refuses_covariate_collinear_with_the_intercept(column):
+    ds = synthetic_dataset(200, 50, seed=1)
+    rng = np.random.default_rng(1)
+    good = rng.normal(size=200)
+    ds = dataset_from_values(ds.genotypes.values, trait=rng.normal(size=200),
+                             covariates=np.column_stack([good, column]))
+    with pytest.raises(CollinearityError, match="covariate 1 is collinear") as err:
+        single_marker_scan(ds)
+    assert err.value.column == 1
 
 
 def test_scan_degenerate_column_flagged_not_fatal():

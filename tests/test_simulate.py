@@ -235,6 +235,14 @@ def test_classify_identical_fp_columns_counted_once():
     assert len(cls.fp_list) == 1
 
 
+@pytest.mark.parametrize("detected", [[-1], [3, 15]])
+def test_classify_refuses_detections_outside_the_panel(detected):
+    ds = synthetic_dataset(40, 15, seed=13)
+    cfg = SimulationConfig((3, 8), (0.5, 0.5), seed=0)
+    with pytest.raises(ValueError, match=r"detection -?\d+ is outside \[0, 15\)"):
+        classify_detections(detected, ds, cfg, threshold=0.7)
+
+
 def test_classify_threshold_monotone():
     ds = synthetic_dataset(40, 15, seed=13)
     cfg = SimulationConfig((3, 8), (0.5, 0.5), seed=0)
@@ -274,6 +282,20 @@ def test_run_study_null_zero_detection_fdr():
     for rep, det in enumerate(detections):
         if not det:
             assert fdr[rep] == 0.0
+
+
+@pytest.mark.parametrize("kind, criterion", [
+    ("mbic", "mbic2"), ("mbic2", "bic"), ("bonferroni", "mbic"), ("bh", "mbic2"),
+])
+def test_method_search_must_match_its_kind(kind, criterion):
+    from gwasel.criteria import CriterionConfig
+    from gwasel.search import SearchConfig
+
+    search = SearchConfig(criterion=CriterionConfig(criterion, n=50, p_effective=20))
+    with pytest.raises(ValueError, match=f"method '{kind}' cannot take a '{criterion}' search"):
+        MethodSpec(kind, search=search)
+    matching = SearchConfig(criterion=CriterionConfig("mbic", n=50, p_effective=20))
+    assert MethodSpec("mbic", search=matching).search is matching
 
 
 def test_report_json_and_fp_table():
