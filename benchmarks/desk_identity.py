@@ -19,8 +19,14 @@ same digests on the parent and on the change:
 The second line printed is the detections fingerprint of the study
 (``05b9aa01...`` in ROADMAP).  The third is the first digest with the
 search stats left out, so a change that moves only those counters can show
-that every result is still byte-identical.  ``--toy`` takes the sizes of
-``perfbench/workloads.py::TOY`` instead (2 replicates of 200 x 400).
+that every result is still byte-identical.  The fourth, ``structure``, is
+the first digest with the criterion values left out of the trace: each
+record gives only its stage, action, SNP and model size.  A change that
+rounds the search's candidate statistics differently may move criterion
+values in their last bits, and so the first and third digests; an
+unchanged fourth digest shows that every decision, final model, RSS,
+coefficient and search stat is still the same.  ``--toy`` takes the sizes
+of ``perfbench/workloads.py::TOY`` instead (2 replicates of 200 x 400).
 """
 
 from __future__ import annotations
@@ -37,11 +43,16 @@ ROOT = Path(__file__).resolve().parent.parent
 DESK_REPLICATES = 100
 
 
-def select_record(out, snp_ids, with_stats: bool = True) -> bytes:
+def select_record(out, snp_ids, with_stats: bool = True, with_values: bool = True) -> bytes:
     """The bytes one ``select_model`` return value contributes to a digest."""
     model, result, trace = out
+    if with_values:
+        rows = trace.to_jsonl(snp_ids)
+    else:
+        rows = [[r.stage, r.action, None if r.snp is None else snp_ids[r.snp], r.model_size]
+                for r in trace.records]
     record = {
-        "trace": trace.to_jsonl(snp_ids),
+        "trace": rows,
         "rss": repr(result.rss),
         "intercept": repr(result.intercept),
         "coefficients": [repr(float(b)) for b in result.snp_coefficients],
@@ -69,7 +80,7 @@ def main(argv=None) -> int:
     sizes = workloads.TOY if args.toy else workloads.FULL
     ds, sim, methods = workloads.desk_study(sizes, sizes.desk_replicates if args.toy
                                             else DESK_REPLICATES)
-    digest, results = hashlib.sha256(), hashlib.sha256()
+    digest, results, structure = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = 0
     select_model = simulate.select_model
 
@@ -78,6 +89,7 @@ def main(argv=None) -> int:
         out = select_model(*a, **kw)
         digest.update(select_record(out, ds.snp_ids))
         results.update(select_record(out, ds.snp_ids, with_stats=False))
+        structure.update(select_record(out, ds.snp_ids, with_values=False))
         count += 1
         return out
 
@@ -89,6 +101,7 @@ def main(argv=None) -> int:
     print(f"selects {count} {digest.hexdigest()}")
     print(f"detections {workloads.fingerprint(report.detections)}")
     print(f"results {count} {results.hexdigest()}")
+    print(f"structure {count} {structure.hexdigest()}")
     return 0
 
 

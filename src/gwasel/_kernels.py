@@ -55,9 +55,10 @@ def impute_fill(values, observed, window, n_predictors):
     # and sy, syy are t's totals less Y'M and (Y*Y)'M, where M flags the
     # missing calls of the span columns that have one.  Every sum is an
     # integer, exact in float64 in any order, so the correlations are
-    # bit-identical.  Each column's window is ranked once; a missing row's
-    # predictors are the first n_predictors of that ranking it has observed,
-    # and the rows that share a predictor set are voted on together.
+    # bit-identical.  Each column's window is ranked once, only as far as
+    # any row can reach; a missing row's predictors are the first
+    # n_predictors of that ranking it has observed, and the rows that share
+    # a predictor set are voted on together.
     n, p = values.shape
     out = values.copy()
     n_obs = observed.sum(axis=0)
@@ -101,10 +102,17 @@ def impute_fill(values, observed, window, n_predictors):
             cols = np.arange(lo, hi + 1)
             defined = (n_ok >= 2) & (vx > 0.0) & (vy > 0.0) & np.isfinite(cors) & (cols != j)
             pool = cols[defined]
-            # by |corr| desc, then file distance asc, then index
-            ranked = pool[np.lexsort((pool, np.abs(pool - j), -np.abs(cors[defined])))]
+            strength = np.abs(cors[defined])
             # every row observes the complete columns, so its predictors lie
-            # at or before the n_predictors-th of them
+            # at or before the n_predictors-th of them in the ranking, and
+            # only columns with |corr| at or above that one's need ranking
+            full = n_obs[pool] == n
+            if np.count_nonzero(full) >= n_predictors:
+                cut = -np.partition(-strength[full], n_predictors - 1)[n_predictors - 1]
+                near = strength >= cut
+                pool, strength = pool[near], strength[near]
+            # by |corr| desc, then file distance asc, then index
+            ranked = pool[np.lexsort((pool, np.abs(pool - j), -strength))]
             complete = np.flatnonzero(n_obs[ranked] == n)
             if complete.size >= n_predictors:
                 ranked = ranked[:complete[n_predictors - 1] + 1]

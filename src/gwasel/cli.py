@@ -64,7 +64,8 @@ def _write_atomic(path: Path, text: str) -> None:
 def _digest(path: str | None) -> str | None:
     if path is None:
         return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open(path, "rb") as f:  # streamed: the panel text need not fit in memory twice
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

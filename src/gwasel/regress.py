@@ -9,7 +9,9 @@ column in O(n*q); dropping a column rebuilds the basis from the remaining
 columns in O(n*q^2).  The search scores every drop at once from the
 inverse Gram matrix of :meth:`FitWorkspace.inverse_gram`; backward
 elimination drops many columns in a row by sweep downdates of it instead,
-rebuilding once at the end.  A workspace is single-owner;
+rebuilding once at the end.  :meth:`FitWorkspace.drop_direction` gives the
+unit vector a drop takes out of the model's span, from which the stepwise
+search updates its candidates' statistics.  A workspace is single-owner;
 :meth:`FitWorkspace.copy` forks an independent one, and independent
 workspaces over the same dataset may run in parallel.
 """
@@ -231,6 +233,23 @@ class FitWorkspace:
         rest = list(self.snps)
         rest.remove(j)
         self.rebuild(rest)
+
+    def drop_direction(self, j: int) -> tuple[np.ndarray, float]:
+        """(w, w'y) for model SNP j: the unit vector of the model's span
+        orthogonal to every other column, so that dropping j adds w w' to
+        the residual projector.
+
+        w = Q R^-T e_k / sqrt(S_kk) and w'y = beta_k / sqrt(S_kk) for j at
+        position k; R^-T e_k is zero ahead of k, so one triangular solve over
+        the trailing block gives it.
+        """
+        pos = self._base + self.snps.index(j)
+        m = self._m
+        e = np.zeros(m - pos)
+        e[0] = 1.0
+        v = solve_triangular(self._R[pos:m, pos:m], e, trans="T")
+        v /= math.sqrt(v @ v)
+        return self._Q[:, pos:m] @ v, float(v @ self._qty[pos:m])
 
     def rebuild(self, snps) -> None:
         """Reset to the intercept and forced columns, then push ``snps`` in order."""

@@ -9,15 +9,19 @@ criterion, so traces are monotone and termination is guaranteed.
 
 Every stage scores moves with the same two updates.  Adding a candidate x
 lowers the RSS by t^2/s, with s and t from projecting x off the model basis
-(``_project``) and downdated by each basis vector added later
-(``_downdate``); x is skipped as collinear while s is at or below
-``regress._gate``, the gate the scan and the subset kernel also use.
-Dropping a model SNP raises the RSS by beta_j^2 / S_jj, with S
-and beta from ``FitWorkspace.inverse_gram`` (``_drop_rss``).  Forward
-projects a block of ``FORWARD_BLOCK`` candidates at a time and an add
-downdates only the rest of its block; backward sweeps S from one inversion
-per stage; stepwise downdates all its candidates on each add, projects
-them afresh after each drop and scores drops from a fresh inverse.
+(``_project``: one product Q'x, s = ||x||^2 - ||Q'x||^2) and downdated by
+each basis vector added later (``_downdate``); x is skipped as collinear
+while s is at or below ``regress._gate``, the gate the scan and the subset
+kernel also use.  Both differences of squares cancel near the model's span,
+so an s below ``REPROJECT_BELOW`` of ||x||^2 is projected explicitly, which
+keeps the gate sound.  Dropping a model SNP raises the RSS by
+beta_j^2 / S_jj, with S and beta from ``FitWorkspace.inverse_gram``
+(``_drop_rss``).  Forward projects a block of ``FORWARD_BLOCK`` candidates
+at a time and an add downdates only the rest of its block; backward sweeps
+S in place from one inversion per stage; stepwise projects all its
+candidates once, downdates them on each add, restores the dropped
+direction on each drop (``_restore``, a rank-one update) and scores drops
+from a fresh inverse.
 
 Refinement scores subsets of the selected model with ``_kernels.best_subset``,
 which walks them depth first and skips each subtree whose exact lower bound
@@ -56,6 +60,7 @@ SUBSET_BUDGET = 10**7  # subsets one refinement walk may score
 EXHAUSTIVE_SIZE_CAP = 5  # largest subset of the model plus extras that refinement scores
 MAX_STEPWISE_ITERATIONS = 1000  # moves stepwise makes before it stops
 FORWARD_BLOCK = 128  # screened candidates projected per matrix product in forward
+REPROJECT_BELOW = 1e-6  # s below this fraction of ||x||^2 is projected explicitly
 
 
 @dataclass(frozen=True)
@@ -166,32 +171,63 @@ def _max_snps(ws: FitWorkspace) -> int:
     return ws.n - len(ws.forced_indices) - 2
 
 
-def _project(ws: FitWorkspace, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) of the candidate columns ``cols`` against the model of ``ws``.
+def _reproject(Q: np.ndarray, cols: np.ndarray, norm2: np.ndarray, s: np.ndarray) -> None:
+    """Replace in place each s below ``REPROJECT_BELOW`` of its column's
+    squared norm by ||x - Q Q'x||^2, which resolves the collinearity gate
+    where a difference of squares has cancelled."""
+    low = np.flatnonzero(s < REPROJECT_BELOW * norm2)
+    if low.size:
+        sub = cols[:, low]
+        z = sub - Q @ (Q.T @ sub)
+        s[low] = np.einsum("ij,ij->j", z, z)
 
-    With z a column less its projection on the model basis, s = ||z||^2 and
-    t = z'r = x'r, so adding the column lowers the RSS by t^2 / s.
+
+def _project(ws: FitWorkspace, cols: np.ndarray,
+             norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) of the candidate columns ``cols`` (squared norms ``norm2``)
+    against the model of ``ws``.
+
+    With z a column less its projection on the model basis Q, s = ||z||^2 =
+    ||x||^2 - ||Q'x||^2 and t = z'r = x'r, so adding the column lowers the
+    RSS by t^2 / s.  One product Q'x gives s; where it cancels, near the
+    model's span, ``_reproject`` projects explicitly.
     """
     Q = ws.basis
-    z = cols - Q @ (Q.T @ cols)
-    return np.einsum("ij,ij->j", z, z), cols.T @ ws.residual
+    g = Q.T @ cols
+    s = norm2 - np.einsum("ij,ij->j", g, g)
+    _reproject(Q, cols, norm2, s)
+    return s, cols.T @ ws.residual
 
 
-def _downdate(cols: np.ndarray, s: np.ndarray, t: np.ndarray, u: np.ndarray, d: float) -> None:
-    """Update s and t of ``cols`` in place for a new basis vector u with y-load d."""
+def _downdate(ws: FitWorkspace, cols: np.ndarray, norm2: np.ndarray, s: np.ndarray,
+              t: np.ndarray, u: np.ndarray, d: float) -> None:
+    """Update s and t of ``cols`` in place for the basis vector u with y-load
+    d that ``ws`` has just added; s = s - (u'x)^2 cancels like the closed
+    form of ``_project`` and is re-projected the same way."""
     c = cols.T @ u
-    np.maximum(s - c * c, 0.0, out=s)
+    s -= c * c
     t -= c * d
+    _reproject(ws.basis, cols, norm2, s)
 
 
-def _drop_rss(rss: float, S: np.ndarray, beta: np.ndarray, base: int) -> np.ndarray:
+def _restore(cols: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray, d: float) -> None:
+    """Update s and t of ``cols`` in place for a direction w with y-load d
+    leaving the model's span (``FitWorkspace.drop_direction``)."""
+    c = cols.T @ w
+    s += c * c
+    t += c * d
+
+
+def _drop_rss(rss: float, S: np.ndarray, beta: np.ndarray,
+              pos: slice | np.ndarray) -> np.ndarray:
     """RSS after dropping each SNP column, from (S, beta) of ``inverse_gram``.
 
     Dropping column k raises the RSS by beta_k^2 / S_kk (Miller, Subset
-    Selection in Regression, 2002); ``base`` is the number of intercept and
-    forced columns ahead of the SNPs.
+    Selection in Regression, 2002); ``pos`` indexes the SNP columns of S
+    and beta (a slice past the intercept and forced columns, or the
+    positions still live in a sweep).
     """
-    return rss + beta[base:] ** 2 / S.diagonal()[base:]
+    return rss + beta[pos] ** 2 / S.diagonal()[pos]
 
 
 def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndarray,
@@ -200,8 +236,10 @@ def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndar
 
     A candidate is added when it lowers the criterion (the first one always
     is).  s and t of a block of ``FORWARD_BLOCK`` candidates come from one
-    projection against the basis at the block's start; each add downdates
-    the rest of the block only, since earlier candidates are not revisited.
+    product with the basis at the block's start (``_project``); each add
+    downdates the rest of the block only, since earlier candidates are not
+    revisited.  Either step projects explicitly the s that cancel below
+    ``REPROJECT_BELOW``, so a copy of a model column fails the gate.
     """
     q_cap = min(config.max_forward_size, _max_snps(ws))
     if q_cap < 1:
@@ -211,7 +249,8 @@ def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndar
     cur_val = None
     for start in range(0, idx.size, FORWARD_BLOCK):
         block = cols[:, start:start + FORWARD_BLOCK]
-        s, t = _project(ws, block)
+        norms = norm2[start:start + FORWARD_BLOCK]
+        s, t = _project(ws, block, norms)
         for i in range(block.shape[1]):
             if len(ws.snps) >= q_cap:
                 return
@@ -230,7 +269,7 @@ def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndar
                 except CollinearityError:
                     trace.append("forward", "skip_collinear", j, None, len(ws.snps))
                     continue
-                _downdate(block[:, i + 1:], s[i + 1:], t[i + 1:], u, d)
+                _downdate(ws, block[:, i + 1:], norms[i + 1:], s[i + 1:], t[i + 1:], u, d)
                 cur_rss = new_rss
                 cur_val = ev.value(cur_rss, len(ws.snps))
                 trace.append("forward", "add", j, cur_val, len(ws.snps))
@@ -252,7 +291,7 @@ def _best_drop(ws: FitWorkspace, ev: _CriterionEval) -> tuple[float, int] | None
     if not ws.snps:
         return None
     snps = np.asarray(ws.snps, dtype=np.int64)
-    drops = _drop_rss(ws.rss, *ws.inverse_gram(), ws.m - snps.size)
+    drops = _drop_rss(ws.rss, *ws.inverse_gram(), slice(ws.m - snps.size, None))
     val, pick = _pick_drop(drops, snps, ev)
     return val, int(snps[pick])
 
@@ -268,36 +307,39 @@ def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
 
     Dropping column k leaves S - S[:, k] S[k, :] / S_kk and
     beta - S[:, k] beta_k / S_kk over the remaining columns (the sweep
-    operator: Goodnight, Am. Stat. 1979).  S is inverted afresh from the
-    survivors whenever a downdate leaves a diagonal that is not positive or
-    has lost most of its digits to cancellation.  The workspace is rebuilt
-    once, from the survivors in insertion order.
+    operator: Goodnight, Am. Stat. 1979).  The sweep runs in place on the
+    full S and beta; ``pos`` holds the workspace positions of the SNPs still
+    live, and only those entries are read.  S is inverted afresh from the
+    survivors whenever a downdate leaves a live diagonal that is not
+    positive or has lost most of its digits to cancellation.  The workspace
+    is rebuilt once, from the survivors in insertion order.
     """
     live = list(ws.snps)
-    base = ws.m - len(live)
+    pos = np.arange(ws.m - len(live), ws.m)
     cur_val = ev.value(ws.rss, len(live))
     S, beta = ws.inverse_gram()
     rss = ws.rss
-    ref = S.diagonal()[base:].copy()
+    ref = S.diagonal().copy()
     while live:
-        drops = _drop_rss(rss, S, beta, base)
-        val, pos = _pick_drop(drops, np.asarray(live, dtype=np.int64), ev)
+        drops = _drop_rss(rss, S, beta, pos)
+        val, i = _pick_drop(drops, np.asarray(live, dtype=np.int64), ev)
         if val >= cur_val:
             break
-        k = base + pos
+        k = pos[i]
         col = S[:, k] / S[k, k]
-        beta = np.delete(beta - col * beta[k], k)
-        S = np.delete(np.delete(S - np.outer(col, S[k]), k, axis=0), k, axis=1)
-        ref = np.delete(ref, pos)
-        rss = float(drops[pos])
-        j = live.pop(pos)
+        beta -= col * beta[k]
+        S -= col[:, None] * S[k]
+        pos = pos[pos != k]
+        rss = float(drops[i])
+        j = live.pop(i)
         cur_val = val
         trace.append(stage, "drop", j, cur_val, len(live))
-        if not np.all(S.diagonal()[base:] > SWEEP_LOSS * ref):
+        if not np.all(S.diagonal()[pos] > SWEEP_LOSS * ref[pos]):
             ws.rebuild(live)
             S, beta = ws.inverse_gram()
             rss = ws.rss
-            ref = S.diagonal()[base:].copy()
+            pos = np.arange(ws.m - len(live), ws.m)
+            ref = S.diagonal().copy()
     if len(live) < len(ws.snps):
         ws.rebuild(live)
     return ws.model()
@@ -309,11 +351,14 @@ def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.nda
     squared norms ``norm2``) and the best drop while either lowers the
     criterion, for at most ``MAX_STEPWISE_ITERATIONS`` moves.
 
-    s and t of the candidates are downdated on each add and projected
-    afresh after each drop.
+    s and t of the candidates come from one projection on entry and are
+    then kept by rank-one updates: an add downdates them by its new basis
+    vector u (``_downdate``), and a drop restores the direction w it takes
+    out of the model's span, since P_M = P_(M-k) + w w' (``_restore``).  A
+    collinear pick projects them afresh.
     """
     gate = _gate(norm2)
-    s, t = _project(ws, cols)
+    s, t = _project(ws, cols, norm2)
     in_model = np.isin(idx, ws.snps)
     moves = 0
     cur_rss = ws.rss
@@ -339,15 +384,16 @@ def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.nda
                 try:
                     u, d = ws.add_snp(j)
                 except CollinearityError:
-                    # the downdated s drifted from a fresh projection; project
-                    # afresh, let the rejected column fail the gate and try
-                    # the adds again before any drop
+                    # the workspace's rank test, which rounds apart from the
+                    # gate at the boundary, refused the pick; project afresh,
+                    # let the rejected column fail the gate and try the adds
+                    # again before any drop
                     trace.append("stepwise", "skip_collinear", j, None, len(ws.snps))
-                    s, t = _project(ws, cols)
+                    s, t = _project(ws, cols, norm2)
                     s[pos] = 0.0
                     made_move = True
                     break
-                _downdate(cols, s, t, u, d)
+                _downdate(ws, cols, norm2, s, t, u, d)
                 in_model[pos] = True
                 cur_rss, cur_val = float(new_rss[pick]), float(vals[pick])
             else:
@@ -355,9 +401,10 @@ def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.nda
                 if found is None or found[0] >= cur_val:
                     continue
                 cur_val, j = found
+                w, d = ws.drop_direction(j)
                 ws.drop_snp(j)
-                s, t = _project(ws, cols)
-                in_model = np.isin(idx, ws.snps)
+                _restore(cols, s, t, w, d)
+                in_model[idx == j] = False
                 cur_rss = ws.rss
             trace.append("stepwise", action, j, cur_val, len(ws.snps))
             moves += 1
@@ -479,7 +526,7 @@ def forward_stage(dataset: Dataset, config: SearchConfig,
     if scan is None:
         scan = single_marker_scan(dataset)
     idx = np.asarray(screen(scan, config.screen_threshold), dtype=np.int64)
-    cols = dataset.float_values[:, idx]
+    cols = np.take(dataset.genotypes.values, idx, axis=1).astype(np.float64)
     norm2 = np.einsum("ij,ij->j", cols, cols)
     ws = FitWorkspace(dataset, tuple(range(dataset.n_covariates)))
     bic_cfg = CriterionConfig(

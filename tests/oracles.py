@@ -4,7 +4,16 @@ import numpy as np
 
 from gwasel.errors import CollinearityError
 from gwasel.regress import _gate
-from gwasel.search import SearchTrace, _best_drop, _downdate, _max_snps, _project
+from gwasel.search import (
+    SWEEP_LOSS,
+    SearchTrace,
+    _best_drop,
+    _downdate,
+    _drop_rss,
+    _max_snps,
+    _pick_drop,
+    _project,
+)
 
 
 def lstsq_design(dataset, snps, forced=()):
@@ -44,6 +53,54 @@ def projected_residual_norms(dataset, Q0):
     return s, s <= _gate(xnorm2)
 
 
+def project_two_products(ws, cols):
+    """(s, t) of the candidate columns ``cols`` against the model of ``ws``
+    by explicit projection: z = cols - Q(Q'cols), s = ||z||^2, t = cols'r.
+
+    The reference for ``search._project``, which takes s = ||x||^2 - ||Q'x||^2
+    from one product and projects explicitly only where that cancels.
+    """
+    Q = ws.basis
+    z = cols - Q @ (Q.T @ cols)
+    return np.einsum("ij,ij->j", z, z), cols.T @ ws.residual
+
+
+def backward_by_deletes(ws, ev, trace: SearchTrace, stage: str = "backward"):
+    """``search._backward`` on compacted S and beta: each sweep deletes the
+    dropped row and column (``np.delete``), where the search sweeps in place
+    over the live positions.  The arithmetic on every surviving entry is the
+    same, so the drops and their values must be bit-identical.
+    """
+    live = list(ws.snps)
+    base = ws.m - len(live)
+    cur_val = ev.value(ws.rss, len(live))
+    S, beta = ws.inverse_gram()
+    rss = ws.rss
+    ref = S.diagonal()[base:].copy()
+    while live:
+        drops = _drop_rss(rss, S, beta, slice(base, None))
+        val, pos = _pick_drop(drops, np.asarray(live, dtype=np.int64), ev)
+        if val >= cur_val:
+            break
+        k = base + pos
+        col = S[:, k] / S[k, k]
+        beta = np.delete(beta - col * beta[k], k)
+        S = np.delete(np.delete(S - np.outer(col, S[k]), k, axis=0), k, axis=1)
+        ref = np.delete(ref, pos)
+        rss = float(drops[pos])
+        j = live.pop(pos)
+        cur_val = val
+        trace.append(stage, "drop", j, cur_val, len(live))
+        if not np.all(S.diagonal()[base:] > SWEEP_LOSS * ref):
+            ws.rebuild(live)
+            S, beta = ws.inverse_gram()
+            rss = ws.rss
+            ref = S.diagonal()[base:].copy()
+    if len(live) < len(ws.snps):
+        ws.rebuild(live)
+    return ws.model()
+
+
 def backward_by_drops(ws, ev, trace: SearchTrace, stage: str = "backward"):
     """Backward elimination one workspace drop at a time.
 
@@ -73,7 +130,7 @@ def forward_by_pushes(ws, idx, cols, norm2, config, ev, trace: SearchTrace) -> N
     if q_cap < 1:
         return
     gate = _gate(norm2)
-    s, t = _project(ws, cols)
+    s, t = _project(ws, cols, norm2)
     cur_rss = ws.rss
     cur_val = None
     for pos in range(idx.size):
@@ -94,7 +151,7 @@ def forward_by_pushes(ws, idx, cols, norm2, config, ev, trace: SearchTrace) -> N
             except CollinearityError:
                 trace.append("forward", "skip_collinear", j, None, len(ws.snps))
                 continue
-            _downdate(cols, s, t, u, d)
+            _downdate(ws, cols, norm2, s, t, u, d)
             cur_rss = new_rss
             cur_val = ev.value(cur_rss, len(ws.snps))
             trace.append("forward", "add", j, cur_val, len(ws.snps))

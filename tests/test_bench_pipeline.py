@@ -50,14 +50,49 @@ def test_desk_identity_toy_prints_stable_digests():
     runs = [subprocess.run(cmd, capture_output=True, text=True, timeout=300) for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr[-2000:]
-    selects, detections, results = runs[0].stdout.splitlines()
+    selects, detections, results, structure = runs[0].stdout.splitlines()
     # 2 replicates x the mBIC and mBIC2 searches
     assert re.fullmatch(r"selects 4 [0-9a-f]{64}", selects)
     assert re.fullmatch(r"detections [0-9a-f]{64}", detections)
     assert re.fullmatch(r"results 4 [0-9a-f]{64}", results)
+    assert re.fullmatch(r"structure 4 [0-9a-f]{64}", structure)
     assert results.split()[2] != selects.split()[2]  # the stats are left out
+    # the criterion values are left out
+    assert structure.split()[2] not in (selects.split()[2], results.split()[2])
     assert runs[1].stdout == runs[0].stdout
 
+
+
+def test_structure_record_leaves_out_only_criterion_values():
+    import dataclasses
+    import importlib.util
+
+    from gwasel.criteria import CriterionConfig
+    from gwasel.search import SearchConfig, select_model
+    from gwasel.simulate import SimulationConfig, simulate_trait, synthetic_dataset
+
+    spec = importlib.util.spec_from_file_location(
+        "desk_identity", ROOT / "benchmarks" / "desk_identity.py")
+    desk_identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(desk_identity)
+    ds = synthetic_dataset(120, 40, seed=3)
+    sim = SimulationConfig((5, 20), (1.0, 0.8), sigma=1.0, seed=4)
+    ds = ds.with_trait(simulate_trait(ds, sim, 0))
+    cfg = SearchConfig(criterion=CriterionConfig("mbic2", n=120, p_effective=40))
+    model, result, trace = select_model(ds, cfg)
+    assert any(r.criterion_value is not None for r in trace.records)
+    moved = dataclasses.replace(trace, records=[
+        dataclasses.replace(r, criterion_value=None if r.criterion_value is None
+                            else np.nextafter(r.criterion_value, np.inf))
+        for r in trace.records])
+    same = desk_identity.select_record((model, result, trace), ds.snp_ids, with_values=False)
+    assert desk_identity.select_record((model, result, moved), ds.snp_ids,
+                                       with_values=False) == same
+    assert desk_identity.select_record((model, result, moved), ds.snp_ids) != \
+        desk_identity.select_record((model, result, trace), ds.snp_ids)
+    bigger = dataclasses.replace(result, rss=np.nextafter(result.rss, np.inf))
+    assert desk_identity.select_record((model, bigger, trace), ds.snp_ids,
+                                       with_values=False) != same
 
 TOY_MODULE = '''"""Module docstring: not code."""
 # a comment line

@@ -378,6 +378,21 @@ def test_select_manifest_digests_meta_sidecar(tmp_path):
     assert manifest["peak_rss_mb"] > 0
 
 
+@pytest.mark.parametrize("size", [0, 1, 2**18 - 1, 2**18, 3 * 2**18 + 17])
+def test_input_digest_streams_the_file(tmp_path, monkeypatch, size):
+    # sizes around the read buffer of hashlib.file_digest (256 KiB)
+    data = np.random.default_rng(size).integers(0, 256, size=size, dtype=np.uint8).tobytes()
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+
+    def whole_file(self):
+        raise AssertionError("the digest read the whole file at once")
+
+    monkeypatch.setattr(Path, "read_bytes", whole_file)
+    assert cli._digest(str(path)) == hashlib.sha256(data).hexdigest()
+    assert cli._digest(None) is None
+
+
 def test_simulate_manifest_digests_the_config_panel(tmp_path):
     ids = [f"rs{j}" for j in range(8)]
     g, _ = write_named_fixture(tmp_path, ids)

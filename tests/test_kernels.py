@@ -274,6 +274,44 @@ def test_impute_fill_grouped_every_column_has_a_missing_call(chunk, monkeypatch)
     assert bad == -1
 
 
+@pytest.mark.parametrize("n_predictors", [1, 2, 3, 4, 5])
+def test_impute_fill_ranks_ties_at_the_predictor_cutoff(n_predictors):
+    # Columns 1, 3, 4, 10, 12 and 13 are the same near-copy of the target
+    # column 7, each with a different pair of rows swapped where the target
+    # agrees, so over the target's observed rows all six have the same
+    # integer sums and the same |corr|, the strongest in the window, but
+    # different codes.  Columns 3 and 10 miss calls only where the target
+    # does, which leaves their sums as they are.  The n_predictors-th
+    # complete column of the ranking then lies inside this tie, which file
+    # distance and index break.
+    rng = np.random.default_rng(5)
+    n, p, j = 48, 15, 7
+    values = rng.integers(-1, 2, size=(n, p)).astype(np.int8)
+    observed = np.ones((n, p), dtype=bool)
+    target_missing = np.arange(0, n, 8)
+    observed[target_missing, j] = False
+    y = values[:, j]
+    near_copy = y.copy()
+    near_copy[rng.choice(n, size=10, replace=False)] = rng.integers(-1, 2, size=10)
+    rows = np.setdiff1d(np.arange(n), target_missing)
+    tied = (1, 3, 4, 10, 12, 13)
+    for c in tied:
+        col = near_copy.copy()
+        a, b = next((a, b) for a, b in itertools.combinations(rng.permutation(rows), 2)
+                    if y[a] == y[b] and col[a] != col[b])
+        col[[a, b]] = col[[b, a]]
+        values[:, c] = col
+    for c in (3, 10):
+        observed[target_missing[c % 4::2], c] = False
+    sums = {(int(values[rows, c].sum()), int((values[rows, c] ** 2).sum()),
+             int(values[rows, c].astype(int) @ y[rows])) for c in tied}
+    assert len(sums) == 1
+    assert len({values[:, c].tobytes() for c in tied}) == len(tied)
+    values[~observed] = 0
+    out, bad = impute_both(values, observed, 7, n_predictors)
+    assert bad == -1
+
+
 def test_impute_fill_grouped_keys_wide_predictor_sets():
     # Every one of 40 predictors counts in the pattern, beyond what a packed
     # base-4 int64 key could hold (32 digits).  The 32 best predictors copy

@@ -208,7 +208,7 @@ def test_rss_if_dropped_matches_actual_drop():
 def assert_drop_rss_oracles(ws, ds):
     """_drop_rss from inverse_gram() against the Givens reference and a
     from-scratch lstsq."""
-    drops = _drop_rss(ws.rss, *ws.inverse_gram(), ws.m - len(ws.snps))
+    drops = _drop_rss(ws.rss, *ws.inverse_gram(), slice(ws.m - len(ws.snps), None))
     assert drops.shape == (len(ws.snps),)
     for k, j in enumerate(ws.snps):
         assert drops[k] == pytest.approx(ws.rss_if_dropped(j), rel=1e-9)
@@ -310,7 +310,7 @@ def test_best_drop_ties_drop_largest_index(log_mode):
     ev = _CriterionEval(crit, rss_base=50.0)
     snps = [7, 2, 9, 4, 11]
     ws = _FixedDrops(snps, [30.0, 20.0, 20.0, 20.0, 25.0])
-    assert _drop_rss(ws.rss, *ws.inverse_gram(), 0).tolist() == ws.drops.tolist()
+    assert _drop_rss(ws.rss, *ws.inverse_gram(), slice(0, None)).tolist() == ws.drops.tolist()
     val, j = _best_drop(ws, ev)
     assert j == 9
     assert val == ev.value(20.0, 4)

@@ -16,6 +16,7 @@ from gwasel.mtest import ScanEngine, ScanResult, single_marker_scan
 from gwasel.regress import FitWorkspace, ModelSpec, _gate, fit, workspace_for
 import gwasel.search
 from gwasel.search import (
+    REPROJECT_BELOW,
     SearchConfig,
     SearchTrace,
     _backward,
@@ -24,6 +25,7 @@ from gwasel.search import (
     _enumerate_best,
     _forward,
     _project,
+    _restore,
     _stepwise,
     forward_stage,
     refine_subsets,
@@ -40,7 +42,14 @@ from gwasel.simulate import (
 )
 
 from conftest import dataset_from_values, random_genotypes, search_constants, unpruned
-from oracles import backward_by_drops, forward_by_pushes, lstsq_rss
+from oracles import (
+    backward_by_deletes,
+    backward_by_drops,
+    forward_by_pushes,
+    lstsq_design,
+    lstsq_rss,
+    project_two_products,
+)
 
 
 def make_config(kind, dataset, **kw):
@@ -212,7 +221,7 @@ def test_downdated_stats_match_fresh_projection(seed, n_forced, neg_log_eps, add
     idx, cols, norm2 = gathered(ds, candidates)
     gate = _gate(norm2)
     ws = FitWorkspace(ds, forced)
-    s, t = _project(ws, cols)
+    s, t = _project(ws, cols, norm2)
     in_model = np.zeros(idx.size, dtype=bool)
     y_norm = float(np.sqrt(ds.trait @ ds.trait))
     for j in adds:
@@ -222,22 +231,95 @@ def test_downdated_stats_match_fresh_projection(seed, n_forced, neg_log_eps, add
             u, d = ws.add_snp(j)
         except CollinearityError:
             continue
-        _downdate(cols, s, t, u, d)
+        _downdate(ws, cols, norm2, s, t, u, d)
         in_model[candidates.index(j)] = True
 
-        fresh_s, fresh_t = _project(ws, cols)
+        fresh_s, fresh_t = project_two_products(ws, cols)
         assert np.all(np.abs(s - fresh_s) <= DOWNDATE_TOL * norm2)
         assert np.all(np.abs(t - fresh_t) <= DOWNDATE_TOL * np.sqrt(norm2) * y_norm)
-        fresh_in_model = np.isin(idx, ws.snps)  # as stepwise sets it after a drop
+        fresh_in_model = np.isin(idx, ws.snps)
         assert fresh_in_model.dtype == bool
         assert fresh_in_model.tolist() == [c in ws.snps for c in candidates]
         assert np.array_equal(in_model, fresh_in_model)
-        # the gates agree on every open column whose fresh s is clear of the
-        # gate by more than the tolerance; an exact copy of a model column
-        # keeps a downdated s of rounding size, above the 1e-20 gate, and
-        # the workspace's own rank check rejects it
-        differ = ((s > gate) != (fresh_s > gate)) & ~in_model
-        assert np.all(np.abs(fresh_s - gate)[differ] <= DOWNDATE_TOL * norm2[differ])
+        # the gates agree on every column: a downdated s that cancels below
+        # REPROJECT_BELOW of its squared norm is projected explicitly, so an
+        # exact copy of a model column (13 of 4)
+        # falls to rounding of that projection, far below the 1e-20 gate
+        assert np.array_equal(s <= gate, fresh_s <= gate)
+
+
+def random_workspace(ds, forced, seed):
+    """``filled_workspace`` of column 4, which column 13 copies, and up to
+    8 random SNPs."""
+    rest = np.random.default_rng(seed).permutation(ds.n_snps)[:8]
+    return filled_workspace(ds, forced, [4, *(int(j) for j in rest if j != 4)])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0))
+@settings(max_examples=150, deadline=None)
+def test_project_matches_two_product_oracle(seed, n_forced, neg_log_eps):
+    # column 13 copies column 4, which the model holds, and column 1 lies
+    # within ~eps of the forced x0 + x1 and x0 when those are in the model:
+    # s = ||x||^2 - ||Q'x||^2 cancels there and must be projected explicitly
+    ds, forced, _ = design_with_near_collinearity(seed, n_forced, 10.0**-neg_log_eps)
+    ws = random_workspace(ds, forced, seed)
+    idx, cols, norm2 = gathered(ds, range(ds.n_snps))
+    s, t = _project(ws, cols, norm2)
+    want_s, want_t = project_two_products(ws, cols)
+    assert np.array_equal(t, want_t)
+    assert np.all(np.abs(s - want_s) <= DOWNDATE_TOL * norm2)
+    low = want_s < REPROJECT_BELOW * norm2
+    assert low[13]
+    # near the model's span, s is good to far below the gate, so the two
+    # agree on which columns are collinear
+    assert np.all(np.abs(s - want_s)[low] <= 1e-21 * norm2[low])
+    gate = _gate(norm2)
+    assert np.array_equal(s <= gate, want_s <= gate)
+    assert s[13] <= gate[13]
+
+
+def design_condition(ds, ws):
+    """Condition number of the column-scaled design of the model of ``ws``."""
+    D = lstsq_design(ds, ws.snps, ws.forced_indices)
+    return float(np.linalg.cond(D / np.linalg.norm(D, axis=0)))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(2.0, 7.0),
+       st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_rank_one_drop_matches_fresh_projection(seed, n_forced, neg_log_eps, n_drops):
+    ds, forced, _ = design_with_near_collinearity(seed, n_forced, 10.0**-neg_log_eps)
+    ws = random_workspace(ds, forced, seed)
+    idx, cols, norm2 = gathered(ds, range(ds.n_snps))
+    s, t = _project(ws, cols, norm2)
+    gate = _gate(norm2)
+    y_norm = float(np.sqrt(ds.trait @ ds.trait))
+    # both sides hold s to rounding amplified by the conditioning of the
+    # model they were projected against, which drops can only lower
+    kappa = design_condition(ds, ws)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_drops):
+        if len(ws.snps) < 2:
+            break
+        j = int(rng.choice([k for k in ws.snps if k != 4]))  # column 13 stays collinear
+        S, beta = ws.inverse_gram()
+        k = ws.snps.index(j) + ws.m - len(ws.snps)
+        r_before = ws.residual.copy()
+        w, d = ws.drop_direction(j)
+        assert float(w @ w) == pytest.approx(1.0, abs=1e-12)
+        assert d == pytest.approx(beta[k] / math.sqrt(S[k, k]), rel=1e-9, abs=1e-12 * y_norm)
+        ws.drop_snp(j)
+        np.testing.assert_allclose(ws.residual, r_before + d * w, rtol=0,
+                                   atol=1e-9 * kappa * y_norm)
+        _restore(cols, s, t, w, d)
+
+        fresh_s, fresh_t = project_two_products(ws, cols)
+        assert np.all(np.abs(s - fresh_s) <= DOWNDATE_TOL * kappa * norm2)
+        assert np.all(np.abs(t - fresh_t) <= DOWNDATE_TOL * kappa * np.sqrt(norm2) * y_norm)
+        # s only grows on a drop, so a column in the span of the model that
+        # is left stays at or below the gate
+        assert s[13] <= gate[13]
+        assert np.array_equal(s <= gate, fresh_s <= gate)
 
 
 def fresh_projection(ws, j):
@@ -407,6 +489,20 @@ def test_backward_sweeps_match_per_drop_oracle(seed, n_forced, neg_log_eps, kind
     crit = CriterionConfig(kind, n=ds.n_individuals, p_effective=p_effective,
                            sigma=None if log_mode else 1.0)
     assert_backward_matches_oracle(ds, forced, order, crit)
+    assert_backward_sweeps_in_place(ds, forced, order, crit)
+
+
+def assert_backward_sweeps_in_place(ds, forced, order, crit):
+    """The in-place sweep against the sweep on compacted arrays: the same
+    records to the last bit and the same final workspace."""
+    runs = []
+    for backward in (_backward, backward_by_deletes):
+        ws = filled_workspace(ds, forced, order)
+        trace = SearchTrace()
+        model = backward(ws, _CriterionEval(crit, ws.rss_base), trace)
+        runs.append((model, ws.snps, ws.rss, trace.records))
+    assert runs[0] == runs[1]
+    return runs[0][3]
 
 
 @pytest.mark.parametrize("log_mode", [True, False])
@@ -430,6 +526,7 @@ def test_backward_rebuilds_when_a_sweep_loses_its_pivot(monkeypatch, log_mode):
     dropped = [r.snp for r in records]
     assert {0, 1} & set(dropped)
     assert len(inversions) >= 2  # the stage start and at least one guarded rebuild
+    assert assert_backward_sweeps_in_place(ds, forced, order, crit) == records
 
 
 def test_stepwise_trace_strictly_decreases():
@@ -882,6 +979,9 @@ def test_shared_forward_state_is_left_unchanged():
     mbic, mbic2 = (m.search for m in methods[2:])
     state = forward_stage(dsy, mbic, single_marker_scan(dsy))
     assert state.records and all(r.stage == "forward" for r in state.records)
+    # gathered from the int8 codes: the float cache's columns to the bit
+    assert state.cols.dtype == np.float64
+    assert np.array_equal(state.cols, dsy.float_values[:, state.candidates])
     before = state_arrays(state)
 
     own = select_model(dsy, mbic2)
