@@ -1,7 +1,8 @@
-"""Per-layer timings of the panel pipeline, one desk-study replicate or the
-paper-shape selects.
+"""Per-layer timings of the panel pipeline, one desk-study replicate, the
+paper-shape selects or the paper-shape command chain.
 
-    python3 benchmarks/bench_pipeline.py --out BENCH.json [--workload panel|desk|paper] \
+    python3 benchmarks/bench_pipeline.py --out BENCH.json \
+        [--workload panel|desk|paper|chain] \
         --src parent=/path/to/parent/src --src change=src --pairs 10 --seeds 1 2 3
 
 Each ``--src LABEL=DIR`` names a gwasel source tree; the first is the base
@@ -50,6 +51,25 @@ and its float cache are built before any timer starts.  A run times
 and records each select's model, the ``repr`` of its RSS and its search
 stats, so the sides can be checked for the same results.
 
+``chain``: the same paper-shape panel as a text file, run through the
+commands.  Before anything is timed, a process of its own writes to a
+temporary directory the panel with a header of ids and ``NA`` at 2% of the
+calls in 5% of the columns (seed 3), and the trait of replicate 0 drawn
+from the complete panel; ``--toy`` takes 200 x 1000.  ``--seeds`` is not
+used.  A run calls ``gwasel.cli.main`` in a fresh process for each of
+
+* ``impute``  -- ``gwasel impute`` of the panel (window 500, 4 predictors)
+* ``cluster`` -- ``gwasel cluster`` of the imputed panel (|R| > 0.7, window 1000)
+* ``scan``    -- ``gwasel scan`` of the imputed panel and the trait
+* ``select``  -- ``gwasel select --criterion mbic2`` of the same, with
+  ``--p-effective`` the ``effective_count`` that ``cluster`` reported
+
+and records each command's ``wall_s`` and ``peak_rss_mb`` from its
+manifest (``<command>_wall_s``, ``<command>_peak_rss_mb``) and the SHA-256
+of every file the command wrote but its manifest, so the sides can be
+checked for the same bytes.  The panel file is ~0.5 GB, and each run
+writes an imputed copy of the same size.
+
 The output JSON holds every run, each label's median and quartiles per
 metric, and how many pairs each later label won.
 """
@@ -57,6 +77,8 @@ metric, and how many pairs each later label won.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import statistics
@@ -75,10 +97,15 @@ METRICS = {
     "desk": ("engine_build_s", "scan_s", "forward_s", "select_s", "study_s", "peak_rss_mb"),
     "paper": ("scan_s", "mbic_select_s", "mbic2_select_s", "peak_rss_mb"),
 }
+CHAIN_COMMANDS = ("impute", "cluster", "scan", "select")
+METRICS["chain"] = tuple(f"{cmd}_{m}" for cmd in CHAIN_COMMANDS
+                         for m in ("wall_s", "peak_rss_mb"))
 WINDOW, PREDICTORS = 500, 4
 THRESHOLD, CLUSTER_WINDOW = 0.7, 1000
 PAPER_SHAPE, PAPER_TOY_SHAPE = (649, 309_788), (200, 1000)
 PAPER_K, PAPER_SEED = 30, 3
+CHAIN_MISSING_COLUMNS, CHAIN_MISSING_RATE = 0.05, 0.02
+CLI = "import sys; from gwasel import cli; sys.exit(cli.main(sys.argv[1:]))"
 
 
 def timer(out: dict):
@@ -121,8 +148,11 @@ def run_panel(inputs: Path, work: Path) -> dict:
     ids = done.snp_ids
 
     def write():
-        cli._write_atomic(work / "layers" / "imputed.txt",
-                          "\t".join(ids) + "\n" + cli._genotype_rows(done.genotypes.values))
+        header = "\t".join(ids) + "\n"
+        rows = cli._genotype_rows(done.genotypes.values)
+        # an older source tree under comparison renders the rows as one string
+        text = header + rows if isinstance(rows, str) else itertools.chain([header.encode()], rows)
+        cli._write_atomic(work / "layers" / "imputed.txt", text)
         cli._write_atomic(work / "layers" / "clusters.tsv", clusters.to_tsv(ids))
         cli._write_atomic(work / "layers" / "scan.tsv", scan_to_tsv(result, ids))
 
@@ -199,6 +229,76 @@ def run_paper(toy: bool) -> dict:
     return out
 
 
+def make_chain_inputs(inputs: Path, toy: bool) -> None:
+    """Write the chain's panel text, with missing calls, and its trait."""
+    import numpy as np
+
+    from gwasel.simulate import SimulationConfig, effect_grid, simulate_trait, synthetic_dataset
+
+    n, p = PAPER_TOY_SHAPE if toy else PAPER_SHAPE
+    ds = synthetic_dataset(n, p, seed=PAPER_SEED)
+    causal = tuple(np.linspace(0, p - 1, PAPER_K).astype(int).tolist())
+    sim = SimulationConfig(causal, tuple(effect_grid(PAPER_K)), sigma=1.0, seed=PAPER_SEED)
+    y = simulate_trait(ds, sim, 0)
+    rng = np.random.default_rng(PAPER_SEED)
+    cols = np.sort(rng.choice(p, size=int(p * CHAIN_MISSING_COLUMNS), replace=False))
+    missing = np.zeros((n, p), dtype=bool)
+    missing[:, cols] = rng.random((n, cols.size)) < CHAIN_MISSING_RATE
+    inputs.mkdir(parents=True, exist_ok=True)
+    rows = max(1, (1 << 20) // (2 * p))
+    with open(inputs / "genotypes.txt", "wb") as fh:
+        fh.write(("\t".join(ds.snp_ids) + "\n").encode())
+        for start in range(0, n, rows):
+            codes = ds.genotypes.values[start : start + rows]
+            cells = np.empty(codes.shape + (2,), dtype=np.uint8)  # a code byte, then a separator
+            cells[:, :, 0] = codes + ord("0")  # -1 lands on "/"
+            cells[:, :, 0][missing[start : start + rows]] = ord("?")
+            cells[:, :, 1] = ord("\t")
+            cells[:, -1, 1] = ord("\n")
+            fh.write(cells.tobytes().replace(b"/", b"-1").replace(b"?", b"NA"))
+    (inputs / "trait.txt").write_text("".join(f"{v!r}\n" for v in y.tolist()))
+
+
+def run_chain(inputs: Path, work: Path) -> dict:
+    """The four commands, each in a fresh process, over the chain's inputs."""
+    geno, trait = inputs / "genotypes.txt", inputs / "trait.txt"
+    imputed = work / "imputed.txt"
+    outs = {"impute": imputed, "cluster": work / "cluster", "scan": work / "scan",
+            "select": work / "select"}
+    argvs = {
+        "impute": ["impute", "--genotypes", str(geno), "--window", str(WINDOW),
+                   "--predictors", str(PREDICTORS), "--out", str(imputed)],
+        "cluster": ["cluster", "--genotypes", str(imputed), "--threshold", str(THRESHOLD),
+                    "--window", str(CLUSTER_WINDOW), "--out", str(outs["cluster"])],
+        "scan": ["scan", "--genotypes", str(imputed), "--trait", str(trait)],
+        "select": ["select", "--genotypes", str(imputed), "--trait", str(trait),
+                   "--criterion", "mbic2"],
+    }
+    out: dict = {"digests": {}}
+    for cmd in CHAIN_COMMANDS:
+        argv = argvs[cmd]
+        if cmd in ("scan", "select"):
+            summary = json.loads((outs["cluster"] / "summary.json").read_text())
+            argv = argv + ["--p-effective", str(summary["effective_count"]),
+                           "--out", str(outs[cmd])]
+        proc = subprocess.run([sys.executable, "-c", CLI, *argv], capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"gwasel {cmd} exited {proc.returncode}:\n{proc.stderr}")
+        if cmd == "impute":
+            manifest = work / f"{imputed.name}.manifest.json"
+            written = [imputed]
+        else:
+            manifest = outs[cmd] / "manifest.json"
+            written = sorted(f for f in outs[cmd].iterdir() if f != manifest)
+        record = json.loads(manifest.read_text())
+        out[f"{cmd}_wall_s"] = record["wall_s"]
+        out[f"{cmd}_peak_rss_mb"] = record["peak_rss_mb"]
+        for f in written:
+            with open(f, "rb") as fh:
+                out["digests"][f"{cmd}/{f.name}"] = hashlib.file_digest(fh, "sha256").hexdigest()
+    return out
+
+
 def child(src: Path, workload: str, inputs: Path | None, toy: bool) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as work:
@@ -233,6 +333,7 @@ def main(argv=None) -> int:
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--inputs", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--work", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--make-chain", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     for var in BLAS_VARS:  # before numpy loads BLAS; children inherit it
         os.environ[var] = "1"
@@ -240,11 +341,16 @@ def main(argv=None) -> int:
     import workloads  # read-only: the inputs the perfbench workloads generate
 
     sizes = workloads.TOY if args.toy else workloads.FULL
+    if args.make_chain:
+        make_chain_inputs(args.make_chain, args.toy)
+        return 0
     if args.child:
         if args.workload == "desk":
             out = run_desk(sizes)
         elif args.workload == "paper":
             out = run_paper(args.toy)
+        elif args.workload == "chain":
+            out = run_chain(args.inputs, args.work)
         else:
             out = run_panel(args.inputs, args.work)
         print(json.dumps(out))
@@ -261,10 +367,15 @@ def main(argv=None) -> int:
     panel = args.workload == "panel"
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
+        chain = Path(tmp) / "chain" if args.workload == "chain" else None
+        if chain:  # written once, by this tree, in a process of its own
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+            cmd = [sys.executable, __file__, "--make-chain", str(chain)]
+            subprocess.run(cmd + (["--toy"] if args.toy else []), env=env, check=True)
         for pair in range(args.pairs):
             seed = args.seeds[pair % len(args.seeds)] if panel else None
-            inputs = Path(tmp) / f"seed{seed}" if panel else None
-            if inputs and not inputs.exists():
+            inputs = Path(tmp) / f"seed{seed}" if panel else chain
+            if panel and not inputs.exists():
                 workloads.write_panel(sizes, seed, inputs / "genotypes.txt",
                                       inputs / "trait.txt")
             labels = list(sources) if pair % 2 == 0 else list(sources)[::-1]
@@ -286,6 +397,14 @@ def main(argv=None) -> int:
         n, p = PAPER_TOY_SHAPE if args.toy else PAPER_SHAPE
         study = {"n": n, "p": p, "k": PAPER_K, "replicate": 0, "data_seed": PAPER_SEED,
                  "trait_seed": PAPER_SEED, "methods": ["mbic", "mbic2"]}
+    elif args.workload == "chain":
+        n, p = PAPER_TOY_SHAPE if args.toy else PAPER_SHAPE
+        study = {"n": n, "p": p, "k": PAPER_K, "replicate": 0, "data_seed": PAPER_SEED,
+                 "trait_seed": PAPER_SEED, "missing_columns": CHAIN_MISSING_COLUMNS,
+                 "missing_rate": CHAIN_MISSING_RATE, "impute_window": WINDOW,
+                 "impute_predictors": PREDICTORS, "cluster_threshold": THRESHOLD,
+                 "cluster_window": CLUSTER_WINDOW, "select_criterion": "mbic2",
+                 "commands": list(CHAIN_COMMANDS)}
     elif args.workload == "desk":
         study = {"n": sizes.desk_n, "p": sizes.desk_p, "k": sizes.desk_k, "replicate": 0,
                  "data_seed": workloads.DESK_DATA_SEED, "trait_seed": workloads.DESK_TRAIT_SEED,

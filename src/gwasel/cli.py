@@ -3,14 +3,17 @@
 Every subcommand runs through one skeleton in :func:`main`.  The flags of
 ``_INPUT_FLAGS`` name input files; each of them that a subcommand has must
 be an existing file (exit 2 otherwise).  A ``cmd_*`` function only
-computes: it returns its outputs as file name -> text, and the input files
-its configuration names beyond its flags (a study's genotype panel and
-sidecar).  ``main`` then writes every output atomically (temp file +
-rename), followed by a manifest recording the tool, numpy and scipy
-versions, the BLAS thread settings, the resolved flags, the SHA-256 of
-every input file, the seed, the wall seconds and the peak RSS.  Usage and
-input-schema problems exit 2; runtime failures, an output path that cannot
-be written included, exit 1.
+computes: it returns its outputs as file name -> content, either text or
+an iterable of ``bytes`` chunks (the imputed panel, rendered a block of
+rows at a time), and the input files its configuration names beyond its
+flags (a study's genotype panel and sidecar).  ``main`` then writes the
+outputs all or nothing: each streams into a temp file beside it, and the
+temp files are renamed only once every output is complete; on any error
+every temp file is removed.  A manifest follows, recording the tool,
+numpy and scipy versions, the BLAS thread settings, the resolved flags,
+the SHA-256 of every input file, the seed, the wall seconds and the peak
+RSS.  Usage and input-schema problems exit 2; runtime failures, an output
+path that cannot be written included, exit 1.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -25,6 +29,7 @@ import resource
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +53,35 @@ from gwasel.simulate import (
 )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+Content = str | Iterable[bytes]
+
+
+def _write_outputs(files: dict[Path, Content]) -> None:
+    """Write every file or none: each streams into a temp file beside it,
+    and the temp files are renamed only once all of them are complete.  On
+    any error the temp files, and the files already renamed, are removed."""
+    temps: dict[Path, str] = {}
+    renamed: list[Path] = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, content in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, temps[path] = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines([content.encode()] if isinstance(content, str) else content)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path in renamed:
+            path.unlink(missing_ok=True)
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
+
+
+def _write_atomic(path: Path, content: Content) -> None:
+    _write_outputs({path: content})
 
 
 def _digest(path: str | None) -> str | None:
@@ -264,20 +287,29 @@ def cmd_simulate(args, parser):
     return outputs, panel
 
 
-def _genotype_rows(values: np.ndarray) -> str:
-    """Tab-separated rows of -1/0/1 codes, each ended by a newline."""
-    cells = np.empty(values.shape + (2,), dtype=np.uint8)  # a code byte, then its separator
-    cells[:, :, 0] = values + ord("0")  # -1 lands on "/", the byte before "0"
+_ROWS_CHUNK = 1 << 20  # bytes of codes and separators per chunk of _genotype_rows
+
+
+def _genotype_rows(values: np.ndarray) -> Iterator[bytes]:
+    """Tab-separated rows of -1/0/1 codes, each ended by a newline, in
+    chunks of whole rows of about ``_ROWS_CHUNK`` bytes (at least one row)."""
+    n, p = values.shape
+    rows = min(n, max(1, _ROWS_CHUNK // (2 * p)))
+    cells = np.empty((rows, p, 2), dtype=np.uint8)  # a code byte, then its separator
     cells[:, :, 1] = ord("\t")
     cells[:, -1, 1] = ord("\n")
-    return cells.tobytes().replace(b"/", b"-1").decode("ascii")
+    for start in range(0, n, rows):
+        block = cells[: min(rows, n - start)]
+        block[:, :, 0] = values[start : start + rows] + ord("0")  # -1 lands on "/"
+        yield block.tobytes().replace(b"/", b"-1")
 
 
 def cmd_impute(args, parser):
     dataset = _load(args)
     completed = impute_missing(dataset, window=args.window, n_predictors=args.predictors)
-    text = "\t".join(dataset.snp_ids) + "\n" + _genotype_rows(completed.genotypes.values)
-    return {Path(args.out).name: text}, {}
+    header = ("\t".join(dataset.snp_ids) + "\n").encode()
+    rows = _genotype_rows(completed.genotypes.values)
+    return {Path(args.out).name: itertools.chain([header], rows)}, {}
 
 
 def cmd_cluster(args, parser):
@@ -424,8 +456,7 @@ def main(argv=None) -> int:
         out, manifest = Path(args.out), "manifest.json"
         if args.command == "impute":  # --out names the completed file, not a directory
             out, manifest = out.parent, f"{out.name}.manifest.json"
-        for name, text in outputs.items():
-            _write_atomic(out / name, text)
+        _write_outputs({out / name: content for name, content in outputs.items()})
         _write_atomic(out / manifest, _manifest(args, inputs, start))
     except (ParseError, DimensionError, json.JSONDecodeError) as exc:
         # input files that exist but violate their schema are usage errors

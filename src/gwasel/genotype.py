@@ -150,6 +150,18 @@ class Dataset:
         """float64 copy of the genotype codes, cached for linear algebra."""
         return self.genotypes.values.astype(np.float64)
 
+    def float_columns(self, start: int, stop: int) -> np.ndarray:
+        """float64 codes of columns ``start:stop``.
+
+        A slice of the cached ``float_values`` when that cache is built;
+        otherwise only this int8 block is converted, and the n x p copy is
+        not made.  int8 -> float64 is exact, so both hold the same numbers.
+        """
+        cached = self.__dict__.get("float_values")
+        if cached is not None:
+            return cached[:, start:stop]
+        return self.genotypes.values[:, start:stop].astype(np.float64)
+
     def with_trait(self, trait: np.ndarray) -> "Dataset":
         """New dataset sharing the genotype arrays, with a replaced trait."""
         new = replace(self, trait=np.ascontiguousarray(trait, dtype=np.float64))

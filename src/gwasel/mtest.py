@@ -1,4 +1,21 @@
-"""Single-marker scan and multiple-testing corrections."""
+"""Single-marker scan and multiple-testing corrections.
+
+``ScanEngine`` reads the genotypes in blocks of ``SCAN_BLOCK`` columns: it
+counts the int8 codes of a block, and takes its float64 values through
+``Dataset.float_columns``, a strided slice of the float cache when a
+caller has built it, else a contiguous conversion of only that block, so
+the engine never makes the n x p float64 copy itself.  Each block's
+t = X'y is one BLAS matrix-vector product.  With BLAS on one thread that
+gives the same bits as one product over all columns (each column keeps its
+place in the kernel's groups of four, since ``SCAN_BLOCK`` is a multiple
+of four), except in a last block narrower than ``_MIN_TAIL`` columns: BLAS
+takes other paths there (a dot product for one column), which differ
+between a slice and a copy and can move t, or the covariate projection's
+s, by an ulp.  Such a tail joins the block before it.  With BLAS on
+several threads, each product splits its columns between the threads, and
+one product and the blocks split at different columns, so t can differ by
+an ulp from one product where a split falls.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +28,18 @@ from scipy.special import betainc
 from gwasel.errors import CollinearityError
 from gwasel.genotype import Dataset
 from gwasel.regress import _gate
+
+SCAN_BLOCK = 4096  # columns per block of ScanEngine
+_MIN_TAIL = 4  # a narrower last block joins the block before it
+
+
+def _scan_blocks(p: int) -> list[tuple[int, int]]:
+    """(start, stop) of ScanEngine's column blocks."""
+    starts = list(range(0, p, SCAN_BLOCK))
+    if len(starts) > 1 and p - starts[-1] < _MIN_TAIL:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [p]))
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -67,37 +96,46 @@ class ScanEngine:
                 j, f"covariate {j} is collinear with the intercept and the covariates before it")
         self.m0 = self.Q0.shape[1]
         # s = squared norm of each column's residual after base projection
-        if dataset.covariates is None:
-            # Intercept alone: s = (n·Σx² - (Σx)²)/n.  On -1/0/1 codes Σx² is
-            # the count of nonzero calls and both numerator terms are exact
-            # integers, so s is rounded once and nothing cancels.  Column
-            # sums of n calls fit int32 (twice as fast to accumulate as int64).
-            V = dataset.genotypes.values
-            xnorm2 = (V != 0).sum(axis=0, dtype=np.int32).astype(np.int64)
-            sm = V.sum(axis=0, dtype=np.int32).astype(np.int64)
-            self.s = (n * xnorm2 - sm * sm) / n
-        else:
-            # xnorm2 - ‖Qᵀx‖² would cancel for a column inside the covariate
-            # span (s ≈ 1e-16·xnorm2, no degenerate flag), so project the
-            # columns explicitly.
-            X = dataset.float_values
-            xnorm2 = np.einsum("ij,ij->j", X, X)
-            self.s = np.empty(dataset.n_snps)
-            for start in range(0, dataset.n_snps, 4096):
-                block = X[:, start : start + 4096]
+        xnorm2 = np.empty(dataset.n_snps)
+        self.s = np.empty(dataset.n_snps)
+        for start, stop in _scan_blocks(dataset.n_snps):
+            if dataset.covariates is None:
+                # Intercept alone: s = (n·Σx² - (Σx)²)/n.  On -1/0/1 codes Σx²
+                # is the count of nonzero calls and both numerator terms are
+                # exact integers, so s is rounded once and nothing cancels.
+                # Column sums of n calls fit int32 (twice as fast to
+                # accumulate as int64).
+                codes = dataset.genotypes.values[:, start:stop]
+                count = (codes != 0).sum(axis=0, dtype=np.int32).astype(np.int64)
+                total = codes.sum(axis=0, dtype=np.int32).astype(np.int64)
+                xnorm2[start:stop] = count
+                self.s[start:stop] = (n * count - total * total) / n
+            else:
+                # xnorm2 - ‖Qᵀx‖² would cancel for a column inside the
+                # covariate span (s ≈ 1e-16·xnorm2, no degenerate flag), so
+                # project the columns explicitly.
+                block = dataset.float_columns(start, stop)
+                xnorm2[start:stop] = np.einsum("ij,ij->j", block, block)
                 z = self.Q0 @ (self.Q0.T @ block)
                 np.subtract(block, z, out=z)  # one n x 4096 temporary, not two
-                self.s[start : start + 4096] = np.einsum("ij,ij->j", z, z)
+                self.s[start:stop] = np.einsum("ij,ij->j", z, z)
         self.degenerate = self.s <= _gate(xnorm2)
         self.df2 = n - self.m0 - 1
         if self.df2 < 1:
             raise ValueError("too few observations for a single-marker scan")
 
+    def _t(self, yt: np.ndarray) -> np.ndarray:
+        """X'yt, one product per block of ``_scan_blocks``."""
+        t = np.empty(self.dataset.n_snps)
+        for start, stop in _scan_blocks(self.dataset.n_snps):
+            t[start:stop] = self.dataset.float_columns(start, stop).T @ yt
+        return t
+
     def scan(self, trait: np.ndarray) -> ScanResult:
         y = np.asarray(trait, dtype=np.float64)
         yt = y - self.Q0 @ (self.Q0.T @ y)
         rss0 = float(yt @ yt)
-        t = self.dataset.float_values.T @ yt
+        t = self._t(yt)
         with np.errstate(invalid="ignore", divide="ignore"):
             delta = np.where(self.degenerate, 0.0, (t * t) / self.s)
             rss1 = np.maximum(rss0 - delta, 0.0)

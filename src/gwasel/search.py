@@ -275,6 +275,13 @@ def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndar
                 trace.append("forward", "add", j, cur_val, len(ws.snps))
 
 
+def _first_min(vals: np.ndarray, keys: np.ndarray) -> int:
+    """Position of the smallest of ``vals``, equal values to the smallest
+    key: ``np.lexsort((keys, vals))[0]`` without the sort (no NaN in vals)."""
+    ties = np.flatnonzero(vals == vals.min())
+    return int(ties[np.argmin(keys[ties])])
+
+
 def _pick_drop(drop_rss: np.ndarray, snps: np.ndarray, ev: _CriterionEval) -> tuple[float, int]:
     """(criterion value, position) of the best drop given each SNP's drop RSS.
 
@@ -376,7 +383,7 @@ def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.nda
                     continue
                 new_rss = np.maximum(cur_rss - t[open_pos] ** 2 / s[open_pos], 0.0)
                 vals = ev.value_array(new_rss, len(ws.snps) + 1)
-                pick = np.lexsort((idx[open_pos], vals))[0]
+                pick = _first_min(vals, idx[open_pos])
                 if vals[pick] >= cur_val:
                     continue
                 pos = int(open_pos[pick])
@@ -524,6 +531,7 @@ def forward_stage(dataset: Dataset, config: SearchConfig,
                   scan: ScanResult | None = None) -> ForwardState:
     """Scan (unless given), screen and the forward stage under plain BIC."""
     if scan is None:
+        dataset.float_values  # the workspace reads this cache; built first, the scan reads it too
         scan = single_marker_scan(dataset)
     idx = np.asarray(screen(scan, config.screen_threshold), dtype=np.int64)
     cols = np.take(dataset.genotypes.values, idx, axis=1).astype(np.float64)

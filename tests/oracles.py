@@ -1,8 +1,10 @@
 """Slow reference implementations that the tests compare fast paths against."""
 
 import numpy as np
+from scipy.special import betainc
 
 from gwasel.errors import CollinearityError
+from gwasel.mtest import ScanResult
 from gwasel.regress import _gate
 from gwasel.search import (
     SWEEP_LOSS,
@@ -51,6 +53,38 @@ def projected_residual_norms(dataset, Q0):
         np.subtract(block, z, out=z)
         s[start : start + 4096] = np.einsum("ij,ij->j", z, z)
     return s, s <= _gate(xnorm2)
+
+
+def scan_one_product(engine, trait):
+    """The scan of ``trait`` with t = X'y from one product over the whole
+    float panel: the reference for ``ScanEngine.scan``, which takes t in
+    column blocks and converts only the block it reads."""
+    y = np.asarray(trait, dtype=np.float64)
+    yt = y - engine.Q0 @ (engine.Q0.T @ y)
+    rss0 = float(yt @ yt)
+    t = engine.dataset.float_values.T @ yt
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = np.where(engine.degenerate, 0.0, (t * t) / engine.s)
+        rss1 = np.maximum(rss0 - delta, 0.0)
+        f = np.where(rss1 > 0.0, delta * engine.df2 / rss1, np.inf)
+    f = np.where(engine.degenerate | (delta == 0.0), 0.0, f)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = engine.df2 / (engine.df2 + f)
+    p = np.where(np.isinf(f), 0.0, betainc(engine.df2 / 2.0, 0.5, x))
+    p = np.where(f == 0.0, 1.0, p)
+    order = np.argsort(p, kind="stable")
+    return ScanResult(p_values=p, f_statistics=f, order=order.astype(np.int64),
+                      degenerate=engine.degenerate.copy())
+
+
+def genotype_rows_one_string(values):
+    """Tab-separated rows of -1/0/1 codes, each ended by a newline, as one
+    string: the reference for ``cli._genotype_rows``, which yields chunks."""
+    cells = np.empty(values.shape + (2,), dtype=np.uint8)  # a code byte, then its separator
+    cells[:, :, 0] = values + ord("0")  # -1 lands on "/", the byte before "0"
+    cells[:, :, 1] = ord("\t")
+    cells[:, -1, 1] = ord("\n")
+    return cells.tobytes().replace(b"/", b"-1").decode("ascii")
 
 
 def project_two_products(ws, cols):

@@ -17,8 +17,14 @@ KEYS = {
               "peak_rss_mb"},
     "desk": {"engine_build_s", "scan_s", "forward_s", "select_s", "study_s", "peak_rss_mb"},
     "paper": {"scan_s", "mbic_select_s", "mbic2_select_s", "peak_rss_mb"},
+    "chain": {f"{cmd}_{m}" for cmd in ("impute", "cluster", "scan", "select")
+              for m in ("wall_s", "peak_rss_mb")},
 }
-RECORDS = {"panel": set(), "desk": set(), "paper": {"results"}}  # run fields beside the metrics
+RECORDS = {"panel": set(), "desk": set(), "paper": {"results"},  # run fields beside the metrics
+           "chain": {"digests"}}
+CHAIN_OUTPUTS = {"impute/imputed.txt", "cluster/clusters.tsv", "cluster/summary.json",
+                 "scan/scan.tsv", "scan/rejections.json", "select/selection.json",
+                 "select/trace.jsonl"}
 
 
 @pytest.mark.parametrize("workload", sorted(KEYS))
@@ -43,6 +49,10 @@ def test_toy_pair_reports_every_layer(tmp_path, workload):
         # both sides import the same tree, so they select the same models
         a, b = (run["results"] for run in report["runs"])
         assert a == b and set(a) == {"mbic", "mbic2"}
+    if workload == "chain":
+        # the same tree writes the same bytes; manifests are not digested
+        a, b = (run["digests"] for run in report["runs"])
+        assert a == b and set(a) == CHAIN_OUTPUTS
 
 
 def test_desk_identity_toy_prints_stable_digests():

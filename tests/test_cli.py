@@ -12,6 +12,8 @@ from gwasel.genotype import impute_missing, load_dataset
 from gwasel.mtest import scan_to_tsv, single_marker_scan
 from gwasel.simulate import SimulationConfig, simulate_trait, synthetic_dataset
 
+from oracles import genotype_rows_one_string
+
 
 def write_fixture(tmp_path, n=50, p=20, causal=(), effects=(), seed=5, trait_seed=6):
     ds = synthetic_dataset(n, p, seed=seed)
@@ -209,6 +211,49 @@ def test_impute_output_matches_str_encoding_byte_for_byte(tmp_path):
     lines = ["\t".join(ids)]
     lines += ["\t".join(str(int(v)) for v in row) for row in completed.genotypes.values]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+HALF_CHUNK = cli._ROWS_CHUNK // 2  # the width whose row of codes and separators fills a chunk
+
+
+@pytest.mark.parametrize("p", [1, 2, HALF_CHUNK // 2 - 1, HALF_CHUNK - 1, HALF_CHUNK,
+                               HALF_CHUNK + 1])
+def test_genotype_rows_chunks_join_to_one_string(p):
+    n = 5
+    values = np.random.default_rng(p).integers(-1, 2, size=(n, p), dtype=np.int8)
+    chunks = list(cli._genotype_rows(values))
+    assert b"".join(chunks).decode("ascii") == genotype_rows_one_string(values)
+    assert all(chunk.endswith(b"\n") for chunk in chunks)  # whole rows only
+    rows_per_chunk = [chunk.count(b"\n") for chunk in chunks]
+    assert rows_per_chunk[0] == min(n, max(1, cli._ROWS_CHUNK // (2 * p)))
+    assert sum(rows_per_chunk) == n
+
+
+@pytest.mark.parametrize("command", ["scan", "cluster"])
+def test_failed_output_stream_leaves_no_output(tmp_path, capsys, monkeypatch, command):
+    g, t = write_fixture(tmp_path, n=30, p=6)
+    real = getattr(cli, f"cmd_{command}")
+
+    def second_output_fails(args, parser):
+        outputs, named = real(args, parser)
+        _, second = outputs
+        text = outputs[second]
+
+        def chunks():
+            yield text.encode()[:10]
+            raise OSError("No space left on device")
+
+        outputs[second] = chunks()
+        return outputs, named
+
+    monkeypatch.setattr(cli, f"cmd_{command}", second_output_fails)
+    out = tmp_path / "out"
+    argv = [command, "--genotypes", str(g), "--out", str(out)]
+    argv += ["--trait", str(t)] if command == "scan" else []
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "gwasel: error: No space left on device\n"
+    assert list(out.iterdir()) == []  # no output, no manifest, no .name.* temp file
 
 
 def test_cluster_outputs(tmp_path):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,9 @@ from scipy.stats import kstest, linregress
 
 from gwasel.errors import CollinearityError
 from gwasel.mtest import (
+    SCAN_BLOCK,
     ScanEngine,
+    _scan_blocks,
     ScanResult,
     benjamini_hochberg,
     bonferroni,
@@ -18,7 +24,7 @@ from gwasel.regress import ModelSpec, fit
 from gwasel.simulate import synthetic_dataset
 
 from conftest import dataset_from_values, random_genotypes
-from oracles import projected_residual_norms
+from oracles import projected_residual_norms, scan_one_product
 
 
 def scan_of(p_values):
@@ -286,3 +292,82 @@ def test_engine_without_covariates_leaves_float_copy_unbuilt():
     ds = dataset_from_values(random_genotypes(rng, 50, 300), trait=rng.normal(size=50))
     ScanEngine(ds)
     assert "float_values" not in ds.__dict__
+    single_marker_scan(ds)
+    assert "float_values" not in ds.__dict__
+
+
+# ---------------------------------------------------------------------------
+# the blocked scan against one product over the whole panel
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def blocked_scan_cases(draw):
+    """(values, trait, covariates) of p = SCAN_BLOCK·k + r columns, r = 0..3:
+    the scan's last block is whole, or a tail that joins the block before."""
+    n = draw(st.one_of(st.integers(5, 12), st.integers(300, 700)))
+    p = SCAN_BLOCK * draw(st.integers(1, 2)) + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = random_genotypes(rng, n, p)
+    values[:, draw(st.integers(0, p - 1))] = 0  # a degenerate column
+    covariates = rng.normal(size=(n, draw(st.integers(1, 2)))) if draw(st.booleans()) else None
+    return values, rng.normal(size=n), covariates
+
+
+def blocked_scans(values, trait, covariates):
+    """(engine, yt, scan) without and then with the float cache, the first
+    checked to leave the cache unbuilt."""
+    out = []
+    for warm in (False, True):
+        ds = dataset_from_values(values, trait=trait, covariates=covariates)
+        if warm:
+            ds.float_values
+        engine = ScanEngine(ds)
+        yt = trait - engine.Q0 @ (engine.Q0.T @ trait)
+        out.append((engine, yt, engine.scan(trait)))
+        assert warm or "float_values" not in ds.__dict__
+    return out
+
+
+def assert_same_scan(got, want):
+    for name in ("f_statistics", "p_values", "order", "degenerate"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@given(blocked_scan_cases())
+@settings(max_examples=30, deadline=None)
+def test_blocked_scan_is_the_same_with_and_without_float_cache(case):
+    (cold, cold_yt, cold_scan), (warm, warm_yt, warm_scan) = blocked_scans(*case)
+    assert np.array_equal(cold.s, warm.s)
+    assert np.array_equal(cold._t(cold_yt), warm._t(warm_yt))
+    assert_same_scan(cold_scan, warm_scan)
+
+
+@given(blocked_scan_cases())
+@settings(max_examples=30, deadline=None, database=None)
+def blocked_scan_equals_one_product(case):
+    for engine, yt, scan in blocked_scans(*case):
+        assert np.array_equal(engine._t(yt), engine.dataset.float_values.T @ yt)
+        assert_same_scan(scan, scan_one_product(engine, case[1]))
+
+
+def test_blocked_scan_equals_one_product_on_one_blas_thread():
+    # With BLAS on several threads, one product over all columns and the
+    # blocks split their columns between the threads at different places,
+    # so the bit-for-bit comparison runs in a child on one thread.
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                                                 str(here)]))
+    script = "import test_mtest; test_mtest.blocked_scan_equals_one_product()"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3])
+def test_scan_tail_joins_the_block_before(tail):
+    p = 2 * SCAN_BLOCK + tail
+    assert _scan_blocks(p) == [(0, SCAN_BLOCK), (SCAN_BLOCK, p)]
+    assert _scan_blocks(p + 4 - tail)[-1] == (2 * SCAN_BLOCK, p + 4 - tail)
+    assert _scan_blocks(tail) == [(0, tail)]

@@ -23,6 +23,7 @@ from gwasel.search import (
     _CriterionEval,
     _downdate,
     _enumerate_best,
+    _first_min,
     _forward,
     _project,
     _restore,
@@ -527,6 +528,20 @@ def test_backward_rebuilds_when_a_sweep_loses_its_pivot(monkeypatch, log_mode):
     assert {0, 1} & set(dropped)
     assert len(inversions) >= 2  # the stage start and at least one guarded rebuild
     assert assert_backward_sweeps_in_place(ds, forced, order, crit) == records
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_min_picks_as_the_lexsort_on_tied_values(data):
+    # few distinct values, so most draws tie at the minimum; keys are
+    # distinct SNP indices in any order, as stepwise's candidates are
+    size = data.draw(st.integers(1, 40))
+    pool = data.draw(st.lists(st.sampled_from([-math.inf, -3.5, 0.0, 0.25, 1e300]),
+                              min_size=1, max_size=3))
+    vals = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    keys = np.array(data.draw(st.permutations(range(size + data.draw(st.integers(0, 5))))))
+    keys = keys[:size].astype(np.int64)
+    assert _first_min(vals, keys) == int(np.lexsort((keys, vals))[0])
 
 
 def test_stepwise_trace_strictly_decreases():
