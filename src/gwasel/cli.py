@@ -95,6 +95,20 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 _INPUT_FLAGS = ("genotypes", "trait", "covariates", "meta", "config", "refine_extras")
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set in MB: ``VmHWM``, which exec resets,
+    where ``/proc`` has it; else ``ru_maxrss``, which on Linux a command
+    inherits from the process that started it."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _manifest(args: argparse.Namespace, inputs: dict[str, str | None], start: float) -> str:
     payload = {
         "tool": "gwasel",
@@ -107,7 +121,7 @@ def _manifest(args: argparse.Namespace, inputs: dict[str, str | None], start: fl
         "inputs": {k: _digest(v) for k, v in inputs.items()},
         "seed": getattr(args, "seed", None),
         "wall_s": time.perf_counter() - start,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": _peak_rss_mb(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     return json.dumps(payload, indent=2, default=str)

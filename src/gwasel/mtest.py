@@ -15,6 +15,10 @@ s, by an ulp.  Such a tail joins the block before it.  With BLAS on
 several threads, each product splits its columns between the threads, and
 one product and the blocks split at different columns, so t can differ by
 an ulp from one product where a split falls.
+
+A scan takes each column's RSS as rss0 - t²/s, except where that falls below
+``REPROJECT_BELOW`` of rss0 (a near-perfect fit, where the difference
+cancels): there it takes the squared norm of the residual itself.
 """
 
 from __future__ import annotations
@@ -27,10 +31,14 @@ from scipy.special import betainc
 
 from gwasel.errors import CollinearityError
 from gwasel.genotype import Dataset
-from gwasel.regress import _gate
+from gwasel.regress import REPROJECT_BELOW, _gate
 
 SCAN_BLOCK = 4096  # columns per block of ScanEngine
 _MIN_TAIL = 4  # a narrower last block joins the block before it
+# Rows per int8 column sum of the codes: no partial sum of 127 calls in
+# [-1, 1] leaves int8, and numpy adds int8 rows several times as fast as it
+# casts them to a wider accumulator.
+_COUNT_ROWS = 127
 
 
 def _scan_blocks(p: int) -> list[tuple[int, int]]:
@@ -101,13 +109,16 @@ class ScanEngine:
         for start, stop in _scan_blocks(dataset.n_snps):
             if dataset.covariates is None:
                 # Intercept alone: s = (n·Σx² - (Σx)²)/n.  On -1/0/1 codes Σx²
-                # is the count of nonzero calls and both numerator terms are
-                # exact integers, so s is rounded once and nothing cancels.
-                # Column sums of n calls fit int32 (twice as fast to
-                # accumulate as int64).
+                # is the count of nonzero calls, Σ|x|, and both numerator
+                # terms are exact integers, so s is rounded once and nothing
+                # cancels.
                 codes = dataset.genotypes.values[:, start:stop]
-                count = (codes != 0).sum(axis=0, dtype=np.int32).astype(np.int64)
-                total = codes.sum(axis=0, dtype=np.int32).astype(np.int64)
+                count = np.zeros(stop - start, dtype=np.int64)
+                total = np.zeros(stop - start, dtype=np.int64)
+                for row in range(0, n, _COUNT_ROWS):
+                    chunk = codes[row:row + _COUNT_ROWS]
+                    count += np.abs(chunk).sum(axis=0, dtype=np.int8)
+                    total += chunk.sum(axis=0, dtype=np.int8)
                 xnorm2[start:stop] = count
                 self.s[start:stop] = (n * count - total * total) / n
             else:
@@ -139,6 +150,18 @@ class ScanEngine:
         with np.errstate(invalid="ignore", divide="ignore"):
             delta = np.where(self.degenerate, 0.0, (t * t) / self.s)
             rss1 = np.maximum(rss0 - delta, 0.0)
+        # rss0 - delta cancels where a column explains nearly all of yt, so
+        # there rss1 is the squared norm of the residual yt - (t/s)·x̃ itself,
+        # with x̃ the column projected off the base; a residual within the
+        # collinearity gate of yt is a perfect fit (F = inf).
+        near = np.flatnonzero((rss1 < REPROJECT_BELOW * rss0) & ~self.degenerate)
+        if near.size:
+            xt = np.take(self.dataset.genotypes.values, near, axis=1).astype(np.float64)
+            xt -= self.Q0 @ (self.Q0.T @ xt)
+            r = yt[:, None] - xt * (t[near] / self.s[near])
+            r2 = np.einsum("ij,ij->j", r, r)
+            rss1[near] = np.where(r2 <= _gate(rss0), 0.0, r2)
+        with np.errstate(invalid="ignore", divide="ignore"):
             f = np.where(rss1 > 0.0, delta * self.df2 / rss1, np.inf)
         f = np.where(self.degenerate | (delta == 0.0), 0.0, f)
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -30,6 +30,10 @@ from gwasel.errors import CollinearityError, DegenerateColumnError
 from gwasel.genotype import Dataset
 
 RANK_TOL = 1e-10  # column is collinear when its residual norm falls below tol * original
+# A difference of squares below this fraction of its first term has lost
+# digits to cancellation, so the search's s and the scan's RSS are then
+# taken from an explicit projection instead.
+REPROJECT_BELOW = 1e-6
 
 
 def _gate(norm2: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from gwasel.errors import CollinearityError
 from gwasel.genotype import Dataset
 from gwasel.mtest import ScanResult, single_marker_scan
 from gwasel.regress import (
+    REPROJECT_BELOW,
     FitResult,
     FitWorkspace,
     ModelSpec,
@@ -60,7 +61,6 @@ SUBSET_BUDGET = 10**7  # subsets one refinement walk may score
 EXHAUSTIVE_SIZE_CAP = 5  # largest subset of the model plus extras that refinement scores
 MAX_STEPWISE_ITERATIONS = 1000  # moves stepwise makes before it stops
 FORWARD_BLOCK = 128  # screened candidates projected per matrix product in forward
-REPROJECT_BELOW = 1e-6  # s below this fraction of ||x||^2 is projected explicitly
 
 
 @dataclass(frozen=True)

@@ -151,14 +151,43 @@ class ClassificationResult:
     tp_causal: tuple[int, ...]  # causal indices credited with a detection
 
 
+def _causal_block(dataset: Dataset, config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The causal columns, centred, and their norms: built once per study."""
+    C = dataset.float_values[:, list(config.causal_indices)]
+    C = C - C.mean(axis=0)
+    return C, np.sqrt(np.einsum("ij,ij->j", C, C))
+
+
+def _match_causal(dataset: Dataset, config: SimulationConfig, detected: list[int],
+                  block: tuple[np.ndarray, np.ndarray] | None = None):
+    """(position of the causal SNP of largest |R|, that |R|) for each of the
+    sorted, non-empty ``detected``; the position is None without causal SNPs.
+    ``block`` is ``_causal_block(dataset, config)``, built here when not given."""
+    if not config.causal_indices:
+        return None, np.zeros(len(detected))
+    C, cn = _causal_block(dataset, config) if block is None else block
+    D = dataset.float_values[:, detected]
+    D = D - D.mean(axis=0)
+    dn = np.sqrt(np.einsum("ij,ij->j", D, D))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        R = (D.T @ C) / np.outer(dn, cn)
+    R = np.nan_to_num(np.abs(R), nan=0.0)
+    best_causal = np.argmax(R, axis=1)  # ties resolve to the smaller index
+    return best_causal, R[np.arange(len(detected)), best_causal]
+
+
 def classify_detections(detected, dataset: Dataset, config: SimulationConfig,
-                        threshold: float) -> ClassificationResult:
+                        threshold: float, *, _match=None) -> ClassificationResult:
     """Match detections to causal SNPs by maximal absolute correlation.
 
     A detection is a true positive for the causal SNP of largest |R| when
     that |R| exceeds the threshold; several detections matched to one causal
     SNP count as a single true positive.  False positives with identical
     genotype columns are counted once, each reported with its max |R|.
+
+    ``_match`` is ``_match_causal`` of these detections, sorted, to use
+    instead of computing it, so that a study computes it once for all its
+    thresholds.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
@@ -166,20 +195,7 @@ def classify_detections(detected, dataset: Dataset, config: SimulationConfig,
     dataset.check_snps(detected, "detection")
     if not detected:
         return ClassificationResult(0, (), ())
-    if not config.causal_indices:
-        max_r = np.zeros(len(detected))
-    else:
-        X = dataset.float_values
-        D = X[:, detected] - X[:, detected].mean(axis=0)
-        C = X[:, list(config.causal_indices)]
-        C = C - C.mean(axis=0)
-        dn = np.sqrt(np.einsum("ij,ij->j", D, D))
-        cn = np.sqrt(np.einsum("ij,ij->j", C, C))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            R = (D.T @ C) / np.outer(dn, cn)
-        R = np.nan_to_num(np.abs(R), nan=0.0)
-        best_causal = np.argmax(R, axis=1)  # ties resolve to the smaller index
-        max_r = R[np.arange(len(detected)), best_causal]
+    best_causal, max_r = _match_causal(dataset, config, detected) if _match is None else _match
 
     tp_causal: set[int] = set()
     fp: list[tuple[int, float]] = []
@@ -301,7 +317,9 @@ def run_study(dataset: Dataset, config: SimulationConfig,
     """Simulate traits and score every method at every |R| threshold.
 
     All methods see identical traits per replicate and share the
-    single-marker scan.  Searches that agree on ``screen_threshold`` and
+    single-marker scan.  The causal block is centred once per study, and the
+    |R| of each method's detections to it once per replicate for all
+    thresholds.  Searches that agree on ``screen_threshold`` and
     ``max_forward_size`` also share one forward stage per replicate, which
     does not depend on the criterion.  A replicate with no detections
     contributes FDR 0.
@@ -310,6 +328,7 @@ def run_study(dataset: Dataset, config: SimulationConfig,
     if len(set(names)) != len(names):
         raise ValueError("duplicate method kinds in one study")
     engine = ScanEngine(dataset)
+    block = _causal_block(dataset, config) if config.causal_indices else None
     # power holds hit counts until the replicates are done
     stats = {m: {t: MethodStats(power=np.zeros(config.k), fdr=np.zeros(config.n_replicates))
                  for t in config.tp_thresholds} for m in names}
@@ -337,9 +356,11 @@ def run_study(dataset: Dataset, config: SimulationConfig,
                 detected = np.asarray(model.snp_indices, dtype=np.int64)
             detected_list = [int(j) for j in detected]
             detections[spec.kind].append(detected_list)
+            ordered = sorted(detected_list)
+            match = _match_causal(dataset, config, ordered, block) if ordered else None
             for thr in config.tp_thresholds:
                 s = stats[spec.kind][thr]
-                cls = classify_detections(detected_list, dataset, config, thr)
+                cls = classify_detections(detected_list, dataset, config, thr, _match=match)
                 for j in cls.tp_causal:
                     s.power[causal_pos[j]] += 1.0
                 n_det = cls.tp_count + len(cls.fp_list)

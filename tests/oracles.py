@@ -5,7 +5,7 @@ from scipy.special import betainc
 
 from gwasel.errors import CollinearityError
 from gwasel.mtest import ScanResult
-from gwasel.regress import _gate
+from gwasel.regress import REPROJECT_BELOW, _gate
 from gwasel.search import (
     SWEEP_LOSS,
     SearchTrace,
@@ -66,6 +66,15 @@ def scan_one_product(engine, trait):
     with np.errstate(invalid="ignore", divide="ignore"):
         delta = np.where(engine.degenerate, 0.0, (t * t) / engine.s)
         rss1 = np.maximum(rss0 - delta, 0.0)
+    # near-perfect fits: the RSS is the squared norm of the residual itself
+    near = np.flatnonzero((rss1 < REPROJECT_BELOW * rss0) & ~engine.degenerate)
+    if near.size:
+        xt = engine.dataset.float_values[:, near]
+        xt = xt - engine.Q0 @ (engine.Q0.T @ xt)
+        r = yt[:, None] - xt * (t[near] / engine.s[near])
+        r2 = np.einsum("ij,ij->j", r, r)
+        rss1[near] = np.where(r2 <= _gate(rss0), 0.0, r2)
+    with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(rss1 > 0.0, delta * engine.df2 / rss1, np.inf)
     f = np.where(engine.degenerate | (delta == 0.0), 0.0, f)
     with np.errstate(invalid="ignore", divide="ignore"):

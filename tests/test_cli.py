@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +439,32 @@ def test_input_digest_streams_the_file(tmp_path, monkeypatch, size):
     monkeypatch.setattr(Path, "read_bytes", whole_file)
     assert cli._digest(str(path)) == hashlib.sha256(data).hexdigest()
     assert cli._digest(None) is None
+
+
+LAUNCHER = """
+import resource, subprocess, sys
+import numpy as np
+held = np.ones(300 * 2**20 // 8)  # ~300 MB, every page written
+cli = "import sys; from gwasel import cli; sys.exit(cli.main(sys.argv[1:]))"
+code = subprocess.run([sys.executable, "-c", cli, *sys.argv[1:]]).returncode
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_manifest_peak_is_the_commands_own_not_its_launchers(tmp_path):
+    # Linux carries ru_maxrss across fork and exec, so a command started by a
+    # large process would report the launcher's peak.
+    g, t = write_fixture(tmp_path)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, "scan", "--genotypes", str(g),
+                           "--trait", str(t), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    code, launcher_peak = proc.stdout.split()
+    assert code == "0", proc.stderr[-2000:]
+    assert float(launcher_peak) > 300
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert 0 < manifest["peak_rss_mb"] < float(launcher_peak)
 
 
 def test_simulate_manifest_digests_the_config_panel(tmp_path):

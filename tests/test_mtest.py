@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import kstest, linregress
+import mpmath
+from scipy.stats import kstest
 
 from gwasel.errors import CollinearityError
 from gwasel.mtest import (
@@ -264,14 +265,67 @@ def check_engine_against_oracle(values, trait_seed):
     scan = engine.scan(ds.trait)
     assert np.all(scan.p_values[engine.degenerate] == 1.0)
     for j in np.flatnonzero(~engine.degenerate):
-        want_p = linregress(ds.float_values[:, j], ds.trait).pvalue
+        want_p = exact_scan_p(values[:, j], ds.trait)
         assert scan.p_values[j] == pytest.approx(want_p, rel=1e-9, abs=0.0)
+
+
+def exact_scan_p(column, trait):
+    """p of the F test of ``column`` in [1 | column] on ``trait``: F exact,
+    in ``Fraction``s of the float inputs, and its tail from mpmath."""
+    n = len(trait)
+    x = [Fraction(int(v)) for v in column]
+    y = [Fraction(float(v)) for v in trait]
+    xm, ym = sum(x) / n, sum(y) / n
+    sxx = sum((a - xm) ** 2 for a in x)
+    sxy = sum((a - xm) * (b - ym) for a, b in zip(x, y))
+    syy = sum((b - ym) ** 2 for b in y)
+    mss = sxy * sxy / sxx
+    rss = syy - mss
+    if mss == 0:
+        return 1.0
+    if rss == 0:
+        return 0.0
+    df2 = n - 2
+    f = mss * df2 / rss
+    with mpmath.workdps(50):
+        x = mpmath.mpf(df2) / (df2 + mpmath.mpf(f.numerator) / f.denominator)
+        return float(mpmath.betainc(mpmath.mpf(df2) / 2, 0.5, 0, x, regularized=True))
 
 
 @given(scan_panels())
 @settings(max_examples=200, deadline=None)
 def test_engine_closed_form_matches_projection_oracle(panel):
     check_engine_against_oracle(*panel)
+
+
+def test_scan_p_stays_exact_at_a_near_perfect_fit():
+    # Columns 0 and 1 span one space with the intercept and explain all but
+    # ~6e-9 of the trait: rss0 - t²/s cancels there, so the scan takes
+    # their RSS from the residual itself.
+    values = np.array([[1, 0, -1, -1], [0, 1, 0, -1], [1, 0, 0, 0]], dtype=np.int8)
+    trait = np.random.default_rng(918401227).normal(size=3)
+    engine = ScanEngine(dataset_from_values(values, trait=trait))
+    scan = engine.scan(trait)
+    want = 5.0937040910386675e-05
+    assert exact_scan_p(values[:, 0], trait) == pytest.approx(want, rel=1e-15)
+    assert scan.p_values[:2] == pytest.approx([want, want], rel=1e-12, abs=0.0)
+    assert_same_scan(scan, scan_one_product(engine, trait))
+    check_engine_against_oracle(values, 918401227)
+
+
+def test_engine_counts_stay_exact_past_int8_and_int16():
+    # The counts add int8 sums of _COUNT_ROWS rows; 2^15 + 1 rows take
+    # columns of ones and minus ones past both int8 and int16.
+    n = 2**15 + 1
+    values = np.zeros((n, 3), dtype=np.int8)
+    values[:, 0] = 1
+    values[:-1, 1] = -1
+    values[::2, 2] = 1
+    engine = ScanEngine(dataset_from_values(values, trait=np.zeros(n)))
+    codes = values.astype(np.int64)
+    sx2, sx = (codes * codes).sum(axis=0).tolist(), codes.sum(axis=0).tolist()
+    assert engine.s.tolist() == [float(Fraction(n * a - b * b, n)) for a, b in zip(sx2, sx)]
+    assert engine.degenerate.tolist() == [True, False, False]
 
 
 def test_engine_closed_form_matches_projection_oracle_past_one_block():

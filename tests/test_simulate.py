@@ -254,6 +254,32 @@ def test_classify_threshold_monotone():
     assert sizes == sorted(sizes)
 
 
+@pytest.mark.parametrize("causal, detected", [
+    ((), [9, 2, 5]),  # no causal SNPs
+    ((3, 8), []),  # no detections
+    ((3, 8), [8, 1]),  # a detection that is itself causal
+    ((3, 8), [14, 13, 0, 3]),  # columns 13 and 14 are one false positive
+    ((0, 3, 8, 11), list(range(15))),
+])
+def test_classify_with_precomputed_match_equals_its_own(causal, detected):
+    from gwasel.simulate import _causal_block, _match_causal
+
+    ds = synthetic_dataset(40, 15, seed=13)
+    values = ds.genotypes.values.copy()
+    values[:, 14] = values[:, 13]
+    ds = dataset_from_values(values)
+    cfg = SimulationConfig(causal, (0.5,) * len(causal), seed=0)
+    ordered = sorted(detected)
+    block = _causal_block(ds, cfg) if causal else None
+    match = _match_causal(ds, cfg, ordered, block) if ordered else None
+    for threshold in (0.7, 0.9):
+        want = classify_detections(detected, ds, cfg, threshold)
+        assert classify_detections(detected, ds, cfg, threshold, _match=match) == want
+        fps = {j for j, _ in want.fp_list}
+        assert not {13, 14} <= fps  # one genotype column is one false positive
+        assert (8 in want.tp_causal) == (8 in detected and 8 in causal)
+
+
 # ---------------------------------------------------------------------------
 # studies
 # ---------------------------------------------------------------------------
