@@ -25,7 +25,12 @@ record gives only its stage, action, SNP and model size.  A change that
 rounds the search's candidate statistics differently may move criterion
 values in their last bits, and so the first and third digests; an
 unchanged fourth digest shows that every decision, final model, RSS,
-coefficient and search stat is still the same.  ``--toy`` takes the sizes
+coefficient and search stat is still the same.  The fifth, ``decisions``,
+is the fourth with the RSS, intercept and coefficient reprs left out too:
+a change that rounds the fit itself differently (how the workspace
+orthogonalises a column, say) moves those in their last bits, and an
+unchanged fifth digest shows that every decision, final model and search
+stat is still the same.  ``--toy`` takes the sizes
 of ``perfbench/workloads.py::TOY`` instead (2 replicates of 200 x 400).
 """
 
@@ -43,7 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DESK_REPLICATES = 100
 
 
-def select_record(out, snp_ids, with_stats: bool = True, with_values: bool = True) -> bytes:
+def select_record(out, snp_ids, with_stats: bool = True, with_values: bool = True,
+                  with_fit: bool = True) -> bytes:
     """The bytes one ``select_model`` return value contributes to a digest."""
     model, result, trace = out
     if with_values:
@@ -53,12 +59,15 @@ def select_record(out, snp_ids, with_stats: bool = True, with_values: bool = Tru
                 for r in trace.records]
     record = {
         "trace": rows,
-        "rss": repr(result.rss),
-        "intercept": repr(result.intercept),
-        "coefficients": [repr(float(b)) for b in result.snp_coefficients],
-        "forced_coefficients": [repr(float(b)) for b in result.forced_coefficients],
         "model": [list(model.snp_indices), list(model.forced_indices)],
     }
+    if with_fit:
+        record.update({
+            "rss": repr(result.rss),
+            "intercept": repr(result.intercept),
+            "coefficients": [repr(float(b)) for b in result.snp_coefficients],
+            "forced_coefficients": [repr(float(b)) for b in result.forced_coefficients],
+        })
     if with_stats:
         record["stats"] = trace.stats
     return json.dumps(record, sort_keys=True).encode() + b"\n"
@@ -80,7 +89,7 @@ def main(argv=None) -> int:
     sizes = workloads.TOY if args.toy else workloads.FULL
     ds, sim, methods = workloads.desk_study(sizes, sizes.desk_replicates if args.toy
                                             else DESK_REPLICATES)
-    digest, results, structure = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    digest, results, structure, decisions = (hashlib.sha256() for _ in range(4))
     count = 0
     select_model = simulate.select_model
 
@@ -90,6 +99,7 @@ def main(argv=None) -> int:
         digest.update(select_record(out, ds.snp_ids))
         results.update(select_record(out, ds.snp_ids, with_stats=False))
         structure.update(select_record(out, ds.snp_ids, with_values=False))
+        decisions.update(select_record(out, ds.snp_ids, with_values=False, with_fit=False))
         count += 1
         return out
 
@@ -102,6 +112,7 @@ def main(argv=None) -> int:
     print(f"detections {workloads.fingerprint(report.detections)}")
     print(f"results {count} {results.hexdigest()}")
     print(f"structure {count} {structure.hexdigest()}")
+    print(f"decisions {count} {decisions.hexdigest()}")
     return 0
 
 

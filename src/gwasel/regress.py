@@ -5,9 +5,12 @@ model sum of squares is measured against the intercept-plus-forced null,
 so the F statistic tests joint nullity of the selected SNP block only.
 
 :class:`FitWorkspace` keeps an orthonormal basis of the design and adds one
-column in O(n*q); dropping a column rebuilds the basis from the remaining
-columns in O(n*q^2).  The search scores every drop at once from the
-inverse Gram matrix of :meth:`FitWorkspace.inverse_gram`; backward
+column in O(n*q) by Gram-Schmidt, with a second pass only where the first
+cancelled (``REORTH_BELOW``); SNP columns are read from the int8 genotype
+codes, which convert to float64 exactly.  Dropping a column rebuilds the
+basis from the remaining columns in O(n*q^2).  The search scores every
+drop at once from the inverse Gram matrix of
+:meth:`FitWorkspace.inverse_gram`; backward
 elimination drops many columns in a row by sweep downdates of it instead,
 rebuilding once at the end.  :meth:`FitWorkspace.drop_direction` gives the
 unit vector a drop takes out of the model's span, from which the stepwise
@@ -34,6 +37,11 @@ RANK_TOL = 1e-10  # column is collinear when its residual norm falls below tol *
 # digits to cancellation, so the search's s and the scan's RSS are then
 # taken from an explicit projection instead.
 REPROJECT_BELOW = 1e-6
+# One Gram-Schmidt pass leaves a column orthogonal to the basis to working
+# precision unless it cancelled, so a push projects a second time only when
+# the first pass kept at most this fraction of the column's norm (Daniel,
+# Gragg, Kaufman & Stewart, Math. Comp. 1976).
+REORTH_BELOW = 1.0 / math.sqrt(2.0)
 
 
 def _gate(norm2: np.ndarray) -> np.ndarray:
@@ -114,7 +122,11 @@ class FitWorkspace:
     """Incrementally updatable least-squares fit over one dataset.
 
     Columns are held as an orthonormal basis Q with R upper triangular and
-    qty = Q'y, in the order [intercept, forced..., SNPs by insertion].
+    qty = Q'y, in the order [intercept, forced..., SNPs by insertion].  A
+    SNP column is read from the int8 genotype codes, and a push projects it
+    off Q once, then once more only when that pass kept at most
+    ``REORTH_BELOW`` of its norm (the DGKS criterion); a caller that already
+    holds Q'x hands it to :meth:`add_snp` as the first pass.
 
     Drop scoring is closed form: with S = (R'R)^-1 and beta = R^-1 qty,
     removing column j raises the RSS by beta_j^2 / S_jj (Miller, Subset
@@ -136,7 +148,6 @@ class FitWorkspace:
         if y is None:
             raise ValueError("dataset has no trait")
         self.dataset = dataset
-        self.X = dataset.float_values
         self.y = y
         self.forced_indices = tuple(int(j) for j in forced_indices)
         n = y.shape[0]
@@ -198,19 +209,21 @@ class FitWorkspace:
         qty[: self._m] = self._qty[: self._m]
         self._Q, self._R, self._qty = q, r, qty
 
-    def _push(self, col: np.ndarray, label: int):
+    def _push(self, col: np.ndarray, label: int, proj: np.ndarray | None = None):
         if self._m == self._Q.shape[1]:
             self._grow()
         m = self._m
-        v = np.asarray(col, dtype=np.float64).copy()
-        orig = float(np.sqrt(v @ v))
-        h = np.zeros(m)
-        for _ in range(2):  # re-orthogonalize once for stability over many updates
-            if m:
-                g = self._Q[:, :m].T @ v
-                v -= self._Q[:, :m] @ g
-                h += g
-        nrm = float(np.sqrt(v @ v))
+        Q = self._Q[:, :m]
+        v = np.asarray(col, dtype=np.float64)
+        orig = math.sqrt(v @ v)
+        h = Q.T @ v if proj is None else proj
+        v = v - Q @ h
+        nrm = math.sqrt(v @ v)
+        if nrm <= REORTH_BELOW * orig:
+            g = Q.T @ v
+            v -= Q @ g
+            h = h + g
+            nrm = math.sqrt(v @ v)
         if nrm <= RANK_TOL * max(orig, 1e-300):
             raise CollinearityError(label)
         u = v / nrm
@@ -223,12 +236,16 @@ class FitWorkspace:
         self._m = m + 1
         return u, d
 
-    def add_snp(self, j: int):
-        """Append genotype column j; returns (new basis vector, its y load)."""
+    def add_snp(self, j: int, *, _proj: np.ndarray | None = None):
+        """Append genotype column j; returns (new basis vector, its y load).
+
+        ``_proj`` is Q'x of the column against the current basis, when the
+        caller already holds it; it serves as the first Gram-Schmidt pass.
+        """
         self.dataset.check_snps((j,))
         if j in self.snps:
             raise ValueError(f"SNP {j} already in model")
-        u, d = self._push(self.X[:, j], label=j)
+        u, d = self._push(self.dataset.genotypes.values[:, j], label=j, proj=_proj)
         self.snps.append(j)
         return u, d
 
@@ -263,8 +280,9 @@ class FitWorkspace:
         self._m = b
         self._r = self._r_base
         self.snps = []
+        values = self.dataset.genotypes.values
         for j in snps:
-            self._push(self.X[:, j], label=j)
+            self._push(values[:, j], label=j)
             self.snps.append(j)
 
     def copy(self) -> FitWorkspace:

@@ -17,11 +17,12 @@ so an s below ``REPROJECT_BELOW`` of ||x||^2 is projected explicitly, which
 keeps the gate sound.  Dropping a model SNP raises the RSS by
 beta_j^2 / S_jj, with S and beta from ``FitWorkspace.inverse_gram``
 (``_drop_rss``).  Forward projects a block of ``FORWARD_BLOCK`` candidates
-at a time and an add downdates only the rest of its block; backward sweeps
-S in place from one inversion per stage; stepwise projects all its
-candidates once, downdates them on each add, restores the dropped
-direction on each drop (``_restore``, a rank-one update) and scores drops
-from a fresh inverse.
+at a time and an add downdates only the rest of its block; the block's
+product Q'X, kept up to date by those downdates, serves as each add's
+first Gram-Schmidt pass in the workspace.  Backward sweeps S in place
+from one inversion per stage; stepwise projects all its candidates once,
+downdates them on each add, restores the dropped direction on each drop
+(``_restore``, a rank-one update) and scores drops from a fresh inverse.
 
 Refinement scores subsets of the selected model with ``_kernels.best_subset``,
 which walks them depth first and skips each subtree whose exact lower bound
@@ -182,32 +183,35 @@ def _reproject(Q: np.ndarray, cols: np.ndarray, norm2: np.ndarray, s: np.ndarray
         s[low] = np.einsum("ij,ij->j", z, z)
 
 
-def _project(ws: FitWorkspace, cols: np.ndarray,
-             norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) of the candidate columns ``cols`` (squared norms ``norm2``)
+def _project(ws: FitWorkspace, cols: np.ndarray, norm2: np.ndarray,
+             spare: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, t, P) of the candidate columns ``cols`` (squared norms ``norm2``)
     against the model of ``ws``.
 
     With z a column less its projection on the model basis Q, s = ||z||^2 =
     ||x||^2 - ||Q'x||^2 and t = z'r = x'r, so adding the column lowers the
     RSS by t^2 / s.  One product Q'x gives s; where it cancels, near the
-    model's span, ``_reproject`` projects explicitly.
+    model's span, ``_reproject`` projects explicitly.  Q'x is kept in the
+    first m rows of P, which has ``spare`` rows more for the caller to fill.
     """
     Q = ws.basis
-    g = Q.T @ cols
+    P = np.empty((Q.shape[1] + spare, cols.shape[1]))
+    g = np.matmul(Q.T, cols, out=P[: Q.shape[1]])
     s = norm2 - np.einsum("ij,ij->j", g, g)
     _reproject(Q, cols, norm2, s)
-    return s, cols.T @ ws.residual
+    return s, cols.T @ ws.residual, P
 
 
 def _downdate(ws: FitWorkspace, cols: np.ndarray, norm2: np.ndarray, s: np.ndarray,
-              t: np.ndarray, u: np.ndarray, d: float) -> None:
+              t: np.ndarray, u: np.ndarray, d: float) -> np.ndarray:
     """Update s and t of ``cols`` in place for the basis vector u with y-load
-    d that ``ws`` has just added; s = s - (u'x)^2 cancels like the closed
-    form of ``_project`` and is re-projected the same way."""
+    d that ``ws`` has just added, and return u'x; s = s - (u'x)^2 cancels
+    like the closed form of ``_project`` and is re-projected the same way."""
     c = cols.T @ u
     s -= c * c
     t -= c * d
     _reproject(ws.basis, cols, norm2, s)
+    return c
 
 
 def _restore(cols: np.ndarray, s: np.ndarray, t: np.ndarray, w: np.ndarray, d: float) -> None:
@@ -236,10 +240,14 @@ def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndar
 
     A candidate is added when it lowers the criterion (the first one always
     is).  s and t of a block of ``FORWARD_BLOCK`` candidates come from one
-    product with the basis at the block's start (``_project``); each add
-    downdates the rest of the block only, since earlier candidates are not
-    revisited.  Either step projects explicitly the s that cancel below
-    ``REPROJECT_BELOW``, so a copy of a model column fails the gate.
+    product P = Q'X with the basis at the block's start (``_project``); each
+    add downdates the rest of the block only, since earlier candidates are
+    not revisited, and appends its u'x to P as a row, so that P holds Q'x
+    against the current basis for every candidate not yet walked and serves
+    as the first Gram-Schmidt pass of its add.  Either step projects
+    explicitly the s that cancel below ``REPROJECT_BELOW``, so a copy of a
+    model column fails the gate.  The walk reads s, t and the gate as Python
+    floats, refreshed after each add, with the arithmetic of numpy scalars.
     """
     q_cap = min(config.max_forward_size, _max_snps(ws))
     if q_cap < 1:
@@ -248,28 +256,32 @@ def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndar
     cur_rss = ws.rss
     cur_val = None
     for start in range(0, idx.size, FORWARD_BLOCK):
-        block = cols[:, start:start + FORWARD_BLOCK]
-        norms = norm2[start:start + FORWARD_BLOCK]
-        s, t = _project(ws, block, norms)
-        for i in range(block.shape[1]):
+        stop = min(start + FORWARD_BLOCK, idx.size)
+        block, norms = cols[:, start:stop], norm2[start:stop]
+        s, t, P = _project(ws, block, norms, spare=min(stop - start, q_cap - len(ws.snps)))
+        s_at, t_at, gate_at = s.tolist(), t.tolist(), gate[start:stop].tolist()
+        for i, j in enumerate(idx[start:stop].tolist()):
             if len(ws.snps) >= q_cap:
                 return
-            j = int(idx[start + i])
-            if s[i] <= gate[start + i]:
+            if s_at[i] <= gate_at[i]:
                 trace.append("forward", "skip_collinear", j, None, len(ws.snps))
                 continue
-            new_rss = max(cur_rss - t[i] ** 2 / s[i], 0.0)
+            t_i = t_at[i]
+            new_rss = max(cur_rss - t_i * t_i / s_at[i], 0.0)
             if cur_val is None:
                 accept = True  # the stage starts from the best single marker
             else:
                 accept = ev.value(new_rss, len(ws.snps) + 1) < cur_val
             if accept:
                 try:
-                    u, d = ws.add_snp(j)
+                    u, d = ws.add_snp(j, _proj=P[: ws.m, i])
                 except CollinearityError:
                     trace.append("forward", "skip_collinear", j, None, len(ws.snps))
                     continue
-                _downdate(ws, block[:, i + 1:], norms[i + 1:], s[i + 1:], t[i + 1:], u, d)
+                rest = slice(i + 1, None)
+                P[ws.m - 1, rest] = _downdate(ws, block[:, rest], norms[rest], s[rest],
+                                              t[rest], u, d)
+                s_at[rest], t_at[rest] = s[rest].tolist(), t[rest].tolist()
                 cur_rss = new_rss
                 cur_val = ev.value(cur_rss, len(ws.snps))
                 trace.append("forward", "add", j, cur_val, len(ws.snps))
@@ -365,7 +377,7 @@ def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.nda
     collinear pick projects them afresh.
     """
     gate = _gate(norm2)
-    s, t = _project(ws, cols, norm2)
+    s, t, _ = _project(ws, cols, norm2)
     in_model = np.isin(idx, ws.snps)
     moves = 0
     cur_rss = ws.rss
@@ -396,7 +408,7 @@ def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.nda
                     # let the rejected column fail the gate and try the adds
                     # again before any drop
                     trace.append("stepwise", "skip_collinear", j, None, len(ws.snps))
-                    s, t = _project(ws, cols, norm2)
+                    s, t, _ = _project(ws, cols, norm2)
                     s[pos] = 0.0
                     made_move = True
                     break
@@ -429,7 +441,7 @@ def _enumerate_best(ws: FitWorkspace, columns: list[int], max_size: int,
     ``ws``, exact when its value is at or below ``to_beat``; the subsets scored
     and ruled out by the bound are added to ``stats``."""
     cols = np.asarray(columns, dtype=np.int64)
-    sub = ws.X[:, cols]
+    sub = np.take(ws.dataset.genotypes.values, cols, axis=1).astype(np.float64)
     Q = ws.basis[:, : ws.m - len(ws.snps)]
     z = sub - Q @ (Q.T @ sub)
     orig_norm2 = np.einsum("ij,ij->j", sub, sub)
@@ -531,7 +543,6 @@ def forward_stage(dataset: Dataset, config: SearchConfig,
                   scan: ScanResult | None = None) -> ForwardState:
     """Scan (unless given), screen and the forward stage under plain BIC."""
     if scan is None:
-        dataset.float_values  # the workspace reads this cache; built first, the scan reads it too
         scan = single_marker_scan(dataset)
     idx = np.asarray(screen(scan, config.screen_threshold), dtype=np.int64)
     cols = np.take(dataset.genotypes.values, idx, axis=1).astype(np.float64)

@@ -173,7 +173,7 @@ def forward_by_pushes(ws, idx, cols, norm2, config, ev, trace: SearchTrace) -> N
     if q_cap < 1:
         return
     gate = _gate(norm2)
-    s, t = _project(ws, cols, norm2)
+    s, t, _ = _project(ws, cols, norm2)
     cur_rss = ws.rss
     cur_val = None
     for pos in range(idx.size):

@@ -60,15 +60,19 @@ def test_desk_identity_toy_prints_stable_digests():
     runs = [subprocess.run(cmd, capture_output=True, text=True, timeout=300) for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr[-2000:]
-    selects, detections, results, structure = runs[0].stdout.splitlines()
+    selects, detections, results, structure, decisions = runs[0].stdout.splitlines()
     # 2 replicates x the mBIC and mBIC2 searches
     assert re.fullmatch(r"selects 4 [0-9a-f]{64}", selects)
     assert re.fullmatch(r"detections [0-9a-f]{64}", detections)
     assert re.fullmatch(r"results 4 [0-9a-f]{64}", results)
     assert re.fullmatch(r"structure 4 [0-9a-f]{64}", structure)
+    assert re.fullmatch(r"decisions 4 [0-9a-f]{64}", decisions)
     assert results.split()[2] != selects.split()[2]  # the stats are left out
     # the criterion values are left out
     assert structure.split()[2] not in (selects.split()[2], results.split()[2])
+    # and the fit's reprs too
+    assert decisions.split()[2] not in (selects.split()[2], results.split()[2],
+                                        structure.split()[2])
     assert runs[1].stdout == runs[0].stdout
 
 
@@ -103,6 +107,12 @@ def test_structure_record_leaves_out_only_criterion_values():
     bigger = dataclasses.replace(result, rss=np.nextafter(result.rss, np.inf))
     assert desk_identity.select_record((model, bigger, trace), ds.snp_ids,
                                        with_values=False) != same
+    # the decisions record leaves out the fit's reprs as well
+    decided = desk_identity.select_record((model, result, trace), ds.snp_ids,
+                                          with_values=False, with_fit=False)
+    assert desk_identity.select_record((model, bigger, moved), ds.snp_ids,
+                                       with_values=False, with_fit=False) == decided
+    assert decided != same
 
 TOY_MODULE = '''"""Module docstring: not code."""
 # a comment line

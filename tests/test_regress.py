@@ -8,6 +8,7 @@ from scipy.stats import chi2, kstest, t as t_dist
 from gwasel.criteria import CriterionConfig
 from gwasel.errors import CollinearityError, DegenerateColumnError
 from gwasel.regress import (
+    REORTH_BELOW,
     FitWorkspace,
     ModelSpec,
     block_f_test,
@@ -16,7 +17,7 @@ from gwasel.regress import (
     noncentrality_single_marker,
     workspace_for,
 )
-from gwasel.search import _best_drop, _CriterionEval, _drop_rss
+from gwasel.search import _best_drop, _CriterionEval, _drop_rss, _project
 
 from conftest import dataset_from_values, random_genotypes
 from oracles import lstsq_design, lstsq_rss
@@ -326,6 +327,136 @@ def test_refit_add_collinear_column_raises():
     ds = dataset_from_values(values, trait=rng.normal(size=30))
     with pytest.raises(CollinearityError):
         workspace_for(ds, ModelSpec((0, 1))).add_snp(4)
+
+
+def rank_mod_prime(columns, x, p=2**31 - 1):
+    """Whether integer column x lies outside the span of ``columns``,
+    exactly over the rationals but for a negligible chance: by Gaussian
+    elimination modulo a large prime."""
+    basis = []  # (pivot row, column scaled to 1 there)
+    for c in [*columns, x]:
+        v = np.asarray(c, dtype=np.int64) % p
+        for piv, b in basis:
+            v = (v - v[piv] * b) % p
+        nz = np.flatnonzero(v)
+        if not nz.size:
+            if c is x:
+                return False
+            continue
+        piv = int(nz[0])
+        basis.append((piv, v * pow(int(v[piv]), p - 2, p) % p))
+    return True
+
+
+@st.composite
+def push_designs(draw):
+    """(n x k int8 codes, kinds): a rare column (all -1 but one call, close
+    to the intercept) first, then columns of MAF down to 0.01, near
+    duplicates (one call moved by one), exact duplicates and columns in the
+    model's span (constant, or minus an earlier column)."""
+    n = draw(st.integers(8, 60))
+    k = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols, kinds = [np.full(n, -1, dtype=np.int8)], ["rare"]
+    cols[0][rng.integers(n)] = 0
+    for _ in range(k):
+        kind = draw(st.sampled_from(["maf", "maf", "near", "dup", "span"]))
+        src = cols[int(rng.integers(len(cols)))]
+        if kind == "maf":
+            maf = draw(st.floats(0.01, 0.5))
+            col = (rng.binomial(2, maf, size=n) - 1).astype(np.int8)
+        elif kind == "near":
+            col = src.copy()
+            i = int(rng.integers(n))
+            col[i] = col[i] + 1 if col[i] < 1 else 0
+        elif kind == "dup":
+            col = src.copy()
+        else:
+            col = (-src if rng.integers(2) else np.full(n, int(rng.integers(-1, 2)))
+                   ).astype(np.int8)
+        cols.append(col)
+        kinds.append(kind)
+    return np.column_stack(cols), kinds
+
+
+@given(push_designs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_push_keeps_an_orthonormal_basis_and_refuses_the_span(design, seed):
+    values, kinds = design
+    n, p = values.shape
+    y = np.random.default_rng(seed).normal(size=n)
+    ds = dataset_from_values(values, trait=y)
+    ws = FitWorkspace(ds)
+    second_pass = []
+    for j in range(p):
+        x = values[:, j].astype(np.float64)
+        first = x - ws.basis @ (ws.basis.T @ x)
+        outside = rank_mod_prime([np.ones(n, dtype=np.int64), *(values[:, i] for i in ws.snps)],
+                                 values[:, j])
+        if kinds[j] in ("dup", "span"):
+            assert not outside
+        try:
+            ws.add_snp(j)
+        except CollinearityError:
+            assert not outside, (j, kinds[j])
+            continue
+        assert outside, (j, kinds[j])
+        second_pass.append(math.sqrt(first @ first) <= REORTH_BELOW * math.sqrt(x @ x))
+    # the rare column lies within one call of the intercept, so its first
+    # pass cancels and the second one runs
+    assert second_pass[0]
+    Q = ws.basis
+    assert np.abs(Q.T @ Q - np.eye(ws.m)).max() <= 1e-13
+    rss, beta = lstsq_rss(ds, ws.snps)
+    scale = float(y @ y)
+    assert abs(ws.rss - rss) <= 1e-10 * max(rss, 1e-10 * scale)
+    np.testing.assert_allclose(ws.coefficients(), beta, rtol=1e-10,
+                               atol=1e-10 * np.abs(beta).max())
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-7, 1e-9])
+def test_push_projects_twice_where_the_first_pass_cancels(eps):
+    # a forced covariate within eps of the intercept keeps ~eps of its norm
+    # after one pass, which alone would leave Q orthogonal only to ~1e-16/eps
+    rng = np.random.default_rng(23)
+    n = 50
+    cov = (1.0 + eps * rng.normal(size=n))[:, None]
+    values = random_genotypes(rng, n, 6)
+    ds = dataset_from_values(values, trait=rng.normal(size=n), covariates=cov)
+    ws = workspace_for(ds, ModelSpec((0, 1, 2, 3, 4, 5), (0,)))
+    m = ws.m
+    Q = ws.basis
+    assert np.abs(Q.T @ Q - np.eye(m)).max() <= 1e-13
+    D = lstsq_design(ds, ws.snps, (0,))
+    np.testing.assert_allclose(Q @ ws._R[:m, :m], D, rtol=0, atol=1e-13 * math.sqrt(n))
+
+
+@given(push_designs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_push_given_its_projection_matches_a_push_without(design, seed):
+    values, _ = design
+    n, p = values.shape
+    ds = dataset_from_values(values, trait=np.random.default_rng(seed).normal(size=n))
+    given_ws, plain = FitWorkspace(ds), FitWorkspace(ds)
+    cols = values.astype(np.float64)
+    for j in range(p):
+        # Q'x as forward holds it: from one product over a block of columns
+        proj = _project(given_ws, cols, np.einsum("ij,ij->j", cols, cols))[2][:, j]
+        try:
+            plain.add_snp(j)
+        except CollinearityError:
+            with pytest.raises(CollinearityError):
+                given_ws.add_snp(j, _proj=proj)
+            continue
+        given_ws.add_snp(j, _proj=proj)
+        m = plain.m
+        np.testing.assert_allclose(given_ws.basis, plain.basis, rtol=0, atol=1e-13)
+        R = plain._R[:m, :m]
+        np.testing.assert_allclose(given_ws._R[:m, :m], R, rtol=0,
+                                   atol=1e-13 * np.abs(R).max())
+        qty = plain._qty[:m]
+        np.testing.assert_allclose(given_ws._qty[:m], qty, rtol=0,
+                                   atol=1e-13 * np.abs(qty).max())
 
 
 # ---------------------------------------------------------------------------

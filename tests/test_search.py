@@ -222,7 +222,7 @@ def test_downdated_stats_match_fresh_projection(seed, n_forced, neg_log_eps, add
     idx, cols, norm2 = gathered(ds, candidates)
     gate = _gate(norm2)
     ws = FitWorkspace(ds, forced)
-    s, t = _project(ws, cols, norm2)
+    s, t, _ = _project(ws, cols, norm2)
     in_model = np.zeros(idx.size, dtype=bool)
     y_norm = float(np.sqrt(ds.trait @ ds.trait))
     for j in adds:
@@ -265,7 +265,7 @@ def test_project_matches_two_product_oracle(seed, n_forced, neg_log_eps):
     ds, forced, _ = design_with_near_collinearity(seed, n_forced, 10.0**-neg_log_eps)
     ws = random_workspace(ds, forced, seed)
     idx, cols, norm2 = gathered(ds, range(ds.n_snps))
-    s, t = _project(ws, cols, norm2)
+    s, t, _ = _project(ws, cols, norm2)
     want_s, want_t = project_two_products(ws, cols)
     assert np.array_equal(t, want_t)
     assert np.all(np.abs(s - want_s) <= DOWNDATE_TOL * norm2)
@@ -292,7 +292,7 @@ def test_rank_one_drop_matches_fresh_projection(seed, n_forced, neg_log_eps, n_d
     ds, forced, _ = design_with_near_collinearity(seed, n_forced, 10.0**-neg_log_eps)
     ws = random_workspace(ds, forced, seed)
     idx, cols, norm2 = gathered(ds, range(ds.n_snps))
-    s, t = _project(ws, cols, norm2)
+    s, t, _ = _project(ws, cols, norm2)
     gate = _gate(norm2)
     y_norm = float(np.sqrt(ds.trait @ ds.trait))
     # both sides hold s to rounding amplified by the conditioning of the
@@ -325,7 +325,7 @@ def test_rank_one_drop_matches_fresh_projection(seed, n_forced, neg_log_eps, n_d
 
 def fresh_projection(ws, j):
     """(s, t) of candidate j from one projection against the basis of ``ws``."""
-    x = ws.X[:, j]
+    x = ws.dataset.float_values[:, j]
     z = x - ws.basis @ (ws.basis.T @ x)
     return float(z @ z), float(x @ ws.residual)
 
@@ -348,7 +348,7 @@ def forward_allowance(ds, forced, records):
     for r in records:
         if r.action == "add":
             s, t = fresh_projection(ws, r.snp)
-            norm2 = float(ws.X[:, r.snp] @ ws.X[:, r.snp])
+            norm2 = float(ws.dataset.float_values[:, r.snp] @ ws.dataset.float_values[:, r.snp])
             ds_, dt = DOWNDATE_TOL * norm2, DOWNDATE_TOL * np.sqrt(norm2) * y_norm
             drift += (2.0 * abs(t) * dt + t * t / s * ds_) / s
             ws.add_snp(r.snp)
@@ -385,7 +385,7 @@ def test_blocked_forward_matches_per_push_oracle(seed, n_forced, neg_log_eps, ma
             j = min((q.snp for q in (r, r_o) if q is not None), key=order.index)
             _, ws = forward_allowance(ds, forced, got[:i])
             s = fresh_projection(ws, j)[0]
-            norm2 = float(ws.X[:, j] @ ws.X[:, j])
+            norm2 = float(ws.dataset.float_values[:, j] @ ws.dataset.float_values[:, j])
             gate = float(_gate(norm2))
             assert abs(s - gate) <= DOWNDATE_TOL * norm2, (r, r_o)
             return
@@ -394,6 +394,41 @@ def test_blocked_forward_matches_per_push_oracle(seed, n_forced, neg_log_eps, ma
         else:
             tol = 1e-12 * abs(r_o.criterion_value) + allowance[i]
             assert abs(r.criterion_value - r_o.criterion_value) <= tol, (r, r_o)
+
+
+def collinear_design(seed):
+    """Genotypes with two copies of column 1 and a trait on column 1, every
+    column in order."""
+    rng = np.random.default_rng(seed)
+    values = random_genotypes(rng, 50, 8)
+    values[:, 3] = values[:, 1]
+    values[:, 6] = values[:, 1]
+    y = 2.0 * values[:, 1] + values[:, 5] + rng.normal(size=50)
+    return dataset_from_values(values, trait=y), (), list(range(8))
+
+
+@pytest.mark.parametrize("block_size", [3, 128])
+@pytest.mark.parametrize("seed, eps", [*((seed, None) for seed in range(3)),
+                                       *((seed, eps) for seed in range(5)
+                                         for eps in (1e-3, 1e-7))])
+def test_forward_records_match_the_per_push_oracle(seed, eps, block_size):
+    # forward hands each add the block product as its first Gram-Schmidt pass;
+    # the oracle's adds project afresh, and both take the same decisions
+    ds, forced, order = (collinear_design(seed) if eps is None
+                         else strong_design(seed, 1, eps, 1.0))
+    crit = CriterionConfig("bic", n=ds.n_individuals, p_effective=ds.n_snps)
+    config = SearchConfig(criterion=crit)
+    runs = []
+    for walk in (_forward, forward_by_pushes):
+        ws = FitWorkspace(ds, forced)
+        trace = SearchTrace()
+        with mock.patch.object(gwasel.search, "FORWARD_BLOCK", block_size):
+            walk(ws, *gathered(ds, order), config, _CriterionEval(crit, ws.rss_base), trace)
+        runs.append([record_key(r) for r in trace.records])
+    assert runs[0] == runs[1]
+    assert any(key[1] == "add" for key in runs[0])
+    if eps is None:
+        assert [key[2] for key in runs[0] if key[1] == "skip_collinear"] == [3, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +909,22 @@ def test_select_deterministic():
     assert m1 == m2
     assert r1.rss == r2.rss
     assert t1.records == t2.records
+
+
+def test_select_fit_and_refine_leave_the_float_copy_unbuilt():
+    # the workspace and the subset walk read the int8 codes, as the scan does
+    rng = np.random.default_rng(5)
+    values = random_genotypes(rng, 120, 60)
+    y = values[:, [3, 17, 40]] @ np.array([1.0, 0.8, 0.6]) + rng.normal(size=120)
+    ds = dataset_from_values(values, trait=y)
+    cfg = make_config("mbic2", ds)
+    model, _, trace = select_model(ds, cfg)
+    assert model.size and trace.accepted("forward")
+    assert "float_values" not in ds.__dict__
+    fit(ds, model)
+    assert "float_values" not in ds.__dict__
+    refine_subsets(ds, model, (0, 1, 2), cfg)
+    assert "float_values" not in ds.__dict__
 
 
 def test_select_keeps_forced_covariates():
