@@ -91,7 +91,9 @@ class Dataset:
     ``snp_ids`` names each column, ``snp0`` to ``snp{p-1}`` when not given;
     the ids must be distinct.  All read operations are safe to run
     concurrently; derived datasets (imputation, trait swaps) are new objects
-    sharing the genotype arrays.
+    sharing the genotype arrays, but not the float cache of the parent.
+    Blocks of float64 columns are read through :meth:`columns`; the model
+    workspace converts the int8 codes of each column it adds itself.
     """
 
     genotypes: GenotypeMatrix
@@ -147,27 +149,32 @@ class Dataset:
 
     @cached_property
     def float_values(self) -> np.ndarray:
-        """float64 copy of the genotype codes, cached for linear algebra."""
+        """float64 copy of the whole panel, n x p, built on first read.
+
+        No library call reads it but through :meth:`columns`, and only
+        ``run_study``, which scans one panel for every replicate, builds it.
+        """
         return self.genotypes.values.astype(np.float64)
 
-    def float_columns(self, start: int, stop: int) -> np.ndarray:
-        """float64 codes of columns ``start:stop``.
+    def columns(self, idx) -> np.ndarray:
+        """float64 codes of columns ``idx``: a slice, a list or array of indices, or one index.
 
-        A slice of the cached ``float_values`` when that cache is built;
-        otherwise only this int8 block is converted, and the n x p copy is
-        not made.  int8 -> float64 is exact, so both hold the same numbers.
+        Read from ``float_values`` when that cache is built, else converted
+        from the int8 codes of these columns only; int8 -> float64 is exact,
+        so both give the same numbers in the same layout: that of
+        ``float_values[:, idx]``, a strided view for a slice of the cache and
+        a Fortran-ordered block for indices, whose layout decides the last
+        bits of a product with it.
         """
-        cached = self.__dict__.get("float_values")
-        if cached is not None:
-            return cached[:, start:stop]
-        return self.genotypes.values[:, start:stop].astype(np.float64)
+        src = self.__dict__.get("float_values", self.genotypes.values)
+        if isinstance(idx, (slice, int, np.integer)):
+            return src[:, idx].astype(np.float64, copy=False)
+        # the layout of src[:, idx], by a gather twice as fast on unsorted indices
+        return np.take(src, idx, axis=1).astype(np.float64, order="F")
 
     def with_trait(self, trait: np.ndarray) -> "Dataset":
         """New dataset sharing the genotype arrays, with a replaced trait."""
-        new = replace(self, trait=np.ascontiguousarray(trait, dtype=np.float64))
-        if "float_values" in self.__dict__:  # share the cached float copy
-            new.__dict__["float_values"] = self.__dict__["float_values"]
-        return new
+        return replace(self, trait=np.ascontiguousarray(trait, dtype=np.float64))
 
 
 class _CheckedIds(tuple):

@@ -2,9 +2,9 @@
 
 ``ScanEngine`` reads the genotypes in blocks of ``SCAN_BLOCK`` columns: it
 counts the int8 codes of a block, and takes its float64 values through
-``Dataset.float_columns``, a strided slice of the float cache when a
-caller has built it, else a contiguous conversion of only that block, so
-the engine never makes the n x p float64 copy itself.  Each block's
+``Dataset.columns``, a strided slice of the float cache when a caller has
+built it (``run_study`` does), else a contiguous conversion of only that
+block, so the engine never makes the n x p float64 copy itself.  Each block's
 t = X'y is one BLAS matrix-vector product.  With BLAS on one thread that
 gives the same bits as one product over all columns (each column keeps its
 place in the kernel's groups of four, since ``SCAN_BLOCK`` is a multiple
@@ -125,7 +125,7 @@ class ScanEngine:
                 # xnorm2 - ‖Qᵀx‖² would cancel for a column inside the
                 # covariate span (s ≈ 1e-16·xnorm2, no degenerate flag), so
                 # project the columns explicitly.
-                block = dataset.float_columns(start, stop)
+                block = dataset.columns(slice(start, stop))
                 xnorm2[start:stop] = np.einsum("ij,ij->j", block, block)
                 z = self.Q0 @ (self.Q0.T @ block)
                 np.subtract(block, z, out=z)  # one n x 4096 temporary, not two
@@ -139,7 +139,7 @@ class ScanEngine:
         """X'yt, one product per block of ``_scan_blocks``."""
         t = np.empty(self.dataset.n_snps)
         for start, stop in _scan_blocks(self.dataset.n_snps):
-            t[start:stop] = self.dataset.float_columns(start, stop).T @ yt
+            t[start:stop] = self.dataset.columns(slice(start, stop)).T @ yt
         return t
 
     def scan(self, trait: np.ndarray) -> ScanResult:
@@ -156,7 +156,7 @@ class ScanEngine:
         # collinearity gate of yt is a perfect fit (F = inf).
         near = np.flatnonzero((rss1 < REPROJECT_BELOW * rss0) & ~self.degenerate)
         if near.size:
-            xt = np.take(self.dataset.genotypes.values, near, axis=1).astype(np.float64)
+            xt = self.dataset.columns(near)
             xt -= self.Q0 @ (self.Q0.T @ xt)
             r = yt[:, None] - xt * (t[near] / self.s[near])
             r2 = np.einsum("ij,ij->j", r, r)

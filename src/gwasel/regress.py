@@ -416,11 +416,6 @@ def block_f_test(dataset: Dataset, model: ModelSpec, block: tuple[int, ...]) -> 
     return f, f_pvalue(f, df1, df2)
 
 
-def _centered(dataset: Dataset, j: int) -> np.ndarray:
-    col = dataset.float_values[:, j]
-    return col - col.mean()
-
-
 def noncentrality_single_marker(
     dataset: Dataset,
     causal_indices: tuple[int, ...],
@@ -444,13 +439,16 @@ def noncentrality_single_marker(
         raise ValueError("sigma must be positive")
     dataset.check_snps((j,))
     dataset.check_snps(causal, "causal index")
-    cj = _centered(dataset, j)
+    if dataset.genotypes.missing_mask[:, [j, *causal]].any():
+        raise ValueError("tested or causal columns contain missing genotypes")
+    cj = dataset.columns(j)
+    cj = cj - cj.mean()
     sjj = float(cj @ cj)
     if sjj <= 0.0:
         raise DegenerateColumnError(f"column {j} has zero variance")
     if not causal:
         return NoncentralityPair(0.0, 0.0)
-    C = dataset.float_values[:, list(causal)]
+    C = dataset.columns(list(causal))
     C = C - C.mean(axis=0)
     s_j = cj @ C  # S(j, l) over causal l
     nu_m = float(s_j @ effects) ** 2 / (sigma**2 * sjj)

@@ -290,8 +290,8 @@ def _forward(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndar
 def _first_min(vals: np.ndarray, keys: np.ndarray) -> int:
     """Position of the smallest of ``vals``, equal values to the smallest
     key: ``np.lexsort((keys, vals))[0]`` without the sort (no NaN in vals)."""
-    ties = np.flatnonzero(vals == vals.min())
-    return int(ties[np.argmin(keys[ties])])
+    ties = (vals == vals[vals.argmin()]).nonzero()[0]  # ndarray methods: called per drop
+    return int(ties[keys[ties].argmin()])
 
 
 def _pick_drop(drop_rss: np.ndarray, snps: np.ndarray, ev: _CriterionEval) -> tuple[float, int]:
@@ -301,7 +301,7 @@ def _pick_drop(drop_rss: np.ndarray, snps: np.ndarray, ev: _CriterionEval) -> tu
     lexicographically smallest model.
     """
     vals = ev.value_array(drop_rss, snps.size - 1)
-    pick = int(np.lexsort((-snps, vals))[0])
+    pick = _first_min(vals, -snps)
     return float(vals[pick]), pick
 
 
@@ -441,7 +441,7 @@ def _enumerate_best(ws: FitWorkspace, columns: list[int], max_size: int,
     ``ws``, exact when its value is at or below ``to_beat``; the subsets scored
     and ruled out by the bound are added to ``stats``."""
     cols = np.asarray(columns, dtype=np.int64)
-    sub = np.take(ws.dataset.genotypes.values, cols, axis=1).astype(np.float64)
+    sub = ws.dataset.columns(cols)
     Q = ws.basis[:, : ws.m - len(ws.snps)]
     z = sub - Q @ (Q.T @ sub)
     orig_norm2 = np.einsum("ij,ij->j", sub, sub)
@@ -545,7 +545,7 @@ def forward_stage(dataset: Dataset, config: SearchConfig,
     if scan is None:
         scan = single_marker_scan(dataset)
     idx = np.asarray(screen(scan, config.screen_threshold), dtype=np.int64)
-    cols = np.take(dataset.genotypes.values, idx, axis=1).astype(np.float64)
+    cols = dataset.columns(idx)
     norm2 = np.einsum("ij,ij->j", cols, cols)
     ws = FitWorkspace(dataset, tuple(range(dataset.n_covariates)))
     bic_cfg = CriterionConfig(

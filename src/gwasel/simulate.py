@@ -107,18 +107,19 @@ def simulate_trait(dataset: Dataset, config: SimulationConfig,
                    replicate_index: int) -> np.ndarray:
     """One trait draw y = X beta + noise (zero intercept)."""
     g = genetic_component(dataset, config)
-    if dataset.genotypes.missing_mask[:, list(config.causal_indices)].any():
-        raise ValueError("causal columns contain missing genotypes")
     rng = rng_stream(config.seed, replicate_index, "trait")
     return g + rng.normal(0.0, config.sigma, size=dataset.n_individuals)
 
 
 def genetic_component(dataset: Dataset, config: SimulationConfig) -> np.ndarray:
-    """X beta over the causal columns; a causal index outside [0, p) raises ``ValueError``."""
+    """X beta over the causal columns; a causal index outside [0, p), or a
+    missing call in a causal column, raises ``ValueError``."""
     dataset.check_snps(config.causal_indices, "causal index")
     if not config.causal_indices:
         return np.zeros(dataset.n_individuals)
-    X = dataset.float_values[:, list(config.causal_indices)]
+    if dataset.genotypes.missing_mask[:, list(config.causal_indices)].any():
+        raise ValueError("causal columns contain missing genotypes")
+    X = dataset.columns(list(config.causal_indices))
     return X @ np.asarray(config.effects)
 
 
@@ -138,7 +139,7 @@ def individual_heritability(dataset: Dataset, config: SimulationConfig, l: int) 
     if not 0 <= l < config.k:
         raise ValueError(f"causal position {l} outside [0, {config.k})")
     v = _genetic_variance(dataset, config)
-    col = dataset.float_values[:, config.causal_indices[l]]
+    col = dataset.columns(config.causal_indices[l])
     return config.effects[l] ** 2 * float(col.var(ddof=1)) / (config.sigma**2 + v)
 
 
@@ -153,7 +154,7 @@ class ClassificationResult:
 
 def _causal_block(dataset: Dataset, config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """The causal columns, centred, and their norms: built once per study."""
-    C = dataset.float_values[:, list(config.causal_indices)]
+    C = dataset.columns(list(config.causal_indices))
     C = C - C.mean(axis=0)
     return C, np.sqrt(np.einsum("ij,ij->j", C, C))
 
@@ -166,7 +167,7 @@ def _match_causal(dataset: Dataset, config: SimulationConfig, detected: list[int
     if not config.causal_indices:
         return None, np.zeros(len(detected))
     C, cn = _causal_block(dataset, config) if block is None else block
-    D = dataset.float_values[:, detected]
+    D = dataset.columns(detected)
     D = D - D.mean(axis=0)
     dn = np.sqrt(np.einsum("ij,ij->j", D, D))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -317,7 +318,9 @@ def run_study(dataset: Dataset, config: SimulationConfig,
     """Simulate traits and score every method at every |R| threshold.
 
     All methods see identical traits per replicate and share the
-    single-marker scan.  The causal block is centred once per study, and the
+    single-marker scan, which reads ``dataset.float_values``: the study
+    builds that n x p float64 copy, the only library call that does.  The
+    causal block is centred once per study, and the
     |R| of each method's detections to it once per replicate for all
     thresholds.  Searches that agree on ``screen_threshold`` and
     ``max_forward_size`` also share one forward stage per replicate, which
@@ -327,6 +330,7 @@ def run_study(dataset: Dataset, config: SimulationConfig,
     names = [m.kind for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("duplicate method kinds in one study")
+    dataset.float_values  # the one float64 panel copy: every replicate's scan reads it
     engine = ScanEngine(dataset)
     block = _causal_block(dataset, config) if config.causal_indices else None
     # power holds hit counts until the replicates are done

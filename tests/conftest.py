@@ -29,6 +29,16 @@ def tiny_dataset():
     return dataset_from_values(values, trait=[1.0, 2.0, 3.0, 4.0])
 
 
+def hadamard_codes(n, k):
+    """Columns 1..k of the Sylvester-Hadamard matrix of order ``n``, a power
+    of two: -1/1 genotype codes with zero mean and X'X = n I, exactly."""
+    h = np.ones((1, 1), dtype=np.int8)
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    assert h.shape[0] == n and 1 <= k < n
+    return h[:, 1:k + 1]
+
+
 def random_genotypes(rng, n, p):
     return rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(n, p))
 

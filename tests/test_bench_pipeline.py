@@ -76,6 +76,18 @@ def test_desk_identity_toy_prints_stable_digests():
     assert runs[1].stdout == runs[0].stdout
 
 
+def test_desk_identity_pins_the_desk_detections_and_decisions():
+    # the ROADMAP fingerprint, and every search decision behind it: a change
+    # that moves a decision but keeps the detections fails here too
+    cmd = [sys.executable, str(ROOT / "benchmarks" / "desk_identity.py")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert lines["detections"] == \
+        "05b9aa0196d7f7993b412465b32b0de1fbb0c5adf3b772acd8c32236a4236588"
+    assert lines["decisions"] == \
+        "200 ebbc6b7987514c692cd3df383323871cbf7a8c03a82e11a8e7c2100d78dea8e9"
+
 
 def test_structure_record_leaves_out_only_criterion_values():
     import dataclasses

@@ -154,6 +154,24 @@ def test_derived_datasets_keep_checked_ids(monkeypatch):
         replace(ds, genotypes=GenotypeMatrix(values[:, :2], mask[:, :2]))
 
 
+@pytest.mark.parametrize("idx", [slice(3, 9), [7, 2, 2, 5], np.array([0, 11]), 4],
+                         ids=["slice", "list", "array", "int"])
+def test_columns_equal_the_float_copy_bit_for_bit(idx):
+    rng = np.random.default_rng(14)
+    ds = dataset_from_values(rng.integers(-1, 2, size=(9, 12), dtype=np.int8))
+    cold = ds.columns(idx)
+    assert "float_values" not in ds.__dict__  # converted from the int8 codes alone
+    want = ds.float_values[:, idx]
+    warm = ds.columns(idx)
+    for got in (cold, warm):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+    if not isinstance(idx, (slice, int)):  # a gather is Fortran-ordered either way
+        assert cold.strides == warm.strides == want.strides and want.flags.f_contiguous
+    # a derived dataset does not inherit the copy
+    assert "float_values" not in ds.with_trait(np.zeros(9)).__dict__
+
+
 def test_covariates_loaded(tmp_path):
     g = tmp_path / "g.txt"
     g.write_text("-1 0\n1 0\n0 1\n")

@@ -19,7 +19,7 @@ from gwasel.regress import (
 )
 from gwasel.search import _best_drop, _CriterionEval, _drop_rss, _project
 
-from conftest import dataset_from_values, random_genotypes
+from conftest import dataset_from_values, hadamard_codes, random_genotypes
 from oracles import lstsq_design, lstsq_rss
 
 
@@ -513,22 +513,9 @@ def test_block_f_collinear_block():
 # ---------------------------------------------------------------------------
 
 
-def orthogonalized_design(rng, n, k):
-    """Columns with exact zero mean and X'X = n I, plus a tested extra column."""
-    raw = rng.normal(size=(n, k))
-    raw -= raw.mean(axis=0)
-    q, _ = np.linalg.qr(raw)
-    return q * math.sqrt(n)
-
-
 def test_noncentrality_orthogonal_matches_closed_form():
-    rng = np.random.default_rng(19)
     n = 64
-    x = orthogonalized_design(rng, n, 1)
-    values = np.zeros((n, 1), dtype=np.int8)
-    ds = dataset_from_values(values, trait=np.zeros(n))
-    # bypass genotype coding: write the float cache directly
-    ds.__dict__["float_values"] = x
+    ds = dataset_from_values(hadamard_codes(n, 1), trait=np.zeros(n))  # zero mean, x'x = n
     beta, sigma = 0.7, 1.3
     pair = noncentrality_single_marker(ds, (0,), np.array([beta]), sigma, 0)
     assert pair.nu_m == pytest.approx(n * beta**2 / sigma**2, rel=1e-10)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import f as f_dist, ncf
 
+from gwasel.genotype import Dataset
+from gwasel.regress import noncentrality_single_marker
 from gwasel.simulate import (
     MethodSpec,
     SimulationConfig,
@@ -21,7 +24,7 @@ from gwasel.simulate import (
     synthetic_dataset,
 )
 
-from conftest import dataset_from_values
+from conftest import dataset_from_values, hadamard_codes
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +145,54 @@ def test_variance_helpers_refuse_causal_indices_outside_the_panel(causal):
             call()
 
 
+def test_causal_readers_refuse_missing_calls():
+    # read as 0, the missing calls gave a heritability while simulate_trait refused
+    values = synthetic_dataset(40, 5, seed=8).genotypes.values
+    mask = np.zeros(values.shape, dtype=bool)
+    mask[[2, 9, 17, 25, 33], 1] = True
+    ds = dataset_from_values(values, mask=mask)
+    cfg = SimulationConfig((1, 3), (0.5, 0.7), seed=0)
+    message = "contain missing genotypes"
+    for call in (lambda: overall_heritability(ds, cfg),
+                 lambda: individual_heritability(ds, cfg, 1),
+                 lambda: genetic_component(ds, cfg),
+                 lambda: simulate_trait(ds, cfg, 0),
+                 lambda: ncp_diagnostics(ds, cfg),
+                 lambda: noncentrality_single_marker(ds, (3,), np.array([0.7]), 1.0, 1),
+                 lambda: noncentrality_single_marker(ds, (1,), np.array([0.5]), 1.0, 3)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    clean = SimulationConfig((0, 3), (0.5, 0.7), seed=0)
+    assert overall_heritability(ds, clean) > 0.0  # other columns' missing calls do not matter
+
+
+def test_public_readers_leave_the_float_copy_unbuilt():
+    ds = synthetic_dataset(60, 12, seed=3)
+    cfg = SimulationConfig((1, 5, 8), (0.6, -0.4, 0.9), seed=2)
+    y = simulate_trait(ds, cfg, 0)
+    genetic_component(ds, cfg)
+    overall_heritability(ds, cfg)
+    individual_heritability(ds, cfg, 2)
+    classify_detections([3, 4], ds, cfg, 0.7)
+    ncp_diagnostics(ds, cfg, snp_set=(1, 2, 5))
+    noncentrality_single_marker(ds, cfg.causal_indices, np.asarray(cfg.effects), 1.0, 0)
+    assert "float_values" not in ds.__dict__
+    assert "float_values" not in ds.with_trait(y).__dict__
+
+
+@pytest.mark.parametrize("causal", [(2, 9), ()], ids=["causal", "null"])
+def test_run_study_builds_the_float_copy_once(monkeypatch, causal):
+    builds = []
+    real = Dataset.__dict__["float_values"].func
+    counted = functools.cached_property(lambda self: builds.append(self) or real(self))
+    counted.__set_name__(Dataset, "float_values")
+    monkeypatch.setattr(Dataset, "float_values", counted)
+    ds = synthetic_dataset(80, 30, seed=5)
+    cfg = SimulationConfig(causal, (0.8,) * len(causal), n_replicates=3, seed=6)
+    run_study(ds, cfg, [MethodSpec("bonferroni"), MethodSpec("mbic"), MethodSpec("mbic2")])
+    assert len(builds) == 1 and builds[0] is ds
+
+
 def test_repeated_thresholds_are_refused():
     # a repeated |R| threshold would count each hit once per repeat: power 2.0
     with pytest.raises(ValueError, match="thresholds must not repeat"):
@@ -149,26 +200,15 @@ def test_repeated_thresholds_are_refused():
 
 
 def test_heritability_increases_with_effect_magnitude_orthogonal():
-    rng = np.random.default_rng(30)
-    n, k = 50, 3
-    raw = rng.normal(size=(n, k))
-    raw -= raw.mean(axis=0)
-    q, _ = np.linalg.qr(raw)
-    ds = dataset_from_values(np.zeros((n, k), dtype=np.int8))
-    ds.__dict__["float_values"] = q * 1.5
+    ds = dataset_from_values(hadamard_codes(64, 3))
     lows = SimulationConfig((0, 1, 2), (0.4, 0.6, -0.2), sigma=1.0, seed=0)
     grown = SimulationConfig((0, 1, 2), (0.4, 0.9, -0.2), sigma=1.0, seed=0)
     assert overall_heritability(ds, grown) > overall_heritability(ds, lows)
 
 
 def test_individual_heritability_sums_to_overall_when_orthogonal():
-    rng = np.random.default_rng(8)
-    n, k = 60, 4
-    raw = rng.normal(size=(n, k))
-    raw -= raw.mean(axis=0)
-    q, _ = np.linalg.qr(raw)
-    ds = dataset_from_values(np.zeros((n, k), dtype=np.int8))
-    ds.__dict__["float_values"] = q * 2.0  # exactly uncorrelated columns
+    k = 4
+    ds = dataset_from_values(hadamard_codes(64, k))  # exactly uncorrelated columns
     cfg = SimulationConfig(tuple(range(k)), (0.5, -0.7, 0.3, 0.9), sigma=1.0, seed=0)
     total = overall_heritability(ds, cfg)
     parts = sum(individual_heritability(ds, cfg, l) for l in range(k))
@@ -389,13 +429,8 @@ def test_ncp_diagnostics_zero_effects():
 
 
 def test_ncp_diagnostics_orthogonal_ranking_matches_h2():
-    rng = np.random.default_rng(21)
-    n, k = 80, 5
-    raw = rng.normal(size=(n, k))
-    raw -= raw.mean(axis=0)
-    q, _ = np.linalg.qr(raw)
-    ds = dataset_from_values(np.zeros((n, k), dtype=np.int8))
-    ds.__dict__["float_values"] = q * math.sqrt(n)
+    k = 5
+    ds = dataset_from_values(hadamard_codes(64, k))
     cfg = SimulationConfig(tuple(range(k)), (0.2, 0.9, 0.4, 0.6, 0.05), sigma=1.0, seed=0)
     rows = ncp_diagnostics(ds, cfg)
     by_nu = np.argsort([r.sqrt_nu_m for r in rows])
