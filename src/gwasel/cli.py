@@ -38,7 +38,7 @@ import scipy
 import gwasel
 from gwasel.cluster import cluster_snps
 from gwasel.criteria import DEFAULT_D, CriterionConfig
-from gwasel.errors import DimensionError, GwaselError, ParseError
+from gwasel.errors import DimensionError, GwaselError, ParseError, TraitScaleError
 from gwasel.genotype import Dataset, impute_missing, load_dataset
 from gwasel.mtest import benjamini_hochberg, bonferroni, scan_to_tsv, single_marker_scan
 from gwasel.search import SearchConfig, select_model
@@ -476,6 +476,11 @@ def main(argv=None) -> int:
         # input files that exist but violate their schema are usage errors
         print(f"gwasel: error: {exc}", file=sys.stderr)
         return 2
+    except TraitScaleError as exc:
+        # the library does not know which file the trait came from
+        print(f"gwasel: error: {getattr(args, 'trait', None) or 'simulated trait'}: {exc}",
+              file=sys.stderr)
+        return 1
     except (GwaselError, ValueError, OSError) as exc:
         print(f"gwasel: error: {exc}", file=sys.stderr)
         return 1

@@ -33,5 +33,10 @@ class PerfectFitError(GwaselError):
     """Residual sum of squares is zero where a positive value is required."""
 
 
+class TraitScaleError(GwaselError, ValueError):
+    """The trait's scale leaves float64: n times its centred sum of squares
+    is not finite, so no RSS, F statistic or criterion value of it is."""
+
+
 class BudgetError(GwaselError):
     """A combinatorial enumeration scored more candidates than its budget allows."""

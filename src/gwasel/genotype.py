@@ -159,18 +159,20 @@ class Dataset:
     def columns(self, idx) -> np.ndarray:
         """float64 codes of columns ``idx``: a slice, a list or array of indices, or one index.
 
-        Read from ``float_values`` when that cache is built, else converted
-        from the int8 codes of these columns only; int8 -> float64 is exact,
-        so both give the same numbers in the same layout: that of
-        ``float_values[:, idx]``, a strided view for a slice of the cache and
-        a Fortran-ordered block for indices, whose layout decides the last
-        bits of a product with it.
+        A slice or one index is read from ``float_values`` when that cache is
+        built (a strided view for a slice, which is what the scan reads),
+        else converted from the int8 codes of those columns only.  Indices
+        are gathered from the int8 codes whether or not the cache is built,
+        which moves an eighth of the bytes.  int8 -> float64 is exact, so
+        every read gives the same numbers in the same layout: that of
+        ``float_values[:, idx]``, a Fortran-ordered block for indices, whose
+        layout decides the last bits of a product with it.
         """
-        src = self.__dict__.get("float_values", self.genotypes.values)
         if isinstance(idx, (slice, int, np.integer)):
+            src = self.__dict__.get("float_values", self.genotypes.values)
             return src[:, idx].astype(np.float64, copy=False)
-        # the layout of src[:, idx], by a gather twice as fast on unsorted indices
-        return np.take(src, idx, axis=1).astype(np.float64, order="F")
+        # the layout of float_values[:, idx], by a gather twice as fast on unsorted indices
+        return np.take(self.genotypes.values, idx, axis=1).astype(np.float64, order="F")
 
     def with_trait(self, trait: np.ndarray) -> "Dataset":
         """New dataset sharing the genotype arrays, with a replaced trait."""

@@ -31,7 +31,7 @@ from scipy.special import betainc
 
 from gwasel.errors import CollinearityError
 from gwasel.genotype import Dataset
-from gwasel.regress import REPROJECT_BELOW, _gate
+from gwasel.regress import REPROJECT_BELOW, _check_trait_scale, _gate
 
 SCAN_BLOCK = 4096  # columns per block of ScanEngine
 _MIN_TAIL = 4  # a narrower last block joins the block before it
@@ -145,7 +145,9 @@ class ScanEngine:
     def scan(self, trait: np.ndarray) -> ScanResult:
         y = np.asarray(trait, dtype=np.float64)
         yt = y - self.Q0 @ (self.Q0.T @ y)
-        rss0 = float(yt @ yt)
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            rss0 = float(yt @ yt)
+        _check_trait_scale(y.shape[0], rss0)
         t = self._t(yt)
         with np.errstate(invalid="ignore", divide="ignore"):
             delta = np.where(self.degenerate, 0.0, (t * t) / self.s)

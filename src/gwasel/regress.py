@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import betainc
 
-from gwasel.errors import CollinearityError, DegenerateColumnError
+from gwasel.errors import CollinearityError, DegenerateColumnError, TraitScaleError
 from gwasel.genotype import Dataset
 
 RANK_TOL = 1e-10  # column is collinear when its residual norm falls below tol * original
@@ -42,6 +42,16 @@ REPROJECT_BELOW = 1e-6
 # the first pass kept at most this fraction of the column's norm (Daniel,
 # Gragg, Kaufman & Stewart, Math. Comp. 1976).
 REORTH_BELOW = 1.0 / math.sqrt(2.0)
+
+
+def _check_trait_scale(n: int, rss0: float) -> None:
+    """Raise ``TraitScaleError`` unless n * rss0 is finite, rss0 being the
+    trait's sum of squares after the intercept and covariates: every RSS,
+    mean square and F numerator of the trait is at most that."""
+    if not math.isfinite(n * rss0):
+        raise TraitScaleError(
+            f"n times the trait's centred sum of squares is not finite "
+            f"({n} x {rss0!r}); rescale the trait")
 
 
 def _gate(norm2: np.ndarray) -> np.ndarray:
@@ -168,7 +178,9 @@ class FitWorkspace:
                 if not 0 <= j < cov.shape[1]:
                     raise ValueError(f"forced covariate {j} is outside [0, {cov.shape[1]})")
                 self._push(cov[:, j], label=j)
-        self.rss_base = self.rss
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            self.rss_base = self.rss
+        _check_trait_scale(n, self.rss_base)
         self._r_base = self._r
 
     # -- core updates -------------------------------------------------

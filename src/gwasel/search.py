@@ -19,10 +19,20 @@ beta_j^2 / S_jj, with S and beta from ``FitWorkspace.inverse_gram``
 (``_drop_rss``).  Forward projects a block of ``FORWARD_BLOCK`` candidates
 at a time and an add downdates only the rest of its block; the block's
 product Q'X, kept up to date by those downdates, serves as each add's
-first Gram-Schmidt pass in the workspace.  Backward sweeps S in place
-from one inversion per stage; stepwise projects all its candidates once,
-downdates them on each add, restores the dropped direction on each drop
-(``_restore``, a rank-one update) and scores drops from a fresh inverse.
+first Gram-Schmidt pass in the workspace.  Stepwise projects all its
+candidates once, downdates them on each add, restores the dropped
+direction on each drop (``_restore``, a rank-one update) and scores drops
+from a fresh inverse.
+
+Backward elimination does not depend on the criterion but for where it
+stops: at a fixed model size every criterion strictly increases with the
+RSS, so each step drops the SNP of smallest drop RSS whatever the
+penalty.  ``_BackwardPath`` computes that drop order once per forward
+model, by sweep downdates of S from one inversion, and extends it only as
+far as the furthest search asks; each search cuts it at its first step
+that does not lower its criterion and rebuilds its workspace once.  The
+searches of a ``ForwardState`` share one path, so a study's mBIC and
+mBIC2 searches sweep the model down once between them.
 
 Refinement scores subsets of the selected model with ``_kernels.best_subset``,
 which walks them depth first and skips each subtree whose exact lower bound
@@ -320,47 +330,112 @@ def _best_drop(ws: FitWorkspace, ev: _CriterionEval) -> tuple[float, int] | None
 SWEEP_LOSS = 1e-6
 
 
-def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
-              stage: str = "backward") -> ModelSpec:
-    """Backward elimination by sweep downdates of S = (X'X)^-1.
+class _BackwardPath:
+    """Backward elimination order of one workspace, shared by every criterion.
+
+    At a fixed model size each criterion strictly increases with the RSS
+    (n ln RSS + pen(q), or RSS / sigma^2 + pen(q)), so every criterion drops
+    the SNP of smallest drop RSS, and only where its walk stops depends on
+    its penalty.  ``steps`` lists (SNP dropped, RSS after) in drop order;
+    ``extend`` appends one step, so the path is only as long as the furthest
+    walk has asked.  In log mode, drop RSS at or below the floor of the
+    criterion evaluator rank alike, as the floored criterion values them;
+    equal ones drop the largest SNP index, which leaves the
+    lexicographically smallest model.  One path serves every criterion
+    valued in the same mode over the workspace's trait.
 
     Dropping column k leaves S - S[:, k] S[k, :] / S_kk and
     beta - S[:, k] beta_k / S_kk over the remaining columns (the sweep
-    operator: Goodnight, Am. Stat. 1979).  The sweep runs in place on the
-    full S and beta; ``pos`` holds the workspace positions of the SNPs still
-    live, and only those entries are read.  S is inverted afresh from the
-    survivors whenever a downdate leaves a live diagonal that is not
-    positive or has lost most of its digits to cancellation.  The workspace
-    is rebuilt once, from the survivors in insertion order.
+    operator: Goodnight, Am. Stat. 1979).  The sweep runs in place, and only
+    the entries of the live positions are read; once a quarter of S's
+    positions are dead, S and beta are cut down to the live ones, which
+    leaves the arithmetic on every live entry as it was.  S is inverted
+    afresh from the survivors whenever a sweep leaves a live diagonal that
+    is not positive or has lost most of its digits to cancellation; that
+    rebuild runs on a private copy of the workspace, which the path
+    otherwise never changes.
     """
-    live = list(ws.snps)
-    pos = np.arange(ws.m - len(live), ws.m)
-    cur_val = ev.value(ws.rss, len(live))
-    S, beta = ws.inverse_gram()
-    rss = ws.rss
-    ref = S.diagonal().copy()
-    while live:
-        drops = _drop_rss(rss, S, beta, pos)
-        val, i = _pick_drop(drops, np.asarray(live, dtype=np.int64), ev)
-        if val >= cur_val:
-            break
-        k = pos[i]
+
+    def __init__(self, ws: FitWorkspace, ev: _CriterionEval):
+        self.steps: list[tuple[int, float]] = []
+        self._ws = ws
+        self._own: FitWorkspace | None = None  # the copy rebuilt when S lost its digits
+        self._floor = ev.floor if ev.log_mode else -math.inf
+        self._pick = -1  # live position of the last step, swept on the next extend
+        self._invert(ws)
+
+    def _invert(self, ws: FitWorkspace) -> None:
+        self._S, self._beta = ws.inverse_gram()
+        self._rss = ws.rss
+        self._buf = np.empty_like(self._S)
+        self._loss = SWEEP_LOSS * self._S.diagonal()
+        self._pos = np.arange(ws.m - len(ws.snps), ws.m)  # live positions in S
+        self._neg = -np.asarray(ws.snps, dtype=np.int64)  # live SNPs, negated for the ties
+
+    def extend(self) -> bool:
+        """Append the next drop to ``steps``; False when no SNP is left."""
+        if self._pick >= 0:
+            self._sweep()
+        if not self._pos.size:
+            return False
+        drops = _drop_rss(self._rss, self._S, self._beta, self._pos)
+        i = _first_min(drops, self._neg)
+        if drops[i] <= self._floor:
+            i = _first_min(np.maximum(drops, self._floor), self._neg)
+        self._pick = i
+        self.steps.append((-int(self._neg[i]), float(drops[i])))
+        return True
+
+    def _sweep(self) -> None:
+        S, beta = self._S, self._beta
+        k = self._pos[self._pick]
         col = S[:, k] / S[k, k]
         beta -= col * beta[k]
-        S -= col[:, None] * S[k]
-        pos = pos[pos != k]
-        rss = float(drops[i])
-        j = live.pop(i)
+        S -= np.multiply(col[:, None], S[k], out=self._buf)
+        live = self._pos != k
+        pos = self._pos = self._pos[live]
+        self._neg = self._neg[live]
+        self._rss = self.steps[-1][1]
+        self._pick = -1
+        if not (S.diagonal()[pos] > self._loss[pos]).all():
+            if self._own is None:
+                self._own = self._ws.copy()
+            self._own.rebuild((-self._neg).tolist())
+            self._invert(self._own)
+        elif 4 * pos.size <= 3 * S.shape[0]:
+            self._S, self._beta, self._loss = S[np.ix_(pos, pos)], beta[pos], self._loss[pos]
+            self._buf = np.empty_like(self._S)
+            self._pos = np.arange(pos.size)
+
+
+def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
+              stage: str = "backward", path: _BackwardPath | None = None) -> ModelSpec:
+    """Backward elimination: ``path`` cut at its first step that does not
+    lower the criterion.
+
+    ``path`` is a ``_BackwardPath`` of a workspace in the state of ``ws``,
+    built with an evaluator of ``ev``'s mode and shared by the searches that
+    start there; one is built from ``ws`` when not given.  The criterion is
+    evaluated at each step's drop only.  The workspace is rebuilt once, from
+    the survivors in insertion order.
+    """
+    if path is None:
+        path = _BackwardPath(ws, ev)
+    q = len(ws.snps)
+    cur_val = ev.value(ws.rss, q)
+    rss = np.empty(1)
+    cut = 0
+    while cut < len(path.steps) or path.extend():
+        j, rss[0] = path.steps[cut]
+        val = float(ev.value_array(rss, q - cut - 1)[0])
+        if val >= cur_val:
+            break
+        cut += 1
         cur_val = val
-        trace.append(stage, "drop", j, cur_val, len(live))
-        if not np.all(S.diagonal()[pos] > SWEEP_LOSS * ref[pos]):
-            ws.rebuild(live)
-            S, beta = ws.inverse_gram()
-            rss = ws.rss
-            pos = np.arange(ws.m - len(live), ws.m)
-            ref = S.diagonal().copy()
-    if len(live) < len(ws.snps):
-        ws.rebuild(live)
+        trace.append(stage, "drop", j, cur_val, q - cut)
+    if cut:
+        dropped = {j for j, _ in path.steps[:cut]}
+        ws.rebuild([j for j in ws.snps if j not in dropped])
     return ws.model()
 
 
@@ -526,7 +601,9 @@ class ForwardState:
     ``max_forward_size``.  Searches that agree on those can start from one
     state: each runs on its own copy of the workspace, and the screened
     candidates, their n x C column block and its squared column norms are
-    shared read-only.
+    shared read-only.  So is the backward path from the forward model
+    (``backward_path``), which each search cuts where its criterion stops
+    falling.
     """
 
     dataset: Dataset
@@ -537,6 +614,15 @@ class ForwardState:
     cols: np.ndarray
     norm2: np.ndarray
     records: tuple[TraceRecord, ...]
+    _paths: dict[bool, _BackwardPath] = field(default_factory=dict, repr=False, compare=False)
+
+    def backward_path(self, ev: _CriterionEval) -> _BackwardPath:
+        """The backward path from the forward model for criteria valued in
+        the mode of ``ev`` (log or sigma known): built on first use and
+        extended by every search that walks it."""
+        if ev.log_mode not in self._paths:
+            self._paths[ev.log_mode] = _BackwardPath(self.ws, ev)
+        return self._paths[ev.log_mode]
 
 
 def forward_stage(dataset: Dataset, config: SearchConfig,
@@ -592,7 +678,7 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
     trace = SearchTrace(list(state.records))
 
     ev = _CriterionEval(config.criterion, ws.rss_base)
-    _backward(ws, ev, trace)
+    _backward(ws, ev, trace, path=state.backward_path(ev))
     _stepwise(ws, state.candidates, state.cols, state.norm2, ev, trace)
 
     found = ws.model()

@@ -104,9 +104,13 @@ def synthetic_dataset(n_individuals: int, n_snps: int,
 
 
 def simulate_trait(dataset: Dataset, config: SimulationConfig,
-                   replicate_index: int) -> np.ndarray:
-    """One trait draw y = X beta + noise (zero intercept)."""
-    g = genetic_component(dataset, config)
+                   replicate_index: int, *, _g: np.ndarray | None = None) -> np.ndarray:
+    """One trait draw y = X beta + noise (zero intercept).
+
+    ``_g`` is ``genetic_component(dataset, config)`` to use instead of
+    computing it, so that a study computes it once for all its replicates.
+    """
+    g = genetic_component(dataset, config) if _g is None else _g
     rng = rng_stream(config.seed, replicate_index, "trait")
     return g + rng.normal(0.0, config.sigma, size=dataset.n_individuals)
 
@@ -320,12 +324,13 @@ def run_study(dataset: Dataset, config: SimulationConfig,
     All methods see identical traits per replicate and share the
     single-marker scan, which reads ``dataset.float_values``: the study
     builds that n x p float64 copy, the only library call that does.  The
-    causal block is centred once per study, and the
-    |R| of each method's detections to it once per replicate for all
-    thresholds.  Searches that agree on ``screen_threshold`` and
-    ``max_forward_size`` also share one forward stage per replicate, which
-    does not depend on the criterion.  A replicate with no detections
-    contributes FDR 0.
+    genetic component X beta is computed and the causal block centred once
+    per study, and the |R| of each method's detections to that block once
+    per replicate for all thresholds.  Searches that agree on
+    ``screen_threshold`` and ``max_forward_size`` also share one forward
+    stage per replicate, which does not depend on the criterion, and the
+    backward path from it.  A replicate with no detections contributes
+    FDR 0.
     """
     names = [m.kind for m in methods]
     if len(set(names)) != len(names):
@@ -341,8 +346,9 @@ def run_study(dataset: Dataset, config: SimulationConfig,
     searches = {m.kind: m.search_config(dataset) for m in methods if m.kind in ("mbic", "mbic2")}
     forward_users = Counter((c.screen_threshold, c.max_forward_size) for c in searches.values())
 
+    g = genetic_component(dataset, config)
     for rep in range(config.n_replicates):
-        y = simulate_trait(dataset, config, rep)
+        y = simulate_trait(dataset, config, rep, _g=g)
         ds_rep = dataset.with_trait(y)
         scan = engine.scan(y)
         shared = {}  # forward stages of this replicate used by more than one search

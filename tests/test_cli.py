@@ -130,6 +130,29 @@ def test_non_finite_trait_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "select"])
+def test_trait_whose_sum_of_squares_overflows_exits_1(tmp_path, capsys, command):
+    # at 1e200 the scan gave F = inf and p = 0 for every SNP, and select
+    # ended in numpy's "argmin of an empty sequence"
+    ds = synthetic_dataset(30, 8, seed=1)
+    g = tmp_path / "geno.txt"
+    g.write_text("".join("\t".join(map(str, row)) + "\n" for row in ds.genotypes.values))
+    y = ds.genotypes.values[:, 1] + np.random.default_rng(2).normal(size=30)
+    for scale in (1.0, 1e200):
+        t = tmp_path / f"trait_{scale:g}.txt"
+        t.write_text("".join(f"{float(v)!r}\n" for v in scale * y))
+        out = tmp_path / f"out_{scale:g}"
+        code = main([command, "--genotypes", str(g), "--trait", str(t), "--out", str(out)])
+        err = capsys.readouterr().err
+        if scale == 1.0:
+            assert code == 0 and err == ""
+            continue
+        assert code == 1
+        assert err.startswith(f"gwasel: error: {t}: ") and "not finite" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
+
 def write_named_fixture(tmp_path, ids, n=40, seed=5):
     """A genotype file with a header of ``ids`` and a trait file."""
     g, t = write_fixture(tmp_path, n=n, p=len(ids), seed=seed)

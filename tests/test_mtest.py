@@ -21,7 +21,7 @@ from gwasel.mtest import (
     scan_to_tsv,
     single_marker_scan,
 )
-from gwasel.regress import ModelSpec, fit
+from gwasel.regress import FitWorkspace, ModelSpec, fit
 from gwasel.simulate import synthetic_dataset
 
 from conftest import dataset_from_values, random_genotypes
@@ -51,6 +51,28 @@ def test_perfect_predictor_gets_minimum_p():
     scan = single_marker_scan(ds)
     assert scan.order[0] == 4
     assert scan.p_values[4] == 0.0
+
+
+def overflowing_trait():
+    """A 30 x 8 panel and the trait x1 + N(0, 1) scaled by 1e200, whose
+    centred sum of squares overflows float64."""
+    ds = synthetic_dataset(30, 8, seed=1)
+    y = ds.genotypes.values[:, 1] + np.random.default_rng(2).normal(size=30)
+    return ds, 1e200 * y
+
+
+def test_scan_and_workspace_refuse_a_trait_whose_sum_of_squares_overflows():
+    ds, y = overflowing_trait()
+    engine = ScanEngine(ds)
+    with pytest.raises(ValueError, match="sum of squares is not finite"):
+        engine.scan(y)
+    with pytest.raises(ValueError, match="sum of squares is not finite"):
+        FitWorkspace(ds.with_trait(y))
+    # 1e150 squared and summed stays finite: scanned as at unit scale
+    small = engine.scan(y * 1e-50)
+    unit = engine.scan(y * 1e-200)
+    assert np.array_equal(small.order, unit.order)
+    np.testing.assert_allclose(small.p_values, unit.p_values, rtol=1e-9)
 
 
 def test_scan_null_uniform():

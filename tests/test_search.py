@@ -17,6 +17,7 @@ from gwasel.regress import FitWorkspace, ModelSpec, _gate, fit, workspace_for
 import gwasel.search
 from gwasel.search import (
     REPROJECT_BELOW,
+    ForwardState,
     SearchConfig,
     SearchTrace,
     _backward,
@@ -579,6 +580,133 @@ def test_first_min_picks_as_the_lexsort_on_tied_values(data):
     assert _first_min(vals, keys) == int(np.lexsort((keys, vals))[0])
 
 
+def saturated_design(seed, n_forced, exact):
+    """Genotypes with as many columns as individuals, a duplicated column and
+    a column one entry away from another, and a column order that fills
+    the model to the search's size cap.  With ``exact`` the trait is
+    x0 + x1 exactly, so every model holding both fits it to rounding and
+    its drop RSS fall below the log criteria's floor."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 25))
+    values = random_genotypes(rng, n, n)
+    values[:, 7] = values[:, 3]
+    values[:, 8] = values[:, 4]
+    values[0, 8] = (values[0, 4] + 2) % 3 - 1
+    cov = rng.normal(size=(n, 2))
+    x = values.astype(np.float64)
+    y = x[:, 0] + x[:, 1] if exact else x[:, :3] @ rng.normal(0.0, 0.5, size=3) + rng.normal(size=n)
+    order = [0, 1, *(int(j) for j in rng.permutation(np.arange(2, n)))]
+    order = order[: n - n_forced - 2]  # the search's cap, _max_snps
+    return dataset_from_values(values, trait=y, covariates=cov), tuple(range(n_forced)), order
+
+
+def state_of(ds, forced, order):
+    """A ForwardState whose forward model holds ``order`` (collinear columns
+    skipped), as the default SearchConfig would start from it."""
+    ws = filled_workspace(ds, forced, order)
+    idx = np.asarray(order, dtype=np.int64)
+    cols = ds.columns(idx)
+    return ForwardState(ds, 0.15, 140, ws, idx, cols, np.einsum("ij,ij->j", cols, cols), ())
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.sampled_from(["near", "noise", "exact"]),
+       st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_shared_backward_path_cut_per_criterion_is_each_own_elimination(seed, n_forced, design,
+                                                                        log_mode, random):
+    # an exact fit with sigma known is the tie of the next test but one
+    assume(log_mode or design != "exact")
+    if design == "near":
+        ds, forced, order = design_with_near_collinearity(seed, n_forced, 1e-5)
+    else:
+        ds, forced, order = saturated_design(seed, n_forced, design == "exact")
+    state = state_of(ds, forced, order)
+    before = state_arrays(state)
+    n = ds.n_individuals
+    crits = [CriterionConfig(kind, n=n, p_effective=p_eff, kappa=0.5,
+                             sigma=None if log_mode else sigma)
+             for kind in ("bic", "mbic", "mbic2", "ebic") for p_eff in (60, 5000)
+             for sigma in (0.8, 1.0)]
+    random.shuffle(crits)  # whichever walk comes first extends the path
+    walks = []
+    for crit in crits:
+        ev = _CriterionEval(crit, state.ws.rss_base)
+        runs = []
+        for backward in (_backward, backward_by_deletes):
+            ws = state.ws.copy()
+            trace = SearchTrace()
+            kw = {"path": state.backward_path(ev)} if backward is _backward else {}
+            model = backward(ws, ev, trace, **kw)
+            runs.append((model, ws.snps, ws.rss, trace.records))
+        assert runs[0] == runs[1]  # record for record, to the last bit
+        walks.append(len(runs[0][3]))
+    path = state.backward_path(ev)
+    # as far as the longest walk read: its drops and the step that stopped it
+    assert len(path.steps) == min(max(walks) + 1, len(state.ws.snps))
+    for got, want in zip(state_arrays(state), before):
+        assert np.array_equal(got, want)
+
+
+def test_saturated_exact_design_ranks_drops_at_the_floor():
+    # the trait is x0 + x1: every further drop leaves an RSS of rounding
+    # size, below the floor, where the log criteria value all drops alike
+    # and the largest SNP index goes first
+    ds, forced, order = saturated_design(5, 0, exact=True)
+    state = state_of(ds, forced, order)
+    crit = CriterionConfig("mbic", n=ds.n_individuals, p_effective=5000)
+    ev = _CriterionEval(crit, state.ws.rss_base)
+    trace = SearchTrace()
+    model = _backward(state.ws.copy(), ev, trace, path=state.backward_path(ev))
+    assert model.snp_indices == (0, 1)
+    floored = [r.snp for r in trace.records[:-1]]  # the last drop leaves x0 or x1 alone
+    assert len(floored) >= 2 and floored == sorted(floored, reverse=True)
+
+
+def test_exact_fit_with_sigma_known_ties_every_drop():
+    # With sigma known there is no floor: the drop RSS of rounding size are
+    # absorbed by the penalty, so every drop takes one criterion value.
+    # Elimination by criterion value then drops the largest SNP index, the
+    # path the smallest RSS; both end at the same model and RSS.
+    ds, forced, order = saturated_design(5, 0, exact=True)
+    state = state_of(ds, forced, order)
+    crit = CriterionConfig("mbic", n=ds.n_individuals, p_effective=5000, sigma=1.0)
+    ev = _CriterionEval(crit, state.ws.rss_base)
+    runs = []
+    for backward in (_backward, backward_by_deletes):
+        ws = state.ws.copy()
+        trace = SearchTrace()
+        runs.append((backward(ws, ev, trace), ws.rss, [r.snp for r in trace.records]))
+    (model, rss, drops), (model_o, rss_o, drops_o) = runs
+    assert (model, rss) == (model_o, rss_o)
+    assert drops != drops_o and sorted(drops) == sorted(drops_o)
+    assert drops_o[:-1] == sorted(drops_o[:-1], reverse=True)
+
+
+@pytest.mark.parametrize("log_mode", [True, False])
+def test_path_reinverts_on_a_private_copy(log_mode):
+    # x0 and x1 each sit within 1e-7 of the span of the other and the forced
+    # x0 + x1 + noise, so dropping one cancels the other's pivot and the
+    # path re-inverts S from a rebuilt copy of the forward workspace
+    ds, forced, _ = design_with_near_collinearity(3, 1, 1e-7)
+    state = state_of(ds, forced, [0, 1, 6, 7, 8, 9])
+    before = state_arrays(state)
+    outs = {}
+    for kind in ("mbic", "mbic2", "mbic"):
+        crit = CriterionConfig(kind, n=ds.n_individuals, p_effective=5000,
+                               sigma=None if log_mode else 1.0)
+        ev = _CriterionEval(crit, state.ws.rss_base)
+        ws = state.ws.copy()
+        trace = SearchTrace()
+        model = backward_by_deletes(ws, ev, trace)
+        out = select_model(ds, SearchConfig(criterion=crit), _state=state)
+        assert out[2].accepted("backward") == trace.accepted("backward")
+        assert out[0] == outs.setdefault(kind, out[0])
+        assert model.snp_indices != (0, 1, 6, 7, 8, 9)
+    assert state.backward_path(ev)._own is not None  # the guard tripped
+    for got, want in zip(state_arrays(state), before):
+        assert np.array_equal(got, want)
+
+
 def test_stepwise_trace_strictly_decreases():
     ds = synthetic_dataset(150, 40, seed=10)
     sim = SimulationConfig((5, 20), (0.8, 1.0), sigma=1.0, seed=11)
@@ -1073,6 +1201,23 @@ def test_forward_state_of_another_dataset_or_screen_is_refused():
         select_model(dsy, mbic2, _state=state)
 
 
+@pytest.mark.parametrize("order", [("mbic", "mbic2"), ("mbic2", "mbic")])
+def test_searches_sharing_a_backward_path_in_either_order_match_fresh_selects(order):
+    ds, sim, methods = small_study((0.15, 0.15))
+    cfgs = {m.kind: m.search for m in methods[2:]}
+    for rep in range(sim.n_replicates):
+        dsy = ds.with_trait(simulate_trait(ds, sim, rep))
+        scan = single_marker_scan(dsy)
+        state = forward_stage(dsy, cfgs["mbic"], scan)
+        for kind in order:
+            model, result, trace = select_model(dsy, cfgs[kind], scan=scan, _state=state)
+            own_model, own_result, own_trace = select_model(dsy, cfgs[kind], scan=scan)
+            assert model == own_model
+            assert trace.records == own_trace.records
+            assert result.rss == own_result.rss
+        assert len(state._paths) == 1  # both log-mode criteria walk one path
+
+
 # ---------------------------------------------------------------------------
 # the desk design of ROADMAP.md: pinned traces and the stepwise branches
 # ---------------------------------------------------------------------------
@@ -1119,6 +1264,24 @@ def test_desk_trace_structure_is_pinned(desk):
             stepwise.update(r.action for r in trace.records if r.stage == "stepwise")
     assert stepwise["add"] and stepwise["drop"]
     assert digest.hexdigest() == DESK_TRACE_DIGEST
+
+
+def test_desk_searches_sweep_the_forward_model_down_once(desk):
+    # the path is as long as the longer walk of the two, not their sum:
+    # each walk reads its drops and the step that stops it
+    cfgs = desk[3]
+    for rep in range(3):
+        dsy, scan = desk_replicate(desk, rep)
+        walks = {}
+        shared = forward_stage(dsy, cfgs["mbic"], scan)
+        for kind, cfg in cfgs.items():
+            own = forward_stage(dsy, cfg, scan)
+            _, _, trace = select_model(dsy, cfg, scan=scan, _state=own)
+            walks[kind] = len(own._paths.popitem()[1].steps)
+            assert walks[kind] == len(trace.accepted("backward")) + 1
+            select_model(dsy, cfg, scan=scan, _state=shared)
+        steps = len(shared._paths.popitem()[1].steps)
+        assert steps == max(walks.values()) < sum(walks.values())
 
 
 # sha256 of (stage, action, snp, model_size) of every record and the model of

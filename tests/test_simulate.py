@@ -193,6 +193,24 @@ def test_run_study_builds_the_float_copy_once(monkeypatch, causal):
     assert len(builds) == 1 and builds[0] is ds
 
 
+def test_run_study_computes_the_genetic_component_once(monkeypatch):
+    import gwasel.simulate as simulate
+
+    ds = synthetic_dataset(80, 30, seed=5)
+    cfg = SimulationConfig((2, 9), (0.8, -0.6), n_replicates=3, seed=6)
+    calls, traits = [], []
+    component, trait = simulate.genetic_component, simulate.simulate_trait
+    monkeypatch.setattr(simulate, "genetic_component",
+                        lambda *a: calls.append(a) or component(*a))
+    monkeypatch.setattr(simulate, "simulate_trait",
+                        lambda *a, **kw: traits.append(trait(*a, **kw)) or traits[-1])
+    run_study(ds, cfg, [MethodSpec("bonferroni"), MethodSpec("mbic")])
+    monkeypatch.undo()
+    assert len(calls) == 1 and len(traits) == 3
+    for rep, y in enumerate(traits):  # the traits each replicate draws alone
+        assert np.array_equal(y, simulate_trait(ds, cfg, rep))
+
+
 def test_repeated_thresholds_are_refused():
     # a repeated |R| threshold would count each hit once per repeat: power 2.0
     with pytest.raises(ValueError, match="thresholds must not repeat"):
