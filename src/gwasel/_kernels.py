@@ -10,11 +10,14 @@ The per-column and per-subset kernels these replaced,
 ``_impute_fill_numpy``, ``_leader_cluster_numpy`` and
 ``_best_subset_numpy``, run only in the tests: they live in
 ``tests/oracles.py``, and ``tests/test_kernels.py`` checks each kernel
-against its reference.  ``impute_fill`` gives the same integers as its
-reference on every input.  ``leader_cluster`` does too, except where a
-correlation lies within rounding (~1e-12) of the threshold: a matrix
-product and a matrix-vector product may round it to opposite sides.
-``best_subset`` scores each subset its reference scores, less those in
+against its reference.  ``impute_fill`` and ``leader_cluster`` give the
+same integers as their references on every input.  Both take their sums of
+-1/0/1 code products from float32 matrix products, which are exact in any
+order for fewer than 2**24 individuals; both refuse more with a
+``ValueError``.  ``leader_cluster`` then tests |r| > c on integers that
+float64 holds exactly for fewer than ~9,000 individuals (n**4 < 2**53), so
+only c**2 times the variance product is rounded, the same way in the
+kernel and its reference.  ``best_subset`` scores each subset its reference scores, less those in
 subtrees its bound rules out, and, when the minimum lies at or below the
 value it is asked to beat, finds the same subset unless two subsets span
 the same column space (duplicated or linearly dependent columns):
@@ -28,11 +31,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from gwasel.errors import BudgetError
 
 _IMPUTE_CHUNK = 64  # target columns whose window sums share one product
 _CLUSTER_BLOCK = 128  # columns correlated per product in leader clustering
+_EXACT_ROWS = 1 << 24  # float32 holds every integer below 2**24 exactly
+
+
+def _check_rows(n):
+    if n >= _EXACT_ROWS:
+        raise ValueError(f"{n} individuals: the genotype kernels sum codes exactly "
+                         f"only for fewer than {_EXACT_ROWS}")
+
 
 # ---------------------------------------------------------------------------
 # imputation
@@ -48,21 +60,23 @@ def impute_fill(values, observed, window, n_predictors):
     """
     # Same imputations as _impute_fill_numpy.  The pairwise-complete sums of
     # up to _IMPUTE_CHUNK target columns t against the columns c of the span
-    # of their windows come from one matrix product, sxy = Y'X, with Y and
-    # X zero at missing calls, and from corrections over missing calls only:
-    # sx and sxx are the span's column sums of x and x*x less their sums over
-    # t's missing rows, n_ok = n_obs(t) - n_miss(c) + |miss(t) & miss(c)|,
-    # and sy, syy are t's totals less Y'M and (Y*Y)'M, where M flags the
-    # missing calls of the span columns that have one.  Every sum is an
-    # integer, exact in float64 in any order, so the correlations are
-    # bit-identical.  Each column's window is ranked once, only as far as
-    # any row can reach; a missing row's predictors are the first
-    # n_predictors of that ranking it has observed, and the rows that share
-    # a predictor set are voted on together.
+    # of their windows come from float32 products of codes zeroed at missing
+    # calls (X, and Y its target columns) and of missing-call flags (M for
+    # the span columns that have one, G for the targets' rows): sxy = Y'X,
+    # sx and sxx are the span's column sums of x and x*x less G'X and
+    # G'(X*X), n_ok = n_obs(t) - n_miss(c) + G'M, and sy, syy are t's totals
+    # less Y'M and (Y*Y)'M.  Every sum is an integer below 2**24, exact in float32 in
+    # any order, so the correlations are bit-identical.  Each target's
+    # window is ranked only as far as any row can reach, all targets of a
+    # chunk at once; a missing row's predictors are the first n_predictors
+    # of that ranking it has observed, and the rows that share a predictor
+    # set are voted on together.
     n, p = values.shape
+    _check_rows(n)
     out = values.copy()
     n_obs = observed.sum(axis=0)
-    targets = np.nonzero(n_obs < n)[0]
+    complete = n_obs == n
+    targets = np.flatnonzero(~complete)
     empty = targets[n_obs[targets] == 0]
     bad = int(empty[0]) if empty.size else -1
     if bad >= 0:  # fill up to the first column with nothing to impute from
@@ -74,79 +88,135 @@ def impute_fill(values, observed, window, n_predictors):
         start += cur.size
         s0 = max(0, int(cur[0]) - window)
         s1 = min(p, int(cur[-1]) + window + 1)
-        obs_span = observed[:, s0:s1]
-        x = (values[:, s0:s1] * obs_span).astype(np.float64)
-        y = (values[:, cur] * observed[:, cur]).T.astype(np.float64)
-        sxy = y @ x
-        sum_x = x.sum(axis=0)
-        sum_xx = np.einsum("ij,ij->j", x, x)
-        n_miss = n - n_obs[s0:s1]
-        sy = np.repeat(y.sum(axis=1)[:, None], s1 - s0, axis=1)
-        syy = np.repeat(np.einsum("ij,ij->i", y, y)[:, None], s1 - s0, axis=1)
-        holed = np.nonzero(n_miss)[0]  # span columns with a missing call
-        by_miss = np.vstack([y, y * y]) @ (~obs_span[:, holed]).astype(np.float64)
-        sy[:, holed] -= by_miss[:cur.size]
-        syy[:, holed] -= by_miss[cur.size:]
-        for t, j in enumerate(cur.tolist()):
-            lo, hi = max(0, j - window), min(p - 1, j + window)
-            w = slice(lo - s0, hi + 1 - s0)
-            rows = np.nonzero(~observed[:, j])[0]
-            x_miss = x[rows, w]
-            n_ok = n_obs[j] - n_miss[w] + (~obs_span[rows, w]).sum(axis=0)
-            sx = sum_x[w] - x_miss.sum(axis=0)
-            sxx = sum_xx[w] - np.einsum("ij,ij->j", x_miss, x_miss)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                vx = sxx - sx * sx / n_ok
-                vy = syy[t, w] - sy[t, w] * sy[t, w] / n_ok
-                cors = (sxy[t, w] - sx * sy[t, w] / n_ok) / np.sqrt(vx * vy)
-            cols = np.arange(lo, hi + 1)
-            defined = (n_ok >= 2) & (vx > 0.0) & (vy > 0.0) & np.isfinite(cors) & (cols != j)
-            pool = cols[defined]
-            strength = np.abs(cors[defined])
-            # every row observes the complete columns, so its predictors lie
-            # at or before the n_predictors-th of them in the ranking, and
-            # only columns with |corr| at or above that one's need ranking
-            full = n_obs[pool] == n
-            if np.count_nonzero(full) >= n_predictors:
-                cut = -np.partition(-strength[full], n_predictors - 1)[n_predictors - 1]
-                near = strength >= cut
-                pool, strength = pool[near], strength[near]
-            # by |corr| desc, then file distance asc, then index
-            ranked = pool[np.lexsort((pool, np.abs(pool - j), -strength))]
-            complete = np.flatnonzero(n_obs[ranked] == n)
-            if complete.size >= n_predictors:
-                ranked = ranked[:complete[n_predictors - 1] + 1]
-            _impute_column(out, values, observed, j, rows, ranked, n_predictors)
+        x = (values[:, s0:s1] * observed[:, s0:s1]).astype(np.float32)
+        xx = np.abs(x)  # x * x for -1/0/1 codes
+        holed = np.flatnonzero(~complete[s0:s1])  # span columns with a missing call
+        m = (~observed[:, s0 + holed]).astype(np.float32)
+        y = x[:, cur - s0]
+        cells = np.nonzero(~observed[:, cur].T)  # (target, row) of each missing call
+        # G flags each target's missing rows; a last row of ones takes the totals
+        g = sparse.csr_matrix((np.ones(cells[0].size + n, np.float32),
+                               (np.r_[cells[0], np.full(n, cur.size)],
+                                np.r_[cells[1], np.arange(n)])))
+        sxy = y.T @ x
+        gx, gxx = g @ x, g @ xx
+        sx = np.subtract(gx[-1], gx[:-1], dtype=np.float64)
+        sxx = gxx[-1] - gxx[:-1]
+        # a complete column's pairs miss just the target's missing rows, so
+        # n_ok, sy and syy are the target's own; the holed columns' (the
+        # targets among them) are less their sums over their missing rows
+        n_ok = n_obs[cur][:, None].astype(np.float64)
+        sy = y.sum(axis=0, dtype=np.float64)[:, None]
+        syy = (y * y).sum(axis=0, dtype=np.float64)[:, None]
+        by_miss = np.hstack([y, y * y]).T @ m
+        del x, xx, y  # free the n x span blocks before the k x span float64 work
+        cors, defined = _correlations(sxy, sx, sxx, sy, syy, n_ok)
+        h = np.s_[:, holed]
+        cors[h], defined[h] = _correlations(sxy[h], sx[h], sxx[h], sy - by_miss[:cur.size],
+                                            syy - by_miss[cur.size:],
+                                            n_ok - (n - n_obs[s0 + holed]) + (g @ m)[:-1])
+        dist = np.abs(np.arange(s0, s1) - cur[:, None])
+        defined &= (dist <= window) & (dist > 0)
+        strength = np.where(defined, np.abs(cors), -1.0)
+        # every row observes the complete columns, so its predictors lie at
+        # or before the n_predictors-th of them in the ranking, and only
+        # columns with |corr| at or above that one's need ranking; a target
+        # with fewer defined complete columns cuts at -1, below them all
+        full = strength[:, complete[s0:s1]]
+        if full.shape[1] >= n_predictors:
+            rank = full.shape[1] - n_predictors
+            cut = np.partition(full, rank, axis=1)[:, rank]
+            defined &= strength >= cut[:, None]
+        t, c = np.nonzero(defined)
+        # by target, then |corr| desc, file distance asc, index
+        order = np.lexsort((c, dist[t, c], -strength[t, c], t))
+        t, c = t[order], c[order] + s0
+        # each ranking ends at its n_predictors-th complete column
+        whole = complete[c]
+        before = np.cumsum(whole) - whole
+        reach = before - before[np.searchsorted(t, t)] < n_predictors
+        _vote(out, values, observed, cur, cells, (t[reach], c[reach]), n_predictors)
     return out, bad
 
 
-def _impute_column(out, values, observed, j, rows, ranked, n_predictors):
-    obs_j = observed[:, j]
-    codes = values[obs_j, j].astype(np.int64) + 1
-    majority = int(np.argmax(np.bincount(codes, minlength=3))) - 1  # smaller code on ties
-    avail = observed[np.ix_(rows, ranked)]
-    take = avail & (np.cumsum(avail, axis=1) <= n_predictors)
-    groups: dict[bytes, list[int]] = {}
-    for r, row in enumerate(np.packbits(take, axis=1)):
-        groups.setdefault(row.tobytes(), []).append(r)
-    for members in groups.values():
-        preds = ranked[take[members[0]]]
-        members = rows[members]
-        if preds.size == 0:
-            out[members, j] = majority
-            continue
-        # rows keyed by their predictor codes, 3 where missing: sorted, a
-        # row opens a new key where its codes differ from the row before
-        digits = np.where(observed[:, preds], values[:, preds], 3)
-        order = np.lexsort(digits.T)
-        sorted_digits = digits[order]
-        opens = np.ones(digits.shape[0], np.int64)
-        opens[1:] = (sorted_digits[1:] != sorted_digits[:-1]).any(axis=1)
-        key = np.empty_like(opens)
-        key[order] = np.cumsum(opens) - 1
-        counts = np.bincount(key[obs_j] * 3 + codes, minlength=3 * (key.max() + 1))
-        counts = counts.reshape(-1, 3)[key[members]]
-        out[members, j] = np.where(counts.any(axis=1), counts.argmax(axis=1) - 1, majority)
+def _correlations(sxy, sx, sxx, sy, syy, n_ok):
+    """Pairwise-complete correlations of exact integer sums, and where they are defined."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vx = sxx - sx * sx / n_ok
+        vy = syy - sy * sy / n_ok
+        cors = (sxy - sx * sy / n_ok) / np.sqrt(vx * vy)
+    return cors, (n_ok >= 2) & (vx > 0.0) & (vy > 0.0) & np.isfinite(cors)
+
+
+def _vote(out, values, observed, cur, cells, ranking, n_predictors):
+    """Impute the missing ``cells`` (target, row) of the targets ``cur``.
+
+    ``ranking`` holds (target, column) pairs, by target and in rank order.
+    """
+    tc, rc = cells
+    rt, col = ranking
+    bounds = np.searchsorted(rt, np.arange(cur.size + 1))
+    # each cell's ranking, flat; its predictors are the first n_predictors
+    # columns its row has observed
+    per = (bounds[1:] - bounds[:-1])[tc]
+    start = np.cumsum(per) - per
+    cell = np.repeat(np.arange(tc.size), per)
+    col = col[np.arange(cell.size) - start[cell] + bounds[tc][cell]]
+    avail = observed[rc[cell], col]
+    slot = np.cumsum(avail)
+    slot -= np.concatenate([[0], slot])[start][cell]
+    take = avail & (slot <= n_predictors)
+    preds = np.full((tc.size, int(slot[take].max(initial=0))), -1, np.int64)
+    preds[cell[take], slot[take] - 1] = col[take]
+    # the cells of one target that share a predictor set vote together: the
+    # rows keyed by their codes on it, 3 where missing, pad digits 0; a cell
+    # takes the most frequent target code among the observed rows of its key
+    keys = np.column_stack([tc, preds])
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    opens = np.ones(tc.size, np.bool_)
+    opens[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    member = np.empty(tc.size, np.int64)
+    member[order] = np.cumsum(opens) - 1
+    target, preds = cur[keys[opens, 0]], keys[opens, 1:]
+    digits = np.where(observed[:, preds], values[:, preds] + 1, 3)
+    digits[:, preds < 0] = 0
+    ids = _pair_ids(_row_keys(digits))
+    seen = observed[:, target]
+    codes = values[:, target][seen] + 1
+    counts = np.bincount(ids[seen] * 3 + codes, minlength=3 * int(ids.max()) + 3).reshape(-1, 3)
+    counts = counts[ids[rc, member]]
+    # no observed row shares the key: the column majority, smaller code on ties
+    lost = np.flatnonzero(~counts.any(axis=1))
+    if lost.size:
+        j = cur[tc[lost]]
+        counts[lost] = np.stack([((values[:, j] == v) & observed[:, j]).sum(axis=0)
+                                 for v in (-1, 0, 1)], axis=1)
+    out[rc, cur[tc]] = counts.argmax(axis=1) - 1
+
+
+def _row_keys(digits):
+    """One int64 per row of base-4 ``digits`` (the last axis), equal exactly where the rows are."""
+    key = np.zeros(digits.shape[:-1], np.int64)
+    bits = 0
+    for q in range(digits.shape[-1]):
+        if bits > 60:  # past 31 digits, rank the keys so far
+            key = np.unique(key, return_inverse=True)[1].reshape(key.shape)
+            bits = int(key.max()).bit_length()
+        key = key * 4 + digits[..., q]
+        bits += 2
+    return key
+
+
+def _pair_ids(key):
+    """Ids below ``key.size`` that are equal where the (key, column) pairs are."""
+    g = key.shape[1]
+    if int(key.max()) >= np.iinfo(np.int64).max // g:
+        key = np.unique(key, return_inverse=True)[1].reshape(key.shape)
+    ids = key * g + np.arange(g)
+    if int(ids.max()) >= ids.size:
+        ids = np.unique(ids, return_inverse=True)[1].reshape(ids.shape)
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -154,64 +224,84 @@ def _impute_column(out, values, observed, j, rows, ranked, n_predictors):
 # ---------------------------------------------------------------------------
 
 
-def _normalise(block):
-    x = np.array(block, dtype=np.float64)
-    centered = x - x.mean(axis=0)
-    cnorm = np.sqrt((centered * centered).sum(axis=0))
-    degenerate = cnorm <= 0.0
-    normed = np.where(degenerate[None, :], 0.0, centered / np.where(degenerate, 1.0, cnorm)[None, :])
-    return normed, degenerate
-
-
 def leader_cluster(x, threshold, window):
     """Greedy file-order leader clustering on complete genotype columns.
 
     A column joins the earliest-founded cluster whose representative lies
     within ``window`` file positions and correlates above ``threshold`` in
-    absolute value; otherwise it founds a new cluster.  ``x`` may hold the
-    int8 codes: one block of columns at a time is converted to float64.
+    absolute value; otherwise it founds a new cluster.  ``x`` holds the int8
+    -1/0/1 codes: one block of columns at a time is converted to float32.
     ``threshold`` must be >= 0; zero-variance columns found singletons.
     Returns ``(cluster_id, representatives, degenerate)``.
     """
     # Same clusters as _leader_cluster_numpy, a block of columns at a time.
-    # One matrix product correlates the block with every representative
-    # founded before it and still in reach; representatives are founded in
-    # file order, so the first hit is the earliest-founded.  The columns
-    # without a hit found their clusters in the block's own Gram matrix,
-    # one founder at a time.  Degenerate columns are normalised to zero, so
-    # for threshold >= 0 they neither join nor attract.
+    # With sums sx, sy, sxy and variances vx = n*sxx - sx**2 (sxx counts the
+    # nonzero codes), |r| > c is tested as num**2 > c**2 * vx * vy, where
+    # num = n*sxy - sx*sy; sxy comes from a float32 product, exact for
+    # n < 2**24, and num**2 and vx * vy are exact in float64 for n < ~9,000,
+    # so only c**2 * vx * vy is rounded.  One product correlates the block
+    # with every representative founded before it and still in reach, which
+    # live in a buffer whose start moves past those out of reach;
+    # representatives are founded in file order, so the first hit is the
+    # earliest-founded.  The columns without a hit found their clusters from
+    # the block's own Gram matrix, in file order, each column's joins held
+    # as a bitset.  Degenerate columns have vx = 0 and num = 0, so they
+    # neither join nor attract.
     n, p = x.shape
+    _check_rows(n)
+    sums = np.empty(p)  # sx and vx of each column, filled a block at a time
+    var = np.empty(p)
+    c2 = threshold * threshold
+
+    def hits(gram, a, b):
+        num = np.multiply(gram, n, dtype=np.float64) - np.multiply.outer(sums[a], sums[b])
+        return num * num > c2 * np.multiply.outer(var[a], var[b])
+
     cluster_id = np.empty(p, np.int64)
-    degenerate = np.empty(p, np.bool_)
     reps: list[int] = []
-    near = np.empty(0, np.int64)  # in-reach representatives, ascending
-    near_cols = np.empty((n, 0))
+    cap = 2 * min(p, window + _CLUSTER_BLOCK)
+    buf = np.empty((cap, n), np.float32)  # live representatives' codes, one a row
+    near = np.empty(cap, np.int64)  # their columns, ascending
+    lo = hi = 0  # the live rows are buf[lo:hi]
     for a in range(0, p, _CLUSTER_BLOCK):
         b = min(a + _CLUSTER_BLOCK, p)
-        normed, degenerate[a:b] = _normalise(x[:, a:b])
-        keep = near >= a - window
-        near, near_cols = near[keep], near_cols[:, keep]
+        block = x[:, a:b].astype(np.float32).T
+        sums[a:b] = block.sum(axis=1)
+        var[a:b] = n * np.count_nonzero(block, axis=1) - sums[a:b] * sums[a:b]
+        lo += int(np.searchsorted(near[lo:hi], a - window))
         cols = np.arange(a, b)
         loc = cols - a
-        if near.size:
-            hit = (np.abs(normed.T @ near_cols) > threshold) & (cols[:, None] - near <= window)
+        if hi > lo:
+            hit = hits(block @ buf[lo:hi].T, cols, near[lo:hi])
+            hit &= cols[:, None] - near[lo:hi] <= window
             has = hit.any(axis=1)
-            cluster_id[cols[has]] = cluster_id[near[hit[has].argmax(axis=1)]]
+            cluster_id[cols[has]] = cluster_id[near[lo:hi][hit[has].argmax(axis=1)]]
             loc = loc[~has]
-        sub = normed[:, loc]
-        joins_gram = np.abs(sub.T @ sub) > threshold
-        pending = np.arange(loc.size)
-        founded = []
-        while pending.size:
-            f, rest = pending[0], pending[1:]
-            joins = joins_gram[rest, f] & (loc[rest] - loc[f] <= window)
-            cluster_id[a + loc[f]] = cluster_id[a + loc[rest[joins]]] = len(reps)
-            reps.append(a + int(loc[f]))
-            founded.append(loc[f])
-            pending = rest[~joins]
-        near = np.concatenate([near, a + np.asarray(founded, np.int64)])
-        near_cols = np.hstack([near_cols, normed[:, founded]])
-    return cluster_id, np.asarray(reps, dtype=np.int64), degenerate
+        sub = block[loc]
+        joins = hits(sub @ sub.T, a + loc, a + loc) & (np.abs(loc[:, None] - loc) <= window)
+        size = (loc.size + 7) // 8
+        packed = np.packbits(joins, axis=1, bitorder="little").tobytes()
+        masks = [int.from_bytes(packed[i * size:(i + 1) * size], "little") for i in range(loc.size)]
+        pending, founders, owned = (1 << loc.size) - 1, [], []
+        while pending:
+            f = (pending & -pending).bit_length() - 1
+            mine = masks[f] & pending | 1 << f
+            pending &= ~mine
+            founders.append(f)
+            owned.append(mine.to_bytes(size, "little"))
+        founded = loc[founders]
+        if founders:
+            own = np.unpackbits(np.frombuffer(b"".join(owned), np.uint8).reshape(len(owned), size),
+                                axis=1, count=loc.size, bitorder="little")
+            cluster_id[a + loc] = len(reps) + own.argmax(axis=0)
+            reps.extend((a + founded).tolist())
+        if hi + founded.size > cap:  # move the live rows to the front
+            buf[:hi - lo], near[:hi - lo] = buf[lo:hi], near[lo:hi]
+            lo, hi = 0, hi - lo
+        buf[hi:hi + founded.size] = block[founded]
+        near[hi:hi + founded.size] = a + founded
+        hi += founded.size
+    return cluster_id, np.asarray(reps, dtype=np.int64), var == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ _CODE_TOKENS = {"-1": -1, "0": 0, "1": 1}
 # is one byte other than NUL, space, tab and newline.
 _BLOCK = 1 << 18
 _NUL = 0
-_NEWLINE, _SPACE, _DASH, _DOT, _ONE, _TWO, _THREE, _A, _N = b"\n -.123AN"
+_NEWLINE, _SPACE, _DASH, _DOT, _ZERO, _ONE, _TWO, _THREE, _A, _N = b"\n -.0123AN"
 
 
 @dataclass(frozen=True)
@@ -275,17 +275,22 @@ def _parse_rows(text: bytearray, width: int, codes: np.ndarray, mask: np.ndarray
     if (call[:-1] & (call[1:] | (tail == _NUL))).any():
         return None  # two calls run together, such as 00, -10 or 1NA
     lines = text.translate(None, b"\0 \t")  # one byte per call, rows ended by \n
-    if lines.translate(None, b"\n0123."):
+    u = np.frombuffer(lines, dtype=np.uint8)
+    newline = u == _NEWLINE
+    if not (newline | (u - _ZERO <= _THREE - _ZERO) | (u == _DOT)).all():
         return None  # a -, N or A left over, or a foreign byte
-    breaks = np.flatnonzero(np.frombuffer(lines, dtype=np.uint8) == _NEWLINE)
+    breaks = np.flatnonzero(newline)
     widths = np.diff(breaks, prepend=-1, append=len(lines)) - 1
     widths = widths[widths > 0]  # blank lines hold no calls
     stop = row + widths.size
     if (widths != width).any() or stop > codes.shape[0]:  # ragged, or the file grew
         return None
-    calls = np.frombuffer(lines.translate(None, b"\n"), dtype=np.uint8)
-    np.subtract(calls == _ONE, calls == _TWO, dtype=np.int8, out=codes[row:stop].reshape(-1))
-    np.logical_or(calls == _THREE, calls == _DOT, out=mask[row:stop].reshape(-1))
+    if breaks.size == widths.size and lines.endswith(b"\n"):  # no blank line: read in place
+        calls = u.reshape(widths.size, width + 1)[:, :width]
+    else:
+        calls = np.frombuffer(lines.translate(None, b"\n"), dtype=np.uint8).reshape(-1, width)
+    np.subtract(calls == _ONE, calls == _TWO, dtype=np.int8, out=codes[row:stop])
+    np.logical_or(calls == _THREE, calls == _DOT, out=mask[row:stop])
     return stop
 
 

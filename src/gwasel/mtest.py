@@ -159,7 +159,8 @@ class ScanEngine:
         near = np.flatnonzero((rss1 < REPROJECT_BELOW * rss0) & ~self.degenerate)
         if near.size:
             xt = self.dataset.columns(near)
-            xt -= self.Q0 @ (self.Q0.T @ xt)
+            # not in place: r is then laid out, and r2 summed, as for float_values[:, near]
+            xt = xt - self.Q0 @ (self.Q0.T @ xt)
             r = yt[:, None] - xt * (t[near] / self.s[near])
             r2 = np.einsum("ij,ij->j", r, r)
             rss1[near] = np.where(r2 <= _gate(rss0), 0.0, r2)

@@ -297,12 +297,23 @@ class FitWorkspace:
             self._push(values[:, j], label=j)
             self.snps.append(j)
 
-    def copy(self) -> FitWorkspace:
-        """Independent workspace in the same state; dataset and trait are shared."""
+    def copy(self, snps=None) -> FitWorkspace:
+        """Independent workspace in the same state; dataset and trait are shared.
+
+        With ``snps`` the copy is rebuilt from them, as ``rebuild`` would,
+        and only the intercept and forced columns are copied.
+        """
         new = copy.copy(self)
-        new._Q, new._R, new._qty = self._Q.copy(), self._R.copy(), self._qty.copy()
-        new._r = self._r.copy()
-        new.snps = list(self.snps)
+        if snps is None:
+            new._Q, new._R, new._qty = self._Q.copy(), self._R.copy(), self._qty.copy()
+            new._r = self._r.copy()
+            new.snps = list(self.snps)
+            return new
+        b = self._base
+        new._Q, new._R, new._qty = (np.empty_like(self._Q), np.zeros_like(self._R),
+                                    np.empty_like(self._qty))
+        new._Q[:, :b], new._R[:b, :b], new._qty[:b] = self._Q[:, :b], self._R[:b, :b], self._qty[:b]
+        new.rebuild(snps)
         return new
 
     def rss_if_dropped(self, j: int) -> float:

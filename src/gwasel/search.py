@@ -398,9 +398,11 @@ class _BackwardPath:
         self._rss = self.steps[-1][1]
         self._pick = -1
         if not (S.diagonal()[pos] > self._loss[pos]).all():
+            survivors = (-self._neg).tolist()
             if self._own is None:
-                self._own = self._ws.copy()
-            self._own.rebuild((-self._neg).tolist())
+                self._own = self._ws.copy(survivors)
+            else:
+                self._own.rebuild(survivors)
             self._invert(self._own)
         elif 4 * pos.size <= 3 * S.shape[0]:
             self._S, self._beta, self._loss = S[np.ix_(pos, pos)], beta[pos], self._loss[pos]
@@ -410,14 +412,23 @@ class _BackwardPath:
 
 def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
               stage: str = "backward", path: _BackwardPath | None = None) -> ModelSpec:
+    """``_backward_cut`` with ``ws`` rebuilt from the survivors."""
+    survivors = _backward_cut(ws, ev, trace, stage, path)
+    if survivors is not None:
+        ws.rebuild(survivors)
+    return ws.model()
+
+
+def _backward_cut(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
+                  stage: str = "backward", path: _BackwardPath | None = None) -> list[int] | None:
     """Backward elimination: ``path`` cut at its first step that does not
     lower the criterion.
 
     ``path`` is a ``_BackwardPath`` of a workspace in the state of ``ws``,
     built with an evaluator of ``ev``'s mode and shared by the searches that
     start there; one is built from ``ws`` when not given.  The criterion is
-    evaluated at each step's drop only.  The workspace is rebuilt once, from
-    the survivors in insertion order.
+    evaluated at each step's drop only.  Returns the survivors in insertion
+    order, or None when nothing drops; ``ws`` is left as it is.
     """
     if path is None:
         path = _BackwardPath(ws, ev)
@@ -433,10 +444,10 @@ def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
         cut += 1
         cur_val = val
         trace.append(stage, "drop", j, cur_val, q - cut)
-    if cut:
-        dropped = {j for j, _ in path.steps[:cut]}
-        ws.rebuild([j for j in ws.snps if j not in dropped])
-    return ws.model()
+    if not cut:
+        return None
+    dropped = {j for j, _ in path.steps[:cut]}
+    return [j for j in ws.snps if j not in dropped]
 
 
 def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndarray,
@@ -665,7 +676,6 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
     extras = _checked_extras(dataset, extra_candidates)
     if _state is None:
         state = forward_stage(dataset, config, scan)
-        ws = state.ws
     else:
         if _state.dataset is not dataset:
             raise ValueError("forward state was built for another dataset")
@@ -674,11 +684,16 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
             raise ValueError("forward state was built with another screen_threshold "
                              "or max_forward_size")
         state = _state
-        ws = state.ws.copy()
     trace = SearchTrace(list(state.records))
 
-    ev = _CriterionEval(config.criterion, ws.rss_base)
-    _backward(ws, ev, trace, path=state.backward_path(ev))
+    ev = _CriterionEval(config.criterion, state.ws.rss_base)
+    survivors = _backward_cut(state.ws, ev, trace, path=state.backward_path(ev))
+    if _state is None:  # the workspace is this search's own
+        ws = state.ws
+        if survivors is not None:
+            ws.rebuild(survivors)
+    else:  # a shared workspace is copied whole only when backward kept it whole
+        ws = state.ws.copy(survivors)
     _stepwise(ws, state.candidates, state.cols, state.norm2, ev, trace)
 
     found = ws.model()

@@ -259,12 +259,14 @@ def _impute_fill_numpy(values, observed, window, n_predictors):
 
 
 def _leader_cluster_numpy(x, threshold, window):
+    """One column at a time, with the kernel's integer test of |r| > c:
+    num**2 > c**2 * vx * vy, num = n*sxy - sx*sy and v = n*sxx - sx**2."""
     n, p = x.shape
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cnorm = np.sqrt((centered * centered).sum(axis=0))
-    degenerate = cnorm <= 0.0
-    normed = np.where(degenerate[None, :], 0.0, centered / np.where(degenerate, 1.0, cnorm)[None, :])
+    codes = np.asarray(x, dtype=np.int64)
+    sums = codes.sum(axis=0)
+    var = (n * (codes * codes).sum(axis=0) - sums * sums).astype(np.float64)
+    degenerate = var == 0.0
+    c2 = threshold * threshold
 
     cluster_id = np.empty(p, np.int64)
     reps: list[int] = []
@@ -278,8 +280,8 @@ def _leader_cluster_numpy(x, threshold, window):
         assigned = -1
         if in_window.size:
             cand = rep_arr[in_window]
-            cors = normed[:, cand].T @ normed[:, j]
-            hits = np.nonzero(np.abs(cors) > threshold)[0]
+            num = (n * (codes[:, cand].T @ codes[:, j]) - sums[cand] * sums[j]).astype(np.float64)
+            hits = np.nonzero(num * num > c2 * (var[cand] * var[j]))[0]
             if hits.size:
                 assigned = int(in_window[hits[0]])
         if assigned >= 0:
@@ -288,7 +290,6 @@ def _leader_cluster_numpy(x, threshold, window):
             cluster_id[j] = len(reps)
             reps.append(j)
     return cluster_id, np.asarray(reps, dtype=np.int64), degenerate
-
 
 
 def _best_subset_numpy(z, y_resid, rss0, gate, max_size, values, to_beat, budget):

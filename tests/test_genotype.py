@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from gwasel import genotype
 from gwasel.errors import (
@@ -208,12 +208,13 @@ def test_matrix_invariants():
 # ---------------------------------------------------------------------------
 
 _CONFORMING = ["-1", "0", "1", "NA", "."]
-_OTHER = ["na", "2", "-10", "00", "1NA", "N", "-", "rs7"]
+_OTHER = ["na", "2", "4", "-10", "00", "1NA", "N", "-", "rs7"]
 
 
 @st.composite
 def genotype_files(draw):
-    """Genotype text of the byte path's shape, or bent out of it in one way."""
+    """(text, conforming): genotype text of the byte path's shape, or bent
+    out of it in one way; ``conforming`` when unbent and holding a row."""
     bend = draw(st.sampled_from([None, None, None, "token", "merge", "sep", "eol", "ragged",
                                  "header", "byte"]))
     width = draw(st.integers(1, 5))
@@ -255,7 +256,7 @@ def genotype_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t "])))
     eol = draw(st.sampled_from(["\r\n", "\r"] if bend == "eol" else ["\n"]))
     text = eol.join(lines) + (eol if lines and draw(st.booleans()) else "")
-    return text.encode()
+    return text.encode(), bend is None and n_rows > 0
 
 
 def _outcome(load):
@@ -272,7 +273,9 @@ _BLOCKS = (1, 2, 7, genotype._BLOCK)  # rows straddle the edges of all but the d
 
 @settings(max_examples=500, deadline=None)
 @given(data=genotype_files())
+@example(data=(b"1 1 0\n0 4 1\n", False))  # a digit past the codes, in a row
 def test_byte_path_matches_token_parser(tmp_path_factory, data):
+    data, conforming = data
     path = tmp_path_factory.mktemp("diff") / "g.txt"
     path.write_bytes(data)
     with mock.patch.object(genotype, "_parse_genotype_bytes", return_value=None):
@@ -289,6 +292,7 @@ def test_byte_path_matches_token_parser(tmp_path_factory, data):
                 assert fast[2] == header
             assert _outcome(lambda: load_dataset(path)) == expected
     assert len(declined) == 1  # the block size never decides whether a file conforms
+    assert not (conforming and declined == {True})  # and a conforming file takes the byte path
     event("token parser" if declined.pop() else "byte path")
 
 

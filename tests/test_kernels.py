@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gwasel import _kernels
 from gwasel.cluster import cluster_snps
@@ -333,13 +333,23 @@ def test_impute_fill_grouped_keys_wide_predictor_sets():
     assert np.array_equal(out[0], ref[0])
 
 
-def near_threshold(values, threshold, window, tol=1e-12):
-    """True when some in-window |R| lies within ``tol`` of ``threshold``."""
-    normed = _kernels._normalise(values)[0]
-    r = np.abs(normed.T @ normed)
-    j = np.arange(values.shape[1])
-    in_window = np.abs(j[:, None] - j[None, :]) <= window
-    return bool(np.any(in_window & (np.abs(r - threshold) <= tol)))
+@pytest.mark.parametrize("n_predictors", [1, 31, 32, 33, 40])
+def test_impute_fill_vote_keys_across_the_compaction_boundary(n_predictors):
+    # Rows copy one of six haplotypes over all 41 columns, so long predictor
+    # patterns repeat and votes count real matches; 3% of the calls are
+    # missing, which puts digit 3 in some keys.  A key holds 31 base-4
+    # digits; past that the kernel ranks the keys and appends the rest.
+    rng = np.random.default_rng(31)
+    n, p = 120, 41
+    haplotypes = rng.integers(-1, 2, size=(6, p)).astype(np.int8)
+    values = haplotypes[rng.integers(0, 6, size=n)]
+    noisy = rng.random((n, p)) < 0.1
+    values[noisy] = rng.integers(-1, 2, size=int(noisy.sum()))
+    observed = rng.random((n, p)) >= 0.03
+    observed[rng.choice(n, size=15, replace=False), 20] = False
+    values[~observed] = 0
+    out, bad = impute_both(values, observed, 1000, n_predictors)
+    assert bad == -1
 
 
 @given(
@@ -363,9 +373,6 @@ def test_leader_cluster_blocked_matches_reference(seed, n, p, window, block, thr
             values[:, j] = values[:, src] * rng.choice(np.array([-1, 1], dtype=np.int8))
     if degenerate:
         values[:, rng.integers(0, p, size=p // 5 + 1)] = rng.integers(-1, 2)
-    # a product and a matrix-vector product may round such an |R| to
-    # opposite sides of the threshold
-    assume(not near_threshold(values, threshold, window))
 
     ref = _leader_cluster_numpy(values.astype(np.float64), threshold, window)
     with pytest.MonkeyPatch.context() as mp:
@@ -374,6 +381,32 @@ def test_leader_cluster_blocked_matches_reference(seed, n, p, window, block, thr
 
     for got, want in zip(out, ref):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("threshold, clusters", [(0.5, [0, 1]), (np.nextafter(0.5, 0.0), [0, 0])])
+def test_leader_cluster_correlation_at_the_threshold(threshold, clusters):
+    # |R| of these two columns is 1/2 exactly: 4 * num**2 == vx * vy.  In
+    # float64, centred and normalised, their product rounds to
+    # 0.5000000000000001, which would join them at threshold 0.5.
+    values = np.array([[1, 0], [0, -1], [-1, -1], [0, 0], [1, 1], [1, -1]], dtype=np.int8)
+    x, y = values.T.astype(np.int64)
+    n = values.shape[0]
+    num = n * (x @ y) - x.sum() * y.sum()
+    assert 4 * num * num == (n * (x @ x) - x.sum() ** 2) * (n * (y @ y) - y.sum() ** 2)
+    for kernel in (_leader_cluster_numpy, _kernels.leader_cluster):
+        cluster_id, reps, _ = kernel(values, threshold, 5)
+        assert cluster_id.tolist() == clusters
+        assert reps.tolist() == sorted(set(clusters))
+
+
+def test_kernels_refuse_rows_past_float32_exactness(monkeypatch):
+    monkeypatch.setattr(_kernels, "_EXACT_ROWS", 8)
+    values = np.zeros((8, 3), dtype=np.int8)
+    with pytest.raises(ValueError, match="fewer than 8"):
+        _kernels.leader_cluster(values, 0.5, 5)
+    with pytest.raises(ValueError, match="fewer than 8"):
+        _kernels.impute_fill(values, np.ones(values.shape, dtype=bool), 5, 4)
+    _kernels.leader_cluster(values[:7], 0.5, 5)
 
 
 def test_impute_fill_uses_grouped_kernel(monkeypatch):
