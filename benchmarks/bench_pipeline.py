@@ -72,6 +72,10 @@ writes an imputed copy of the same size.
 
 The output JSON holds every run, each label's median and quartiles per
 metric, and how many pairs each later label won.
+
+On SIGTERM (or Ctrl-C) the harness kills each running child together with
+the processes it started, which share its process group, and removes its
+temporary directories before it exits.
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ import hashlib
 import itertools
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -106,6 +111,30 @@ PAPER_SHAPE, PAPER_TOY_SHAPE = (649, 309_788), (200, 1000)
 PAPER_K, PAPER_SEED = 30, 3
 CHAIN_MISSING_COLUMNS, CHAIN_MISSING_RATE = 0.05, 0.02
 CLI = "import sys; from gwasel import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def stop(signum, frame):
+    """Turn SIGTERM into SystemExit, so that ``with`` blocks clean up."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # one clean-up, not one per signal
+    raise SystemExit(128 + signum)
+
+
+def run_grouped(cmd, **popen) -> subprocess.CompletedProcess:
+    """``subprocess.run`` with the child leading a process group of its own.
+
+    If this process is stopped while it waits, the whole group (the child
+    and any process it started) is killed and reaped before the exception
+    goes on, so nothing outlives the harness or writes into a temporary
+    directory being removed.
+    """
+    with subprocess.Popen(cmd, process_group=0, **popen) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
 
 
 def timer(out: dict):
@@ -305,7 +334,8 @@ def child(src: Path, workload: str, inputs: Path | None, toy: bool) -> dict:
         cmd = [sys.executable, __file__, "--workload", workload, "--child", "--work", work]
         cmd += ["--inputs", str(inputs)] if inputs else []
         cmd += ["--toy"] if toy else []
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        proc = run_grouped(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"the run of {src} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
@@ -335,6 +365,7 @@ def main(argv=None) -> int:
     ap.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--make-chain", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    signal.signal(signal.SIGTERM, stop)
     for var in BLAS_VARS:  # before numpy loads BLAS; children inherit it
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -371,7 +402,7 @@ def main(argv=None) -> int:
         if chain:  # written once, by this tree, in a process of its own
             env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
             cmd = [sys.executable, __file__, "--make-chain", str(chain)]
-            subprocess.run(cmd + (["--toy"] if args.toy else []), env=env, check=True)
+            run_grouped(cmd + (["--toy"] if args.toy else []), env=env).check_returncode()
         for pair in range(args.pairs):
             seed = args.seeds[pair % len(args.seeds)] if panel else None
             inputs = Path(tmp) / f"seed{seed}" if panel else chain

@@ -51,12 +51,13 @@ def _check_rows(n):
 # ---------------------------------------------------------------------------
 
 
-def impute_fill(values, observed, window, n_predictors):
+def impute_fill(values, missing, window, n_predictors):
     """Fill missing genotype codes; returns (filled, failed_column or -1).
 
-    ``values`` holds the int8 codes and ``observed`` is True at observed
-    calls.  All imputed values are computed from the original observed
-    entries, so the result does not depend on column visiting order.
+    ``values`` holds the int8 codes and ``missing`` is True at missing
+    calls; it is read as it is, and only the slices in use are negated.
+    All imputed values are computed from the original observed entries, so
+    the result does not depend on column visiting order.
     """
     # Same imputations as _impute_fill_numpy.  The pairwise-complete sums of
     # up to _IMPUTE_CHUNK target columns t against the columns c of the span
@@ -74,7 +75,7 @@ def impute_fill(values, observed, window, n_predictors):
     n, p = values.shape
     _check_rows(n)
     out = values.copy()
-    n_obs = observed.sum(axis=0)
+    n_obs = n - missing.sum(axis=0)
     complete = n_obs == n
     targets = np.flatnonzero(~complete)
     empty = targets[n_obs[targets] == 0]
@@ -88,12 +89,12 @@ def impute_fill(values, observed, window, n_predictors):
         start += cur.size
         s0 = max(0, int(cur[0]) - window)
         s1 = min(p, int(cur[-1]) + window + 1)
-        x = (values[:, s0:s1] * observed[:, s0:s1]).astype(np.float32)
+        x = (values[:, s0:s1] * ~missing[:, s0:s1]).astype(np.float32)
         xx = np.abs(x)  # x * x for -1/0/1 codes
         holed = np.flatnonzero(~complete[s0:s1])  # span columns with a missing call
-        m = (~observed[:, s0 + holed]).astype(np.float32)
+        m = missing[:, s0 + holed].astype(np.float32)
         y = x[:, cur - s0]
-        cells = np.nonzero(~observed[:, cur].T)  # (target, row) of each missing call
+        cells = np.nonzero(missing[:, cur].T)  # (target, row) of each missing call
         # G flags each target's missing rows; a last row of ones takes the totals
         g = sparse.csr_matrix((np.ones(cells[0].size + n, np.float32),
                                (np.r_[cells[0], np.full(n, cur.size)],
@@ -135,7 +136,7 @@ def impute_fill(values, observed, window, n_predictors):
         whole = complete[c]
         before = np.cumsum(whole) - whole
         reach = before - before[np.searchsorted(t, t)] < n_predictors
-        _vote(out, values, observed, cur, cells, (t[reach], c[reach]), n_predictors)
+        _vote(out, values, missing, cur, cells, (t[reach], c[reach]), n_predictors)
     return out, bad
 
 
@@ -148,7 +149,7 @@ def _correlations(sxy, sx, sxx, sy, syy, n_ok):
     return cors, (n_ok >= 2) & (vx > 0.0) & (vy > 0.0) & np.isfinite(cors)
 
 
-def _vote(out, values, observed, cur, cells, ranking, n_predictors):
+def _vote(out, values, missing, cur, cells, ranking, n_predictors):
     """Impute the missing ``cells`` (target, row) of the targets ``cur``.
 
     ``ranking`` holds (target, column) pairs, by target and in rank order.
@@ -162,7 +163,7 @@ def _vote(out, values, observed, cur, cells, ranking, n_predictors):
     start = np.cumsum(per) - per
     cell = np.repeat(np.arange(tc.size), per)
     col = col[np.arange(cell.size) - start[cell] + bounds[tc][cell]]
-    avail = observed[rc[cell], col]
+    avail = ~missing[rc[cell], col]
     slot = np.cumsum(avail)
     slot -= np.concatenate([[0], slot])[start][cell]
     take = avail & (slot <= n_predictors)
@@ -179,10 +180,10 @@ def _vote(out, values, observed, cur, cells, ranking, n_predictors):
     member = np.empty(tc.size, np.int64)
     member[order] = np.cumsum(opens) - 1
     target, preds = cur[keys[opens, 0]], keys[opens, 1:]
-    digits = np.where(observed[:, preds], values[:, preds] + 1, 3)
+    digits = np.where(missing[:, preds], 3, values[:, preds] + 1)
     digits[:, preds < 0] = 0
     ids = _pair_ids(_row_keys(digits))
-    seen = observed[:, target]
+    seen = ~missing[:, target]
     codes = values[:, target][seen] + 1
     counts = np.bincount(ids[seen] * 3 + codes, minlength=3 * int(ids.max()) + 3).reshape(-1, 3)
     counts = counts[ids[rc, member]]
@@ -190,7 +191,7 @@ def _vote(out, values, observed, cur, cells, ranking, n_predictors):
     lost = np.flatnonzero(~counts.any(axis=1))
     if lost.size:
         j = cur[tc[lost]]
-        counts[lost] = np.stack([((values[:, j] == v) & observed[:, j]).sum(axis=0)
+        counts[lost] = np.stack([((values[:, j] == v) & ~missing[:, j]).sum(axis=0)
                                  for v in (-1, 0, 1)], axis=1)
     out[rc, cur[tc]] = counts.argmax(axis=1) - 1
 

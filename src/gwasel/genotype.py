@@ -455,13 +455,15 @@ def impute_missing(dataset: Dataset, window: int = 500, n_predictors: int = 4) -
     if gm.complete:
         return dataset
     filled, bad = _kernels.impute_fill(
-        gm.values, ~gm.missing_mask, int(window), int(n_predictors)
+        gm.values, gm.missing_mask, int(window), int(n_predictors)
     )
     if bad >= 0:
         raise ImputationError(
             f"SNP {dataset.snp_ids[bad]} (column {int(bad)}) has no observed genotypes"
         )
-    new_gm = GenotypeMatrix(filled, np.zeros_like(gm.missing_mask))
+    # np.zeros, not zeros_like: its pages stay unmapped until written, so
+    # the all-False mask adds nothing to the peak beside the filled codes
+    new_gm = GenotypeMatrix(filled, np.zeros(gm.missing_mask.shape, dtype=np.bool_))
     return replace(dataset, genotypes=new_gm)
 
 

@@ -204,8 +204,9 @@ def forward_by_pushes(ws, idx, cols, norm2, config, ev, trace: SearchTrace) -> N
 # takes the same positional arguments as the kernel checked against it.
 
 
-def _impute_fill_numpy(values, observed, window, n_predictors):
+def _impute_fill_numpy(values, missing, window, n_predictors):
     n, p = values.shape
+    observed = ~missing
     out = values.copy()
     vals = values.astype(np.float64)
     for j in range(p):

@@ -3,9 +3,12 @@ metric, `desk_identity.py` prints stable digests and `code_lines.py` counts
 code lines."""
 
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,53 @@ def test_toy_pair_reports_every_layer(tmp_path, workload):
         # the same tree writes the same bytes; manifests are not digested
         a, b = (run["digests"] for run in report["runs"])
         assert a == b and set(a) == CHAIN_OUTPUTS
+
+
+def processes_with(marker: bytes) -> dict[int, bytes]:
+    """The command lines of the live processes whose environment holds
+    ``marker`` (a zombie's is empty), by process id."""
+    found = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                if marker in (entry / "environ").read_bytes():
+                    found[int(entry.name)] = (entry / "cmdline").read_bytes()
+            except OSError:  # gone, or not ours
+                pass
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/environ").exists(), reason="reads /proc")
+def test_sigterm_mid_chain_leaves_no_process_or_temp_dir(tmp_path):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    marker = f"{tmp_path.name}-{os.getpid()}"
+    env = dict(os.environ, TMPDIR=str(temp), BENCH_SIGTERM_MARKER=marker)
+    cmd = [sys.executable, str(ROOT / "benchmarks" / "bench_pipeline.py"), "--toy",
+           "--workload", "chain", "--pairs", "1", "--src", f"a={ROOT / 'src'}",
+           "--out", str(tmp_path / "bench.json")]
+    harness = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                               stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while harness.poll() is None and time.monotonic() < deadline:
+            # a gwasel command running under the harness's child
+            if any(b"from gwasel import cli" in cmdline
+                   for cmdline in processes_with(marker.encode()).values()):
+                break
+            time.sleep(0.01)
+        assert harness.poll() is None, "the chain ended before a command was seen running"
+        harness.send_signal(signal.SIGTERM)
+        assert harness.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        harness.kill()
+        harness.wait()
+    deadline = time.monotonic() + 10
+    while processes_with(marker.encode()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert processes_with(marker.encode()) == {}
+    assert list(temp.iterdir()) == []
+    assert not (tmp_path / "bench.json").exists()
 
 
 def test_desk_identity_toy_prints_stable_digests():

@@ -532,3 +532,18 @@ def test_unwritable_out_exits_1(tmp_path, capsys, command):
     assert "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before
     assert blocker.read_text() == "keep"
+
+
+def test_import_loads_no_scipy_stats():
+    # every command is a fresh process; scipy.stats alone would double its
+    # start-up time and add ~36 MB to its peak
+    probe = ("import json, sys; import gwasel, gwasel.cli; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "scipy.stats" not in loaded
+    public = {m.split(".")[1] for m in loaded} - {"version"}
+    assert {m for m in public if not m.startswith("_")} == {"special", "linalg", "sparse"}

@@ -230,18 +230,18 @@ def test_impute_fill_grouped_matches_reference(seed, n, p, window, n_predictors,
     else:
         values[~observed] = 0
 
-    ref, ref_bad = _impute_fill_numpy(values, observed, window, n_predictors)
+    ref, ref_bad = _impute_fill_numpy(values, ~observed, window, n_predictors)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_IMPUTE_CHUNK", chunk)
-        out, bad = _kernels.impute_fill(values, observed, window, n_predictors)
+        out, bad = _kernels.impute_fill(values, ~observed, window, n_predictors)
 
     assert bad == ref_bad
     assert np.array_equal(out, ref)
 
 
 def impute_both(values, observed, window, n_predictors):
-    ref = _impute_fill_numpy(values, observed, window, n_predictors)
-    out = _kernels.impute_fill(values, observed, window, n_predictors)
+    ref = _impute_fill_numpy(values, ~observed, window, n_predictors)
+    out = _kernels.impute_fill(values, ~observed, window, n_predictors)
     assert out[1] == ref[1]
     assert np.array_equal(out[0], ref[0])
     return out
@@ -326,8 +326,8 @@ def test_impute_fill_grouped_keys_wide_predictor_sets():
     values[2:5, 40] = -1
     observed = np.ones_like(values, dtype=bool)
     observed[0, 40] = False
-    ref = _impute_fill_numpy(values, observed, 1000, 40)
-    out = _kernels.impute_fill(values, observed, 1000, 40)
+    ref = _impute_fill_numpy(values, ~observed, 1000, 40)
+    out = _kernels.impute_fill(values, ~observed, 1000, 40)
     assert out[1] == ref[1] == -1
     assert ref[0][0, 40] == -1
     assert np.array_equal(out[0], ref[0])
@@ -405,7 +405,7 @@ def test_kernels_refuse_rows_past_float32_exactness(monkeypatch):
     with pytest.raises(ValueError, match="fewer than 8"):
         _kernels.leader_cluster(values, 0.5, 5)
     with pytest.raises(ValueError, match="fewer than 8"):
-        _kernels.impute_fill(values, np.ones(values.shape, dtype=bool), 5, 4)
+        _kernels.impute_fill(values, np.zeros(values.shape, dtype=bool), 5, 4)
     _kernels.leader_cluster(values[:7], 0.5, 5)
 
 
@@ -422,13 +422,16 @@ def test_impute_fill_uses_grouped_kernel(monkeypatch):
     values = ld_codes(rng, 30, 8)
     mask = rng.random(values.shape) < 0.1
     values[mask] = 0
-    done = impute_missing(dataset_from_values(values, mask=mask), window=3)
+    ds = dataset_from_values(values, mask=mask)
+    done = impute_missing(ds, window=3)
     assert len(calls) == 1
     assert done.genotypes.complete
-    # the kernel converts nothing: it gets contiguous int8 codes and a bool mask
-    codes, observed = calls[0][:2]
-    assert codes.dtype == np.int8 and observed.dtype == np.bool_
-    assert codes.flags.c_contiguous and observed.flags.c_contiguous
+    # the kernel converts and copies nothing: it gets the dataset's own
+    # int8 codes and missing mask
+    codes, missing = calls[0][:2]
+    assert codes is ds.genotypes.values and codes.dtype == np.int8
+    assert missing is ds.genotypes.missing_mask and missing.dtype == np.bool_
+    assert codes.flags.c_contiguous and missing.flags.c_contiguous
 
 
 def test_leader_cluster_uses_blocked_kernel_on_int8_codes(monkeypatch):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import fdtri
 from scipy.stats import f as f_dist, ncf
 
 from gwasel.genotype import Dataset
@@ -432,6 +433,31 @@ def test_power_curve_deterministic():
     b = power_curve_noncentral([1, 5], [2.0, 8.0], n=300, alpha=0.01,
                                n_draws=5_000, seed=3)
     assert np.array_equal(a.power, b.power)
+
+
+def test_fdtri_critical_value_is_f_isf_bit_for_bit():
+    # power_curve_noncentral's critical value, without importing scipy.stats
+    n = np.arange(3, 3000, 7)
+    for alpha in (0.5, 0.2, 0.05, 0.01, 1e-3, 1e-5, 1e-8):
+        assert np.array_equal(fdtri(1, n - 2, 1.0 - alpha), f_dist.isf(alpha, 1, n - 2))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": 1.5}, "alpha"),
+    ({"alpha": 1.0}, "alpha"),
+    ({"alpha": 0.0}, "alpha"),
+    ({"alpha": -0.1}, "alpha"),
+    ({"alpha": float("nan")}, "alpha"),
+    ({"n_draws": 0}, "n_draws"),
+    ({"n_draws": -5}, "n_draws"),
+    ({"taus": [1.0, -0.5]}, "tau"),
+    ({"taus": [float("nan")]}, "tau"),
+])
+def test_power_curve_rejects_bad_arguments(kwargs, message):
+    args = {"alpha": 0.05, "n_draws": 100, "taus": [0.0, 4.0], **kwargs}
+    with pytest.raises(ValueError, match=message):
+        power_curve_noncentral([1, 3], args["taus"], n=100, alpha=args["alpha"],
+                               n_draws=args["n_draws"])
 
 
 # ---------------------------------------------------------------------------
