@@ -1,4 +1,5 @@
-"""One digest over every select of the 100-replicate desk study.
+"""One digest over every select of the 100-replicate desk study, and one
+over the null study's.
 
     python3 benchmarks/desk_identity.py [--src DIR] [--toy]
 
@@ -30,8 +31,13 @@ is the fourth with the RSS, intercept and coefficient reprs left out too:
 a change that rounds the fit itself differently (how the workspace
 orthogonalises a column, say) moves those in their last bits, and an
 unchanged fifth digest shows that every decision, final model and search
-stat is still the same.  ``--toy`` takes the sizes
-of ``perfbench/workloads.py::TOY`` instead (2 replicates of 200 x 400).
+stat is still the same.  The sixth, ``null``, is the first digest over the
+selects of the null study that ``perfbench/workloads.py::null_study``
+builds (600 x 5000, no causal SNP, seeds 11/13, mBIC alone; 100
+replicates), whose lone search builds its own forward stage where the desk
+study's two searches share one.  ``--toy`` takes the sizes of
+``perfbench/workloads.py::TOY`` instead (2 desk replicates of 200 x 400
+and 3 null replicates of 200 x 300).
 """
 
 from __future__ import annotations
@@ -46,6 +52,11 @@ from pathlib import Path
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ROOT = Path(__file__).resolve().parent.parent
 DESK_REPLICATES = 100
+NULL_REPLICATES = 100
+# the digests over one study's selects: select_record's options for each
+DIGESTS = {"selects": {}, "results": {"with_stats": False},
+           "structure": {"with_values": False},
+           "decisions": {"with_values": False, "with_fit": False}}
 
 
 def select_record(out, snp_ids, with_stats: bool = True, with_values: bool = True,
@@ -73,6 +84,29 @@ def select_record(out, snp_ids, with_stats: bool = True, with_values: bool = Tru
     return json.dumps(record, sort_keys=True).encode() + b"\n"
 
 
+def recorded_study(simulate, ds, sim, methods, kinds):
+    """``run_study`` with every select recorded: (report, selects made,
+    sha256 of each digest in ``kinds``)."""
+    hashes = {kind: hashlib.sha256() for kind in kinds}
+    count = 0
+    select_model = simulate.select_model
+
+    def recorded(*a, **kw):
+        nonlocal count
+        out = select_model(*a, **kw)
+        for kind, h in hashes.items():
+            h.update(select_record(out, ds.snp_ids, **DIGESTS[kind]))
+        count += 1
+        return out
+
+    simulate.select_model = recorded
+    try:
+        report = simulate.run_study(ds, sim, methods)
+    finally:
+        simulate.select_model = select_model
+    return report, count, hashes
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="gwasel source tree")
@@ -82,37 +116,20 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     sys.path.insert(0, str(args.src.resolve()))
     sys.path.insert(1, str(ROOT / "perfbench"))
-    import workloads  # read-only: the study the perfbench desk workload runs
+    import workloads  # read-only: the studies the perfbench desk and null workloads run
 
     from gwasel import simulate
 
     sizes = workloads.TOY if args.toy else workloads.FULL
-    ds, sim, methods = workloads.desk_study(sizes, sizes.desk_replicates if args.toy
-                                            else DESK_REPLICATES)
-    digest, results, structure, decisions = (hashlib.sha256() for _ in range(4))
-    count = 0
-    select_model = simulate.select_model
-
-    def recorded(*a, **kw):
-        nonlocal count
-        out = select_model(*a, **kw)
-        digest.update(select_record(out, ds.snp_ids))
-        results.update(select_record(out, ds.snp_ids, with_stats=False))
-        structure.update(select_record(out, ds.snp_ids, with_values=False))
-        decisions.update(select_record(out, ds.snp_ids, with_values=False, with_fit=False))
-        count += 1
-        return out
-
-    simulate.select_model = recorded
-    try:
-        report = simulate.run_study(ds, sim, methods)
-    finally:
-        simulate.select_model = select_model
-    print(f"selects {count} {digest.hexdigest()}")
+    desk = workloads.desk_study(sizes, sizes.desk_replicates if args.toy else DESK_REPLICATES)
+    report, count, hashes = recorded_study(simulate, *desk, DIGESTS)
+    null = workloads.null_study(sizes, sizes.null_replicates if args.toy else NULL_REPLICATES)
+    _, null_count, null_hashes = recorded_study(simulate, *null, ("selects",))
+    print(f"selects {count} {hashes['selects'].hexdigest()}")
     print(f"detections {workloads.fingerprint(report.detections)}")
-    print(f"results {count} {results.hexdigest()}")
-    print(f"structure {count} {structure.hexdigest()}")
-    print(f"decisions {count} {decisions.hexdigest()}")
+    for kind in ("results", "structure", "decisions"):
+        print(f"{kind} {count} {hashes[kind].hexdigest()}")
+    print(f"null {null_count} {null_hashes['selects'].hexdigest()}")
     return 0
 
 

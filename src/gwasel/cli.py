@@ -124,7 +124,7 @@ def _manifest(args: argparse.Namespace, inputs: dict[str, str | None], start: fl
         "peak_rss_mb": _peak_rss_mb(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    return json.dumps(payload, indent=2, default=str)
+    return json.dumps(payload, indent=2, default=str, allow_nan=False)
 
 
 def _load(args) -> Dataset:
@@ -148,7 +148,7 @@ def cmd_scan(args, parser):
         "benjamini_hochberg": [ids[j] for j in benjamini_hochberg(scan, args.alpha)],
     }
     return {"scan.tsv": scan_to_tsv(scan, ids),
-            "rejections.json": json.dumps(rejections, indent=2)}, {}
+            "rejections.json": json.dumps(rejections, indent=2, allow_nan=False)}, {}
 
 
 def cmd_select(args, parser):
@@ -183,14 +183,15 @@ def cmd_select(args, parser):
         "selected_indices": list(model.snp_indices),
         "rss": result.rss,
         "mss": result.mss,
-        "f_statistic": result.f_statistic,
+        # strict JSON: a perfect fit's F is infinite and written as null
+        "f_statistic": result.f_statistic if math.isfinite(result.f_statistic) else None,
         "p_value": result.p_value,
         "intercept": result.intercept,
         "coefficients": {ids[j]: float(b)
                          for j, b in zip(model.snp_indices, result.snp_coefficients)},
         "search_stats": trace.stats,
     }
-    return {"selection.json": json.dumps(selection, indent=2),
+    return {"selection.json": json.dumps(selection, indent=2, allow_nan=False),
             "trace.jsonl": trace.to_jsonl(ids)}, {}
 
 
@@ -297,7 +298,7 @@ def cmd_simulate(args, parser):
         "mean_fdr": {m.kind: {str(t): report.mean_fdr(m.kind, t)
                               for t in sim.tp_thresholds} for m in methods},
     }
-    outputs["summary.json"] = json.dumps(summary, indent=2)
+    outputs["summary.json"] = json.dumps(summary, indent=2, allow_nan=False)
     return outputs, panel
 
 
@@ -336,7 +337,7 @@ def cmd_cluster(args, parser):
         "window": args.window,
     }
     return {"clusters.tsv": assignment.to_tsv(dataset.snp_ids),
-            "summary.json": json.dumps(summary, indent=2)}, {}
+            "summary.json": json.dumps(summary, indent=2, allow_nan=False)}, {}
 
 
 # argparse turns an ArgumentTypeError into a usage error (exit 2) naming the flag

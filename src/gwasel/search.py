@@ -24,15 +24,17 @@ candidates once, downdates them on each add, restores the dropped
 direction on each drop (``_restore``, a rank-one update) and scores drops
 from a fresh inverse.
 
-Backward elimination does not depend on the criterion but for where it
-stops: at a fixed model size every criterion strictly increases with the
-RSS, so each step drops the SNP of smallest drop RSS whatever the
-penalty.  ``_BackwardPath`` computes that drop order once per forward
-model, by sweep downdates of S from one inversion, and extends it only as
-far as the furthest search asks; each search cuts it at its first step
-that does not lower its criterion and rebuilds its workspace once.  The
-searches of a ``ForwardState`` share one path, so a study's mBIC and
-mBIC2 searches sweep the model down once between them.
+One rule picks every drop, in backward, stepwise and refinement's
+fallback (``_smallest_drop``): at a fixed model size every criterion
+strictly increases with the RSS, so the cheapest drop is the SNP of
+smallest drop RSS whatever the penalty.  Backward elimination thus
+depends on the criterion only in where it stops.  ``_BackwardPath``
+computes that drop order once per forward model, by sweep downdates of S
+from one inversion, and extends it only as far as the furthest search
+asks; each search cuts it at its first step that does not lower its
+criterion and copies the workspace, rebuilt from the survivors when any
+SNP dropped.  The searches of a ``ForwardState`` share one path, so a
+study's mBIC and mBIC2 searches sweep the model down once between them.
 
 Refinement scores subsets of the selected model with ``_kernels.best_subset``,
 which walks them depth first and skips each subtree whose exact lower bound
@@ -153,6 +155,8 @@ class _CriterionEval:
         self.sigma2 = 1.0 if config.sigma is None else float(config.sigma) ** 2
         self.n = config.n
         self.floor = max(rss_base * 1e-12, 1e-300)
+        # drop RSS at or below this rank alike: the floor in log mode, none otherwise
+        self.tie_floor = self.floor if self.log_mode else -math.inf
         self._pens: list[float] = []
 
     def pen(self, q: int) -> float:
@@ -304,25 +308,20 @@ def _first_min(vals: np.ndarray, keys: np.ndarray) -> int:
     return int(ties[keys[ties].argmin()])
 
 
-def _pick_drop(drop_rss: np.ndarray, snps: np.ndarray, ev: _CriterionEval) -> tuple[float, int]:
-    """(criterion value, position) of the best drop given each SNP's drop RSS.
+def _smallest_drop(drops: np.ndarray, neg: np.ndarray, floor: float) -> int:
+    """Position of the drop to take, given each SNP's drop RSS ``drops`` and
+    the SNPs negated (``neg``).
 
-    Equal values drop the largest SNP index, which leaves the
-    lexicographically smallest model.
+    At a fixed model size every criterion strictly increases with the RSS,
+    so the cheapest drop is the one of smallest drop RSS; drop RSS at or
+    below ``floor`` (``_CriterionEval.tie_floor``) rank alike, as the
+    floored criterion values them.  Equal ones drop the largest SNP index,
+    which leaves the lexicographically smallest model.
     """
-    vals = ev.value_array(drop_rss, snps.size - 1)
-    pick = _first_min(vals, -snps)
-    return float(vals[pick]), pick
-
-
-def _best_drop(ws: FitWorkspace, ev: _CriterionEval) -> tuple[float, int] | None:
-    """Best single drop as (criterion value, SNP)."""
-    if not ws.snps:
-        return None
-    snps = np.asarray(ws.snps, dtype=np.int64)
-    drops = _drop_rss(ws.rss, *ws.inverse_gram(), slice(ws.m - snps.size, None))
-    val, pick = _pick_drop(drops, snps, ev)
-    return val, int(snps[pick])
+    i = _first_min(drops, neg)
+    if drops[i] <= floor:
+        i = _first_min(np.maximum(drops, floor), neg)
+    return i
 
 
 # a sweep downdate lost too many digits once a surviving diagonal of S has
@@ -333,34 +332,31 @@ SWEEP_LOSS = 1e-6
 class _BackwardPath:
     """Backward elimination order of one workspace, shared by every criterion.
 
-    At a fixed model size each criterion strictly increases with the RSS
-    (n ln RSS + pen(q), or RSS / sigma^2 + pen(q)), so every criterion drops
-    the SNP of smallest drop RSS, and only where its walk stops depends on
-    its penalty.  ``steps`` lists (SNP dropped, RSS after) in drop order;
-    ``extend`` appends one step, so the path is only as long as the furthest
-    walk has asked.  In log mode, drop RSS at or below the floor of the
-    criterion evaluator rank alike, as the floored criterion values them;
-    equal ones drop the largest SNP index, which leaves the
-    lexicographically smallest model.  One path serves every criterion
-    valued in the same mode over the workspace's trait.
+    Each step takes ``_smallest_drop``, the drop every criterion takes at
+    that model size, so only where a walk stops depends on its penalty.
+    ``steps`` lists (SNP dropped, RSS after) in drop order; ``extend``
+    appends one step, so the path is only as long as the furthest walk has
+    asked.  One path serves every criterion valued in the same mode over
+    the workspace's trait.
 
     Dropping column k leaves S - S[:, k] S[k, :] / S_kk and
     beta - S[:, k] beta_k / S_kk over the remaining columns (the sweep
     operator: Goodnight, Am. Stat. 1979).  The sweep runs in place, and only
     the entries of the live positions are read; once a quarter of S's
     positions are dead, S and beta are cut down to the live ones, which
-    leaves the arithmetic on every live entry as it was.  S is inverted
-    afresh from the survivors whenever a sweep leaves a live diagonal that
-    is not positive or has lost most of its digits to cancellation; that
-    rebuild runs on a private copy of the workspace, which the path
-    otherwise never changes.
+    leaves the arithmetic on every live entry as it was and keeps a walk
+    down a large model from sweeping its dead rows.  S is inverted afresh
+    from the survivors whenever a sweep leaves a live diagonal that is not
+    positive or has lost most of its digits to cancellation; that rebuild
+    runs on a private copy of the workspace, which the path otherwise never
+    changes.
     """
 
     def __init__(self, ws: FitWorkspace, ev: _CriterionEval):
         self.steps: list[tuple[int, float]] = []
         self._ws = ws
         self._own: FitWorkspace | None = None  # the copy rebuilt when S lost its digits
-        self._floor = ev.floor if ev.log_mode else -math.inf
+        self._floor = ev.tie_floor
         self._pick = -1  # live position of the last step, swept on the next extend
         self._invert(ws)
 
@@ -379,10 +375,7 @@ class _BackwardPath:
         if not self._pos.size:
             return False
         drops = _drop_rss(self._rss, self._S, self._beta, self._pos)
-        i = _first_min(drops, self._neg)
-        if drops[i] <= self._floor:
-            i = _first_min(np.maximum(drops, self._floor), self._neg)
-        self._pick = i
+        i = self._pick = _smallest_drop(drops, self._neg, self._floor)
         self.steps.append((-int(self._neg[i]), float(drops[i])))
         return True
 
@@ -411,16 +404,7 @@ class _BackwardPath:
 
 
 def _backward(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
-              stage: str = "backward", path: _BackwardPath | None = None) -> ModelSpec:
-    """``_backward_cut`` with ``ws`` rebuilt from the survivors."""
-    survivors = _backward_cut(ws, ev, trace, stage, path)
-    if survivors is not None:
-        ws.rebuild(survivors)
-    return ws.model()
-
-
-def _backward_cut(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
-                  stage: str = "backward", path: _BackwardPath | None = None) -> list[int] | None:
+              stage: str = "backward", path: _BackwardPath | None = None) -> list[int] | None:
     """Backward elimination: ``path`` cut at its first step that does not
     lower the criterion.
 
@@ -428,7 +412,8 @@ def _backward_cut(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
     built with an evaluator of ``ev``'s mode and shared by the searches that
     start there; one is built from ``ws`` when not given.  The criterion is
     evaluated at each step's drop only.  Returns the survivors in insertion
-    order, or None when nothing drops; ``ws`` is left as it is.
+    order, or None when nothing drops; ``ws`` is left as it is, for the
+    caller to rebuild or copy from the survivors.
     """
     if path is None:
         path = _BackwardPath(ws, ev)
@@ -453,8 +438,9 @@ def _backward_cut(ws: FitWorkspace, ev: _CriterionEval, trace: SearchTrace,
 def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.ndarray,
               ev: _CriterionEval, trace: SearchTrace) -> ModelSpec:
     """Alternate the best add among the candidates ``idx`` (columns ``cols``,
-    squared norms ``norm2``) and the best drop while either lowers the
-    criterion, for at most ``MAX_STEPWISE_ITERATIONS`` moves.
+    squared norms ``norm2``) and the best drop (``_smallest_drop``) while
+    either lowers the criterion, for at most ``MAX_STEPWISE_ITERATIONS``
+    moves.
 
     s and t of the candidates come from one projection on entry and are
     then kept by rank-one updates: an add downdates them by its new basis
@@ -502,10 +488,15 @@ def _stepwise(ws: FitWorkspace, idx: np.ndarray, cols: np.ndarray, norm2: np.nda
                 in_model[pos] = True
                 cur_rss, cur_val = float(new_rss[pick]), float(vals[pick])
             else:
-                found = _best_drop(ws, ev)
-                if found is None or found[0] >= cur_val:
+                if not ws.snps:
                     continue
-                cur_val, j = found
+                neg = -np.asarray(ws.snps, dtype=np.int64)
+                drops = _drop_rss(ws.rss, *ws.inverse_gram(), slice(ws.m - neg.size, None))
+                i = _smallest_drop(drops, neg, ev.tie_floor)
+                val = float(ev.value_array(drops[i : i + 1], neg.size - 1)[0])
+                if val >= cur_val:
+                    continue
+                cur_val, j = val, -int(neg[i])
                 w, d = ws.drop_direction(j)
                 ws.drop_snp(j)
                 _restore(cols, s, t, w, d)
@@ -588,7 +579,10 @@ def refine_subsets(dataset: Dataset, model: ModelSpec, extra_candidates,
                 red_ws.add_snp(j)
             except CollinearityError:
                 trace.append("refine", "skip_collinear", j, None, len(red_ws.snps))
-        reduced = _backward(red_ws, ev, trace, stage="refine_backward")
+        survivors = _backward(red_ws, ev, trace, stage="refine_backward")
+        if survivors is not None:
+            red_ws.rebuild(survivors)
+        reduced = red_ws.model()
         best = min(best, (ev.value(red_ws.rss, reduced.size), reduced.size, reduced.snp_indices))
         walks = [(red_ws, list(reduced.snp_indices), EXHAUSTIVE_SIZE_CAP - 1)]
     for walk_ws, columns, max_size in walks:
@@ -610,11 +604,11 @@ class ForwardState:
     The forward stage runs under plain BIC whatever the search criterion, so
     it depends only on the dataset, the scan, ``screen_threshold`` and
     ``max_forward_size``.  Searches that agree on those can start from one
-    state: each runs on its own copy of the workspace, and the screened
-    candidates, their n x C column block and its squared column norms are
-    shared read-only.  So is the backward path from the forward model
-    (``backward_path``), which each search cuts where its criterion stops
-    falling.
+    state.  Every search, on a state of its own or a shared one, runs on a
+    copy of the workspace, and the screened candidates, their n x C column
+    block and its squared column norms are read-only.  So is the backward
+    path from the forward model (``backward_path``), which each search cuts
+    where its criterion stops falling.
     """
 
     dataset: Dataset
@@ -661,10 +655,12 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
 
     ``_state`` is a :func:`forward_stage` of this very dataset, with this
     ``screen_threshold`` and ``max_forward_size``, to start from instead of
-    building one; the search runs on a copy of its workspace and leaves it
-    unchanged.  One workspace carries the search from backward through
-    refinement to the returned fit.  An extra candidate outside [0, p) raises
-    ``ValueError`` before any stage runs.
+    building one.  Either way the search leaves the state's workspace
+    unchanged: backward cuts the state's backward path, and one copy of the
+    workspace, whole when nothing dropped and built from the survivors
+    otherwise, carries the search through stepwise and refinement to the
+    returned fit.  An extra candidate outside [0, p) raises ``ValueError``
+    before any stage runs.
     """
     if dataset.trait is None:
         raise ValueError("dataset has no trait")
@@ -674,26 +670,17 @@ def select_model(dataset: Dataset, config: SearchConfig, extra_candidates=(),
             f"{dataset.n_individuals} individuals"
         )
     extras = _checked_extras(dataset, extra_candidates)
-    if _state is None:
-        state = forward_stage(dataset, config, scan)
-    else:
-        if _state.dataset is not dataset:
-            raise ValueError("forward state was built for another dataset")
-        if (_state.screen_threshold, _state.max_forward_size) != (
-                config.screen_threshold, config.max_forward_size):
-            raise ValueError("forward state was built with another screen_threshold "
-                             "or max_forward_size")
-        state = _state
+    state = forward_stage(dataset, config, scan) if _state is None else _state
+    if state.dataset is not dataset:
+        raise ValueError("forward state was built for another dataset")
+    if (state.screen_threshold, state.max_forward_size) != (
+            config.screen_threshold, config.max_forward_size):
+        raise ValueError("forward state was built with another screen_threshold "
+                         "or max_forward_size")
     trace = SearchTrace(list(state.records))
 
     ev = _CriterionEval(config.criterion, state.ws.rss_base)
-    survivors = _backward_cut(state.ws, ev, trace, path=state.backward_path(ev))
-    if _state is None:  # the workspace is this search's own
-        ws = state.ws
-        if survivors is not None:
-            ws.rebuild(survivors)
-    else:  # a shared workspace is copied whole only when backward kept it whole
-        ws = state.ws.copy(survivors)
+    ws = state.ws.copy(_backward(state.ws, ev, trace, path=state.backward_path(ev)))
     _stepwise(ws, state.candidates, state.cols, state.norm2, ev, trace)
 
     found = ws.model()

@@ -105,7 +105,8 @@ def synthetic_dataset(n_individuals: int, n_snps: int,
         block = values[r0 : r0 + u.shape[0]]
         np.add(u >= p_low, u >= p_mid, out=block, dtype=np.int8)
         block -= 1
-    gm = GenotypeMatrix(values, np.zeros_like(values, dtype=np.bool_))
+    # np.zeros, not zeros_like: the all-False mask's pages stay unmapped
+    gm = GenotypeMatrix(values, np.zeros(values.shape, dtype=np.bool_))
     return Dataset(genotypes=gm)
 
 
@@ -320,7 +321,7 @@ class DetectionReport:
                     ],
                 }
             payload["methods"][method] = per_thr
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def run_study(dataset: Dataset, config: SimulationConfig,

@@ -9,11 +9,10 @@ from gwasel.regress import REPROJECT_BELOW, _gate
 from gwasel.search import (
     SWEEP_LOSS,
     SearchTrace,
-    _best_drop,
     _downdate,
     _drop_rss,
+    _first_min,
     _max_snps,
-    _pick_drop,
     _project,
 )
 
@@ -108,11 +107,36 @@ def project_two_products(ws, cols):
     return np.einsum("ij,ij->j", z, z), cols.T @ ws.residual
 
 
+def _pick_drop(drop_rss, snps, ev):
+    """(criterion value, position) of the drop of smallest criterion value
+    given each SNP's drop RSS; equal values drop the largest SNP index.
+
+    The reference for ``search._smallest_drop``, which ranks drops by their
+    RSS: it picks the same drop wherever no two drop values tie.
+    """
+    vals = ev.value_array(drop_rss, snps.size - 1)
+    pick = _first_min(vals, -snps)
+    return float(vals[pick]), pick
+
+
+def _best_drop(ws, ev):
+    """Best single drop of ``ws`` as (criterion value, SNP), ranked by value
+    (``_pick_drop``) from a fresh ``inverse_gram``; None without SNPs."""
+    if not ws.snps:
+        return None
+    snps = np.asarray(ws.snps, dtype=np.int64)
+    drops = _drop_rss(ws.rss, *ws.inverse_gram(), slice(ws.m - snps.size, None))
+    val, pick = _pick_drop(drops, snps, ev)
+    return val, int(snps[pick])
+
+
 def backward_by_deletes(ws, ev, trace: SearchTrace, stage: str = "backward"):
-    """``search._backward`` on compacted S and beta: each sweep deletes the
-    dropped row and column (``np.delete``), where the search sweeps in place
-    over the live positions.  The arithmetic on every surviving entry is the
-    same, so the drops and their values must be bit-identical.
+    """Backward elimination on compacted S and beta, ranked by criterion
+    value (``_pick_drop``): each sweep deletes the dropped row and column
+    (``np.delete``), where ``search._BackwardPath`` sweeps in place over the
+    live positions.  The arithmetic on every surviving entry is the same, so
+    wherever no two drop values tie the drops and their values must be
+    bit-identical.
     """
     live = list(ws.snps)
     base = ws.m - len(live)

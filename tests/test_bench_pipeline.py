@@ -110,9 +110,12 @@ def test_desk_identity_toy_prints_stable_digests():
     runs = [subprocess.run(cmd, capture_output=True, text=True, timeout=300) for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr[-2000:]
-    selects, detections, results, structure, decisions = runs[0].stdout.splitlines()
+    selects, detections, results, structure, decisions, null = runs[0].stdout.splitlines()
     # 2 replicates x the mBIC and mBIC2 searches
     assert re.fullmatch(r"selects 4 [0-9a-f]{64}", selects)
+    # 3 null replicates x the lone mBIC search
+    assert re.fullmatch(r"null 3 [0-9a-f]{64}", null)
+    assert null.split()[2] != selects.split()[2]
     assert re.fullmatch(r"detections [0-9a-f]{64}", detections)
     assert re.fullmatch(r"results 4 [0-9a-f]{64}", results)
     assert re.fullmatch(r"structure 4 [0-9a-f]{64}", structure)

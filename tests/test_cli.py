@@ -75,6 +75,31 @@ def test_select_finds_planted_snp(tmp_path):
     assert all("stage" in json.loads(line) for line in trace_lines)
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_select_writes_strict_json_on_a_perfect_fit(tmp_path):
+    g, _ = write_fixture(tmp_path, n=30, p=8)
+    x1 = load_dataset(g).columns(1)
+    t = tmp_path / "perfect.txt"
+    t.write_text("\n".join(f"{v:.12g}" for v in x1 + 0.5) + "\n")
+    out = tmp_path / "sel"
+    code = main(["select", "--genotypes", str(g), "--trait", str(t), "--criterion", "mbic",
+                 "--out", str(out)])
+    assert code == 0
+    selection = strict_json((out / "selection.json").read_text())
+    assert selection["selected_indices"] == [1]
+    assert selection["f_statistic"] is None  # infinite, written as null
+    assert selection["p_value"] == 0.0
+    for line in (out / "trace.jsonl").read_text().splitlines():
+        strict_json(line)
+    strict_json((out / "manifest.json").read_text())
+
+
 def test_rerun_identical_outputs(tmp_path):
     g, t = write_fixture(tmp_path, causal=(2,), effects=(1.2,))
     out1, out2 = tmp_path / "a", tmp_path / "b"

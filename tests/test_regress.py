@@ -17,10 +17,10 @@ from gwasel.regress import (
     noncentrality_single_marker,
     workspace_for,
 )
-from gwasel.search import _best_drop, _CriterionEval, _drop_rss, _project
+from gwasel.search import _CriterionEval, _drop_rss, _project
 
 from conftest import dataset_from_values, hadamard_codes, random_genotypes
-from oracles import lstsq_design, lstsq_rss
+from oracles import _best_drop, lstsq_design, lstsq_rss
 
 
 # ---------------------------------------------------------------------------

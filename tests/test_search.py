@@ -23,11 +23,13 @@ from gwasel.search import (
     _backward,
     _CriterionEval,
     _downdate,
+    _drop_rss,
     _enumerate_best,
     _first_min,
     _forward,
     _project,
     _restore,
+    _smallest_drop,
     _stepwise,
     forward_stage,
     refine_subsets,
@@ -45,6 +47,7 @@ from gwasel.simulate import (
 
 from conftest import dataset_from_values, random_genotypes, search_constants, unpruned
 from oracles import (
+    _best_drop,
     backward_by_deletes,
     backward_by_drops,
     forward_by_pushes,
@@ -437,13 +440,22 @@ def test_forward_records_match_the_per_push_oracle(seed, eps, block_size):
 # ---------------------------------------------------------------------------
 
 
+def backward_rebuilt(ws, ev, trace, stage="backward", path=None):
+    """``_backward`` with ``ws`` rebuilt from the survivors, as refinement's
+    fallback does; the model left."""
+    survivors = _backward(ws, ev, trace, stage, path)
+    if survivors is not None:
+        ws.rebuild(survivors)
+    return ws.model()
+
+
 def test_backward_drops_noise_snp_vs_submodel_oracle():
     ds = synthetic_dataset(500, 2, seed=6)
     sim = SimulationConfig((0,), (1.0,), sigma=1.0, seed=7)
     dsy = ds.with_trait(simulate_trait(ds, sim, 0))
     crit = CriterionConfig("mbic", n=500, p_effective=2)
     ws = workspace_for(dsy, ModelSpec((0, 1)))
-    model = _backward(ws, _CriterionEval(crit, ws.rss_base), SearchTrace())
+    model = backward_rebuilt(ws, _CriterionEval(crit, ws.rss_base), SearchTrace())
 
     best = exhaustive_minimizer(dsy, crit, 2)
     assert model.snp_indices == best[2] == (0,)
@@ -457,7 +469,8 @@ def test_backward_fixed_point():
     ws = workspace_for(dsy, ModelSpec((0, 1, 2)))
     ev = _CriterionEval(cfg.criterion, ws.rss_base)
     trace = SearchTrace()
-    model = _backward(ws, ev, trace)
+    assert _backward(ws, ev, trace) is None
+    model = ws.model()
     assert model.snp_indices == (0, 1, 2)
     assert _stepwise(ws, *gathered(dsy, [0, 1, 2]), ev, trace).snp_indices == (0, 1, 2)
     assert trace.records == []
@@ -501,7 +514,7 @@ def filled_workspace(ds, forced, order):
 
 def assert_backward_matches_oracle(ds, forced, order, crit):
     runs = []
-    for backward in (_backward, backward_by_drops):
+    for backward in (backward_rebuilt, backward_by_drops):
         ws = filled_workspace(ds, forced, order)
         trace = SearchTrace()
         model = backward(ws, _CriterionEval(crit, ws.rss_base), trace)
@@ -533,7 +546,7 @@ def assert_backward_sweeps_in_place(ds, forced, order, crit):
     """The in-place sweep against the sweep on compacted arrays: the same
     records to the last bit and the same final workspace."""
     runs = []
-    for backward in (_backward, backward_by_deletes):
+    for backward in (backward_rebuilt, backward_by_deletes):
         ws = filled_workspace(ds, forced, order)
         trace = SearchTrace()
         model = backward(ws, _CriterionEval(crit, ws.rss_base), trace)
@@ -632,10 +645,10 @@ def test_shared_backward_path_cut_per_criterion_is_each_own_elimination(seed, n_
     for crit in crits:
         ev = _CriterionEval(crit, state.ws.rss_base)
         runs = []
-        for backward in (_backward, backward_by_deletes):
+        for backward in (backward_rebuilt, backward_by_deletes):
             ws = state.ws.copy()
             trace = SearchTrace()
-            kw = {"path": state.backward_path(ev)} if backward is _backward else {}
+            kw = {"path": state.backward_path(ev)} if backward is backward_rebuilt else {}
             model = backward(ws, ev, trace, **kw)
             runs.append((model, ws.snps, ws.rss, trace.records))
         assert runs[0] == runs[1]  # record for record, to the last bit
@@ -656,7 +669,7 @@ def test_saturated_exact_design_ranks_drops_at_the_floor():
     crit = CriterionConfig("mbic", n=ds.n_individuals, p_effective=5000)
     ev = _CriterionEval(crit, state.ws.rss_base)
     trace = SearchTrace()
-    model = _backward(state.ws.copy(), ev, trace, path=state.backward_path(ev))
+    model = backward_rebuilt(state.ws.copy(), ev, trace, path=state.backward_path(ev))
     assert model.snp_indices == (0, 1)
     floored = [r.snp for r in trace.records[:-1]]  # the last drop leaves x0 or x1 alone
     assert len(floored) >= 2 and floored == sorted(floored, reverse=True)
@@ -672,7 +685,7 @@ def test_exact_fit_with_sigma_known_ties_every_drop():
     crit = CriterionConfig("mbic", n=ds.n_individuals, p_effective=5000, sigma=1.0)
     ev = _CriterionEval(crit, state.ws.rss_base)
     runs = []
-    for backward in (_backward, backward_by_deletes):
+    for backward in (backward_rebuilt, backward_by_deletes):
         ws = state.ws.copy()
         trace = SearchTrace()
         runs.append((backward(ws, ev, trace), ws.rss, [r.snp for r in trace.records]))
@@ -680,6 +693,40 @@ def test_exact_fit_with_sigma_known_ties_every_drop():
     assert (model, rss) == (model_o, rss_o)
     assert drops != drops_o and sorted(drops) == sorted(drops_o)
     assert drops_o[:-1] == sorted(drops_o[:-1], reverse=True)
+    # stepwise drops by the same rule: from the forward model its first drop
+    # is the one of smallest RSS, where the value-ranked oracle takes the
+    # largest SNP index at the same criterion value
+    ws = state.ws.copy()
+    snps = np.asarray(ws.snps, dtype=np.int64)
+    drop_rss = _drop_rss(ws.rss, *ws.inverse_gram(), slice(ws.m - snps.size, None))
+    val_o, j_o = _best_drop(ws, ev)
+    trace = SearchTrace()
+    _stepwise(ws, *gathered(ds, []), ev, trace)
+    first = trace.records[0]
+    assert (first.stage, first.action) == ("stepwise", "drop")
+    assert first.snp == int(snps[drop_rss.argmin()]) != j_o == snps.max()
+    assert first.criterion_value == val_o
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.sampled_from(["near", "noise"]),
+       st.sampled_from(["bic", "mbic", "mbic2"]), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_smallest_drop_is_the_value_ranked_drop_where_no_values_tie(seed, n_forced, design,
+                                                                     kind, log_mode):
+    if design == "near":
+        ds, forced, order = design_with_near_collinearity(seed, n_forced, 1e-5)
+    else:
+        ds, forced, order = saturated_design(seed, n_forced, exact=False)
+    ws = filled_workspace(ds, forced, order)
+    crit = CriterionConfig(kind, n=ds.n_individuals, p_effective=5000,
+                           sigma=None if log_mode else 1.0)
+    ev = _CriterionEval(crit, ws.rss_base)
+    snps = np.asarray(ws.snps, dtype=np.int64)
+    drop_rss = _drop_rss(ws.rss, *ws.inverse_gram(), slice(ws.m - snps.size, None))
+    vals = ev.value_array(drop_rss, snps.size - 1)
+    assume(np.unique(vals).size == vals.size)
+    pick = _smallest_drop(drop_rss, -snps, ev.tie_floor)
+    assert (float(vals[pick]), int(snps[pick])) == _best_drop(ws, ev)
 
 
 @pytest.mark.parametrize("log_mode", [True, False])
@@ -1187,6 +1234,28 @@ def test_shared_forward_state_is_left_unchanged():
         assert out[2].records == own[2].records
     for got, want in zip(state_arrays(state), before):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, p, causal, effects, kind, seed, drops", [
+    (400, 3, (0, 1, 2), (1.0, 1.2, 0.9), "mbic", 8, False),  # backward keeps the model whole
+    (150, 40, (5, 20), (0.8, 1.0), "mbic2", 10, True),      # backward drops SNPs
+])
+def test_private_and_shared_state_selects_match_to_the_bit(n, p, causal, effects, kind, seed,
+                                                           drops):
+    ds = synthetic_dataset(n, p, seed=seed)
+    sim = SimulationConfig(causal, effects, sigma=1.0, seed=seed + 1)
+    dsy = ds.with_trait(simulate_trait(ds, sim, 0))
+    cfg = make_config(kind, dsy)
+    scan = single_marker_scan(dsy)
+    outs = [select_model(dsy, cfg, scan=scan),
+            select_model(dsy, cfg, scan=scan, _state=forward_stage(dsy, cfg, scan))]
+    (model, result, trace), (model_s, result_s, trace_s) = outs
+    assert bool(trace.accepted("backward")) == drops
+    assert trace.to_jsonl(dsy.snp_ids) == trace_s.to_jsonl(dsy.snp_ids)
+    assert model == model_s
+    assert repr(result.rss) == repr(result_s.rss)
+    assert repr(result.intercept) == repr(result_s.intercept)
+    assert result.snp_coefficients.tobytes() == result_s.snp_coefficients.tobytes()
 
 
 def test_forward_state_of_another_dataset_or_screen_is_refused():

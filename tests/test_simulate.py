@@ -1,12 +1,17 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import fdtri
 from scipy.stats import f as f_dist, ncf
 
+import gwasel
 from gwasel.genotype import Dataset
 from gwasel.regress import noncentrality_single_marker
 from gwasel.simulate import (
@@ -61,6 +66,26 @@ def test_synthetic_dataset_matches_one_whole_draw(n, p, seed, maf_range):
     values = synthetic_dataset(n, p, maf_range=maf_range, seed=seed).genotypes.values
     assert values.dtype == np.int8
     assert np.array_equal(values, expected)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc")
+def test_synthetic_dataset_leaves_its_all_false_mask_unmapped():
+    # a fresh interpreter, so the rise is the panel's own: the int8 codes are
+    # written, the all-False mask's pages are not
+    n, p = 600, 100_000
+    probe = ("from gwasel.simulate import synthetic_dataset\n"
+             "def vmrss():\n"
+             "    with open('/proc/self/status') as fh:\n"
+             "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith('VmRSS:'))\n"
+             "before = vmrss()\n"
+             f"ds = synthetic_dataset({n}, {p})\n"
+             "print(vmrss() - before)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gwasel.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes = mask = n * p  # one byte a call each
+    assert int(proc.stdout) < codes + mask // 2
 
 
 def test_trait_bitwise_reproducible():
