@@ -1,15 +1,8 @@
 """gwasel: sparse model selection and multiple testing for marker scans."""
 
-from gwasel.cluster import ClusterAssignment, cluster_snps, deduplicate
+from gwasel.cluster import ClusterAssignment, cluster_snps
 from gwasel.criteria import DEFAULT_D, CriterionConfig, evaluate, penalty
-from gwasel.genotype import (
-    Dataset,
-    GenotypeMatrix,
-    impute_missing,
-    load_dataset,
-    minor_allele_frequency,
-    sample_correlation,
-)
+from gwasel.genotype import Dataset, GenotypeMatrix, impute_missing, load_dataset
 from gwasel.mtest import (
     ScanEngine,
     ScanResult,
@@ -22,7 +15,6 @@ from gwasel.regress import (
     FitWorkspace,
     ModelSpec,
     NoncentralityPair,
-    block_f_test,
     f_pvalue,
     fit,
     noncentrality_single_marker,

@@ -7,12 +7,12 @@ penalties, is the number of greedy leader clusters at an |R| threshold.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from gwasel import _kernels
-from gwasel.genotype import Dataset, GenotypeMatrix
+from gwasel.genotype import Dataset
 
 
 @dataclass(frozen=True)
@@ -52,29 +52,3 @@ def cluster_snps(dataset: Dataset, c_threshold: float = 0.7,
         dataset.genotypes.values, float(c_threshold), int(window)
     )
     return ClusterAssignment(cluster_id, reps, degenerate)
-
-
-def deduplicate(dataset: Dataset) -> tuple[Dataset, dict[int, int]]:
-    """Drop columns identical to an earlier column.
-
-    Returns the reduced dataset and a map from each removed column index to
-    the kept column it duplicated.
-    """
-    if dataset.genotypes.missing_mask.any():
-        raise ValueError("deduplication requires complete genotypes; impute first")
-    values = dataset.genotypes.values
-    first_seen: dict[bytes, int] = {}
-    keep: list[int] = []
-    mapping: dict[int, int] = {}
-    for j in range(dataset.n_snps):
-        key = values[:, j].tobytes()
-        if key in first_seen:
-            mapping[j] = first_seen[key]
-        else:
-            first_seen[key] = j
-            keep.append(j)
-    if not mapping:
-        return dataset, {}
-    gm = GenotypeMatrix(values[:, keep], dataset.genotypes.missing_mask[:, keep])
-    reduced = replace(dataset, genotypes=gm, snp_ids=tuple(dataset.snp_ids[j] for j in keep))
-    return reduced, mapping

@@ -35,7 +35,9 @@ class PerfectFitError(GwaselError):
 
 class TraitScaleError(GwaselError, ValueError):
     """The trait's scale leaves float64: n times its centred sum of squares
-    is not finite, so no RSS, F statistic or criterion value of it is."""
+    is not finite, or its values are so small that their squares may
+    underflow, so its RSS, F statistics and criterion values are not to be
+    trusted."""
 
 
 class BudgetError(GwaselError):

@@ -1,4 +1,4 @@
-"""Genotype datasets: loading, validation, imputation, column statistics.
+"""Genotype datasets: loading, validation and imputation.
 
 Genotype codes are -1/0/1 (minor-allele count minus one).  Text inputs use
 whitespace-separated rows, one per individual; ``NA`` or ``.`` marks a
@@ -32,12 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from gwasel import _kernels
-from gwasel.errors import (
-    DegenerateColumnError,
-    DimensionError,
-    ImputationError,
-    ParseError,
-)
+from gwasel.errors import DimensionError, ImputationError, ParseError
 
 _MISSING_TOKENS = frozenset({"NA", "na", "Na", "nA", "."})
 _CODE_TOKENS = {"-1": -1, "0": 0, "1": 1}
@@ -465,34 +460,3 @@ def impute_missing(dataset: Dataset, window: int = 500, n_predictors: int = 4) -
     # the all-False mask adds nothing to the peak beside the filled codes
     new_gm = GenotypeMatrix(filled, np.zeros(gm.missing_mask.shape, dtype=np.bool_))
     return replace(dataset, genotypes=new_gm)
-
-
-def minor_allele_frequency(column: np.ndarray) -> float:
-    """MAF of one complete genotype column, in [0, 0.5].
-
-    With codes read as minor-allele count minus one, the allele frequency
-    is ``(sum(x) + n) / (2n)``; the minor side is ``min(f, 1 - f)``.
-    """
-    col = np.asarray(column)
-    if np.isnan(col.astype(np.float64)).any():
-        raise ValueError("column contains missing values")
-    n = col.shape[0]
-    f = (float(col.sum()) + n) / (2.0 * n)
-    return min(f, 1.0 - f)
-
-
-def sample_correlation(col_a: np.ndarray, col_b: np.ndarray) -> float:
-    """Pearson correlation of two complete columns (n-1 denominator)."""
-    a = np.asarray(col_a, dtype=np.float64)
-    b = np.asarray(col_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError("columns must be 1-D with equal length")
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise ValueError("columns contain missing values")
-    ac = a - a.mean()
-    bc = b - b.mean()
-    va = float(ac @ ac)
-    vb = float(bc @ bc)
-    if va <= 0.0 or vb <= 0.0:
-        raise DegenerateColumnError("zero-variance column in correlation")
-    return float(ac @ bc) / np.sqrt(va * vb)

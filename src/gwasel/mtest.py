@@ -147,7 +147,7 @@ class ScanEngine:
         yt = y - self.Q0 @ (self.Q0.T @ y)
         with np.errstate(over="ignore"):  # an overflow is refused just below
             rss0 = float(yt @ yt)
-        _check_trait_scale(y.shape[0], rss0)
+        _check_trait_scale(y, rss0)
         t = self._t(yt)
         with np.errstate(invalid="ignore", divide="ignore"):
             delta = np.where(self.degenerate, 0.0, (t * t) / self.s)

@@ -44,14 +44,24 @@ REPROJECT_BELOW = 1e-6
 REORTH_BELOW = 1.0 / math.sqrt(2.0)
 
 
-def _check_trait_scale(n: int, rss0: float) -> None:
+def _check_trait_scale(y: np.ndarray, rss0: float) -> None:
     """Raise ``TraitScaleError`` unless n * rss0 is finite, rss0 being the
     trait's sum of squares after the intercept and covariates: every RSS,
-    mean square and F numerator of the trait is at most that."""
+    mean square and F numerator of the trait is at most that.  A trait that
+    is not all zeros but below 2**-485 in magnitude is refused too: its
+    squares lie below 2**-970, within 2**52 of the smallest normal float64,
+    so its RSS, and the tolerances taken as small multiples of it, may lose
+    digits or round to 0."""
+    n = y.shape[0]
     if not math.isfinite(n * rss0):
         raise TraitScaleError(
             f"n times the trait's centred sum of squares is not finite "
             f"({n} x {rss0!r}); rescale the trait")
+    peak = float(np.abs(y).max(initial=0.0))
+    if 0.0 < peak < 2.0**-485:
+        raise TraitScaleError(
+            f"the trait's largest magnitude {peak!r} is below 2**-485, so its "
+            f"squares may underflow; rescale the trait")
 
 
 def _gate(norm2: np.ndarray) -> np.ndarray:
@@ -180,7 +190,7 @@ class FitWorkspace:
                 self._push(cov[:, j], label=j)
         with np.errstate(over="ignore"):  # an overflow is refused just below
             self.rss_base = self.rss
-        _check_trait_scale(n, self.rss_base)
+        _check_trait_scale(y, self.rss_base)
         self._r_base = self._r
 
     # -- core updates -------------------------------------------------
@@ -414,29 +424,6 @@ def workspace_for(dataset: Dataset, model: ModelSpec) -> FitWorkspace:
 def fit(dataset: Dataset, model: ModelSpec) -> FitResult:
     """Least-squares fit of [1 | forced | selected SNPs] on the trait."""
     return workspace_for(dataset, model).result()
-
-
-def block_f_test(dataset: Dataset, model: ModelSpec, block: tuple[int, ...]) -> tuple[float, float]:
-    """Partial F test of a block of forced covariates.
-
-    Compares the full model against the model with the block removed from
-    the forced set; df2 is the full model's residual degrees of freedom.
-    """
-    block = tuple(int(b) for b in block)
-    if not block:
-        raise ValueError("block must be nonempty")
-    if not set(block) <= set(model.forced_indices):
-        raise ValueError("block must be a subset of the forced covariates")
-    full = fit(dataset, model)
-    reduced_forced = tuple(j for j in model.forced_indices if j not in block)
-    reduced = fit(dataset, ModelSpec(model.snp_indices, reduced_forced))
-    df1 = len(block)
-    df2 = full.df_resid
-    num = max(reduced.rss - full.rss, 0.0) / df1
-    if full.rss <= 0.0:
-        return math.inf, 0.0
-    f = num / (full.rss / df2)
-    return f, f_pvalue(f, df1, df2)
 
 
 def noncentrality_single_marker(

@@ -178,6 +178,36 @@ def test_trait_whose_sum_of_squares_overflows_exits_1(tmp_path, capsys, command)
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "select"])
+def test_trait_whose_squares_underflow_exits_1(tmp_path, capsys, command):
+    # at 2**-600, 1e-200 and 2**-1000 the scan gave F = 0 and p = 1 for every
+    # SNP, and select an empty model, both with exit 0; at 2**+-400 the
+    # outputs are those of the unit-scale trait
+    ds = synthetic_dataset(30, 8, seed=1)
+    g = tmp_path / "geno.txt"
+    g.write_text("".join("\t".join(map(str, row)) + "\n" for row in ds.genotypes.values))
+    y = ds.genotypes.values[:, 1] + np.random.default_rng(2).normal(size=30)
+    outputs = {}
+    for scale in (1.0, 2.0**400, 2.0**-400, 2.0**-600, 1e-200, 2.0**-1000):
+        t = tmp_path / f"trait_{scale:g}.txt"
+        t.write_text("".join(f"{float(v)!r}\n" for v in scale * y))
+        out = tmp_path / f"out_{scale:g}"
+        code = main([command, "--genotypes", str(g), "--trait", str(t), "--out", str(out)])
+        err = capsys.readouterr().err
+        if scale >= 2.0**-400:
+            assert code == 0 and err == ""
+            outputs[scale] = ((out / "scan.tsv").read_text() if command == "scan" else
+                              json.loads((out / "selection.json").read_text())["selected"])
+            continue
+        assert code == 1
+        assert err.startswith(f"gwasel: error: {t}: ") and "squares may underflow" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+    assert outputs[2.0**400] == outputs[2.0**-400] == outputs[1.0]
+    if command == "select":
+        assert outputs[1.0] == ["snp1"]
+
+
 def write_named_fixture(tmp_path, ids, n=40, seed=5):
     """A genotype file with a header of ``ids`` and a trait file."""
     g, t = write_fixture(tmp_path, n=n, p=len(ids), seed=seed)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gwasel.cluster import cluster_snps, deduplicate
+from gwasel.cluster import cluster_snps
 from gwasel.simulate import synthetic_dataset
 
 from conftest import dataset_from_values, random_genotypes
@@ -81,43 +81,3 @@ def test_tsv_export():
     lines = text.strip().splitlines()
     assert lines[0] == "snp_id\tcluster_id\trepresentative_id"
     assert len(lines) == 4
-
-
-def test_deduplicate_identity():
-    ds = synthetic_dataset(50, 8, seed=8)
-    out, mapping = deduplicate(ds)
-    assert mapping == {}
-    assert out.n_snps == 8
-
-
-def test_deduplicate_removes_second_copy():
-    rng = np.random.default_rng(9)
-    base = random_genotypes(rng, 40, 3)
-    values = np.column_stack([base[:, 0], base[:, 1], base[:, 0], base[:, 2]])
-    ds = dataset_from_values(values)
-    out, mapping = deduplicate(ds)
-    assert out.n_snps == 3
-    assert mapping == {2: 0}
-    assert out.snp_ids == ("snp0", "snp1", "snp3")
-
-
-def test_deduplicate_idempotent():
-    rng = np.random.default_rng(10)
-    base = random_genotypes(rng, 30, 4)
-    values = np.column_stack([base, base[:, 1]])
-    ds = dataset_from_values(values)
-    once, _ = deduplicate(ds)
-    twice, mapping = deduplicate(once)
-    assert mapping == {}
-    assert np.array_equal(once.genotypes.values, twice.genotypes.values)
-
-
-def test_dedup_then_cluster_same_effective_count():
-    rng = np.random.default_rng(11)
-    base = random_genotypes(rng, 120, 10)
-    dup = np.column_stack([base, base[:, 3], base[:, 7]])
-    ds = dataset_from_values(dup)
-    direct = cluster_snps(ds, 0.7, window=dup.shape[1]).effective_count
-    reduced, _ = deduplicate(ds)
-    after = cluster_snps(reduced, 0.7, window=reduced.n_snps).effective_count
-    assert direct == after

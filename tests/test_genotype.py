@@ -9,20 +9,8 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from gwasel import genotype
-from gwasel.errors import (
-    DegenerateColumnError,
-    DimensionError,
-    ImputationError,
-    ParseError,
-)
-from gwasel.genotype import (
-    Dataset,
-    GenotypeMatrix,
-    impute_missing,
-    load_dataset,
-    minor_allele_frequency,
-    sample_correlation,
-)
+from gwasel.errors import DimensionError, ImputationError, ParseError
+from gwasel.genotype import Dataset, GenotypeMatrix, impute_missing, load_dataset
 
 from conftest import dataset_from_values
 
@@ -438,46 +426,3 @@ def test_impute_tie_prefers_smaller_code():
     ds = dataset_from_values(values, mask=mask)
     out = impute_missing(ds, window=1, n_predictors=2)
     assert out.genotypes.values[4, 1] == -1
-
-
-# ---------------------------------------------------------------------------
-# column statistics
-# ---------------------------------------------------------------------------
-
-
-def test_maf_examples():
-    assert minor_allele_frequency(np.zeros(6, dtype=np.int8)) == 0.5
-    assert minor_allele_frequency(-np.ones(5, dtype=np.int8)) == 0.0
-    assert minor_allele_frequency(np.array([-1, -1, 0, 1], dtype=np.int8)) == pytest.approx(0.375)
-
-
-def test_maf_range_property():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        col = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=rng.integers(2, 40))
-        assert 0.0 <= minor_allele_frequency(col) <= 0.5
-
-
-def test_correlation_examples():
-    col = np.array([-1, 0, 1, 0], dtype=np.float64)
-    assert sample_correlation(col, col) == pytest.approx(1.0)
-    a = np.array([-1, 1, -1, 1], dtype=np.float64)
-    assert sample_correlation(a, -a) == pytest.approx(-1.0)
-    b = np.array([-1, 1, 0, 0], dtype=np.float64)
-    assert sample_correlation(col, b) == pytest.approx(0.5)
-
-
-def test_correlation_symmetry_and_affine_invariance():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        a = rng.normal(size=15)
-        b = rng.normal(size=15)
-        r = sample_correlation(a, b)
-        assert sample_correlation(b, a) == pytest.approx(r)
-        scale, shift = rng.uniform(0.1, 5.0), rng.normal()
-        assert sample_correlation(scale * a + shift, b) == pytest.approx(r)
-
-
-def test_correlation_degenerate():
-    with pytest.raises(DegenerateColumnError):
-        sample_correlation(np.ones(4), np.array([1.0, 2.0, 3.0, 4.0]))

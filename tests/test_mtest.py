@@ -75,6 +75,21 @@ def test_scan_and_workspace_refuse_a_trait_whose_sum_of_squares_overflows():
     np.testing.assert_allclose(small.p_values, unit.p_values, rtol=1e-9)
 
 
+def test_scan_and_workspace_refuse_a_trait_whose_squares_may_underflow():
+    ds = synthetic_dataset(30, 8, seed=1)
+    y = ds.genotypes.values[:, 1] + np.random.default_rng(2).normal(size=30)
+    engine = ScanEngine(ds)
+    for scale in (2.0**-600, 1e-200, 2.0**-1000):
+        with pytest.raises(ValueError, match="squares may underflow"):
+            engine.scan(scale * y)
+        with pytest.raises(ValueError, match="squares may underflow"):
+            FitWorkspace(ds.with_trait(scale * y))
+    # an all-zero trait is scanned as before: F = 0 and p = 1 for every SNP
+    zero = engine.scan(np.zeros_like(y))
+    assert np.all(zero.f_statistics == 0.0) and np.all(zero.p_values == 1.0)
+    assert FitWorkspace(ds.with_trait(np.zeros_like(y))).rss_base == 0.0
+
+
 def test_scan_null_uniform():
     rng = np.random.default_rng(1)
     values = random_genotypes(rng, 100, 1000)

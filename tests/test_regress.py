@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.stats import chi2, kstest, t as t_dist
+from scipy.stats import chi2, t as t_dist
 
 from gwasel.criteria import CriterionConfig
 from gwasel.errors import CollinearityError, DegenerateColumnError
@@ -11,7 +11,6 @@ from gwasel.regress import (
     REORTH_BELOW,
     FitWorkspace,
     ModelSpec,
-    block_f_test,
     f_pvalue,
     fit,
     noncentrality_single_marker,
@@ -55,6 +54,16 @@ def test_fit_duplicate_column_collinear():
     with pytest.raises(CollinearityError) as err:
         fit(ds, ModelSpec((1, 3)))
     assert err.value.column == 3
+
+
+def test_fit_snp_collinear_with_a_forced_covariate():
+    rng = np.random.default_rng(18)
+    values = random_genotypes(rng, 40, 2)
+    cov = np.column_stack([values[:, 0].astype(float), rng.normal(size=40)])
+    ds = dataset_from_values(values, trait=rng.normal(size=40), covariates=cov)
+    with pytest.raises(CollinearityError) as err:
+        fit(ds, ModelSpec((0,), forced_indices=(0, 1)))
+    assert err.value.column == 0
 
 
 @pytest.mark.parametrize("j", [-1, 4])
@@ -457,55 +466,6 @@ def test_push_given_its_projection_matches_a_push_without(design, seed):
         qty = plain._qty[:m]
         np.testing.assert_allclose(given_ws._qty[:m], qty, rtol=0,
                                    atol=1e-13 * np.abs(qty).max())
-
-
-# ---------------------------------------------------------------------------
-# block F test
-# ---------------------------------------------------------------------------
-
-
-def test_block_f_single_column_equals_squared_t():
-    rng = np.random.default_rng(16)
-    values = random_genotypes(rng, 50, 3)
-    cov = rng.normal(size=(50, 2))
-    y = 0.5 * cov[:, 0] + rng.normal(size=50)
-    ds = dataset_from_values(values, trait=y, covariates=cov)
-    model = ModelSpec((0,), forced_indices=(0, 1))
-    f, p = block_f_test(ds, model, (1,))
-
-    # squared-t oracle from the classical coefficient standard error
-    n = 50
-    D = np.column_stack([np.ones(n), cov[:, 0], cov[:, 1], ds.float_values[:, 0]])
-    beta, *_ = np.linalg.lstsq(D, y, rcond=None)
-    r = y - D @ beta
-    df = n - 4
-    sigma2 = float(r @ r) / df
-    cov_beta = sigma2 * np.linalg.inv(D.T @ D)
-    t_stat = beta[2] / math.sqrt(cov_beta[2, 2])
-    assert f == pytest.approx(t_stat**2, rel=1e-9)
-    assert p == pytest.approx(2.0 * t_dist.sf(abs(t_stat), df), rel=1e-9)
-
-
-def test_block_f_null_uniformity():
-    rng = np.random.default_rng(17)
-    values = random_genotypes(rng, 80, 2)
-    cov = rng.normal(size=(80, 2))
-    pvals = []
-    for _ in range(300):
-        y = rng.normal(size=80)  # block truly has zero effect
-        ds = dataset_from_values(values, trait=y, covariates=cov)
-        _, p = block_f_test(ds, ModelSpec((0,), forced_indices=(0, 1)), (0, 1))
-        pvals.append(p)
-    assert kstest(pvals, "uniform").pvalue > 0.01
-
-
-def test_block_f_collinear_block():
-    rng = np.random.default_rng(18)
-    values = random_genotypes(rng, 40, 2)
-    cov = np.column_stack([values[:, 0].astype(float), rng.normal(size=40)])
-    ds = dataset_from_values(values, trait=rng.normal(size=40), covariates=cov)
-    with pytest.raises(CollinearityError):
-        block_f_test(ds, ModelSpec((0,), forced_indices=(0, 1)), (1,))
 
 
 # ---------------------------------------------------------------------------
